@@ -22,7 +22,6 @@ from .estimator import (
     ColumnAggregates,
     EstimateReport,
     RHatTable,
-    aggregate_column,
     column_aggregates,
     estimate_f,
     estimate_modulo,
@@ -47,13 +46,9 @@ from .groups import (
     reduce_mod,
 )
 from .sampler import (
-    BucketState,
-    FingerprintBucket,
     SamplerSketch,
-    classify_bucket,
     equal_memory_m_prime,
     sample_f_moment,
-    splitter_update,
     tau_gra_density,
     tau_gra_estimate,
 )

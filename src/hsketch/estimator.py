@@ -24,7 +24,6 @@ across any number of transforms at query time.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -32,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import GroupMismatchError, InvalidConfigError, InvalidRHatError
-from .groups import FunctionTable, GroupDescriptor, SpectrumTable, dft, make_group
+from .groups import FunctionTable, GroupDescriptor, SpectrumTable, _write_csv, dft, make_group
 from .special import gamma_cached
 from .tower import IntegerTowerSketch, SketchConfig, TowerSketch, combine_product
 
@@ -53,7 +52,6 @@ class EstimateReport:
     estimate: float
     imag_residual: float
     gamma_terms: np.ndarray | None = None
-    predicted_rel_std: float | None = None
 
 
 @dataclass(frozen=True)
@@ -68,30 +66,6 @@ class ColumnAggregates:
     @property
     def num_chars(self) -> int:
         return self.group.total_size
-
-
-def aggregate_column(
-    registers: np.ndarray,
-    group: GroupDescriptor,
-    gamma,
-    config: SketchConfig,
-    literal: bool = False,
-) -> complex:
-    """Aggregate of one column's registers against one character.
-
-    ``registers`` is the (num_cells, d) residue array of a single column.
-    """
-    gamma = group.element(gamma)
-    if all(g == 0 for g in gamma) and not literal:
-        return 0.0 + 0.0j
-    q = np.array(
-        [g * f for g, f in zip(gamma, group.phase_factors)], dtype=np.int64
-    )
-    phases = (np.asarray(registers, dtype=np.int64) @ q) % group.char_modulus
-    chars = group.roots[phases]
-    m, a, b = config.m, config.a, config.b
-    weights = np.exp(np.arange(a, b) / (3.0 * m))
-    return complex((chars - 1.0) @ weights - truncation_tail(m, a))
 
 
 def column_aggregates(sketch: TowerSketch, literal: bool = False) -> ColumnAggregates:
@@ -115,6 +89,11 @@ def _resolve_aggregates(
     sketch, literal: bool, p: int | None = None
 ) -> ColumnAggregates:
     if isinstance(sketch, ColumnAggregates):
+        if sketch.literal != literal:
+            raise InvalidConfigError(
+                f"aggregates were computed with literal={sketch.literal}, "
+                f"the query asks for literal={literal}"
+            )
         return sketch
     if isinstance(sketch, IntegerTowerSketch):
         if p is None:
@@ -298,17 +277,12 @@ ESTIMATE_CSV_HEADER = ["scheme", "quantity", "seed", "estimate", "imag_residual"
 
 def export_estimates(path, rows) -> None:
     """Write (scheme, quantity, seed, report, truth) tuples as estimate rows."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(ESTIMATE_CSV_HEADER)
-        for scheme, quantity, seed, report, truth in rows:
-            writer.writerow(
-                [
-                    scheme,
-                    quantity,
-                    seed,
-                    repr(float(report.estimate)),
-                    repr(float(report.imag_residual)),
-                    repr(float(truth)),
-                ]
-            )
+    _write_csv(
+        path,
+        ESTIMATE_CSV_HEADER,
+        (
+            [scheme, quantity, seed, repr(float(report.estimate)),
+             repr(float(report.imag_residual)), repr(float(truth))]
+            for scheme, quantity, seed, report, truth in rows
+        ),
+    )

@@ -25,7 +25,7 @@ from .estimator import (
     estimate_support,
     estimate_union,
 )
-from .groups import FunctionTable, dft, make_group
+from .groups import FunctionTable, GroupDescriptor, _write_csv, dft, make_group
 from .sampler import SamplerSketch, equal_memory_m_prime, sample_f_moment
 from .tower import IntegerTowerSketch, SketchConfig, TowerSketch, default_window
 from .workloads import WorkloadSpec, gen_stream, signed_representative
@@ -96,11 +96,21 @@ def _fmt(x: float) -> str:
 
 
 def write_rows(path, rows: Iterable[Sequence]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for row in rows:
-            writer.writerow(row)
+    _write_csv(path, CSV_HEADER, rows)
+
+
+def _run_trials(trial_fn: Callable, args: list, out_path) -> None:
+    """Run every trial (in worker processes when allowed) and write the rows in trial order."""
+    results = _map_trials(trial_fn, args)
+    write_rows(out_path, [row for rows in results for row in rows])
+
+
+def _sampler_for(scheme: SchemeSpec, group: GroupDescriptor, seed: int) -> SamplerSketch:
+    """The baseline sampler of a non-fourier scheme at the tower's memory budget."""
+    if scheme.kind == "ideal-oracle":
+        return SamplerSketch(group, 3 * scheme.m, seed, r=scheme.r, mode="ideal")
+    m_prime = equal_memory_m_prime(scheme.m, scheme.r, group)
+    return SamplerSketch(group, m_prime, seed, r=scheme.r, mode="fingerprint")
 
 
 # -- modulo-distribution experiment -------------------------------------------
@@ -135,16 +145,7 @@ def _modulo_trial(args) -> list[list]:
                 )
                 estimates[f"lambda{j}"] = (rep.estimate, rep.imag_residual)
         else:
-            m_prime = equal_memory_m_prime(scheme.m, scheme.r, group)
-            if scheme.kind == "ideal-oracle":
-                m_prime = 3 * scheme.m
-            sampler = SamplerSketch(
-                group,
-                m_prime,
-                seed,
-                r=scheme.r,
-                mode="ideal" if scheme.kind == "ideal-oracle" else "fingerprint",
-            )
+            sampler = _sampler_for(scheme, group, seed)
             sampler.update_batch(vs, np.mod(ys, p))
             try:
                 lam0 = sampler.estimate_support()
@@ -174,8 +175,7 @@ def run_modulo_experiment(config: ExperimentConfig, out_path) -> None:
         for spec in config.workloads
         for trial in range(config.trials)
     ]
-    results = _map_trials(_modulo_trial, args)
-    write_rows(out_path, [row for rows in results for row in rows])
+    _run_trials(_modulo_trial, args, out_path)
 
 
 # -- L2-style moment experiment ------------------------------------------------
@@ -208,15 +208,7 @@ def _l2_trial(args) -> list[list]:
             )
             est, imag = rep.estimate, rep.imag_residual
         else:
-            m_prime = (
-                3 * scheme.m
-                if scheme.kind == "ideal-oracle"
-                else equal_memory_m_prime(scheme.m, scheme.r, group)
-            )
-            sampler = SamplerSketch(
-                group, m_prime, seed, r=scheme.r,
-                mode="ideal" if scheme.kind == "ideal-oracle" else "fingerprint",
-            )
+            sampler = _sampler_for(scheme, group, seed)
             sampler.update_batch(vs, np.mod(ys, modulus))
             try:
                 est = sample_f_moment(sampler, ftable)
@@ -233,8 +225,7 @@ def run_l2_experiment(config: ExperimentConfig, out_path, modulus: int = 128) ->
         for spec in config.workloads
         for trial in range(config.trials)
     ]
-    results = _map_trials(_l2_trial, args)
-    write_rows(out_path, [row for rows in results for row in rows])
+    _run_trials(_l2_trial, args, out_path)
 
 
 # -- union experiment -----------------------------------------------------------
@@ -296,8 +287,7 @@ def run_union_experiment(
         (wl, m, trial, base_seed + trial, clamp_nonnegative, literal_truncation)
         for trial in range(trials)
     ]
-    results = _map_trials(_union_trial, args)
-    write_rows(out_path, [row for rows in results for row in rows])
+    _run_trials(_union_trial, args, out_path)
 
 
 # -- summaries -------------------------------------------------------------------

@@ -18,7 +18,7 @@ import csv
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -170,8 +170,8 @@ def reduce_mod(v: int, p: int) -> GroupElement:
 
 
 @dataclass(frozen=True)
-class FunctionTable:
-    """Complex values of a function on the group, in enumeration order."""
+class _Table:
+    """Complex values indexed by group element, in enumeration order."""
 
     group: GroupDescriptor
     values: np.ndarray
@@ -185,7 +185,7 @@ class FunctionTable:
         object.__setattr__(self, "values", vals)
 
     @classmethod
-    def from_function(cls, g: GroupDescriptor, fn: Callable[[GroupElement], complex]) -> "FunctionTable":
+    def from_function(cls, g: GroupDescriptor, fn: Callable[[GroupElement], complex]):
         return cls(g, np.array([fn(x) for x in g.elements()], dtype=np.complex128))
 
     def __getitem__(self, x: GroupElement) -> complex:
@@ -195,46 +195,32 @@ class FunctionTable:
         _write_table_csv(path, self.values)
 
     @classmethod
-    def read_csv(cls, path, group: GroupDescriptor) -> "FunctionTable":
+    def read_csv(cls, path, group: GroupDescriptor):
         return cls(group, _read_table_csv(path))
 
 
-@dataclass(frozen=True)
-class SpectrumTable:
+class FunctionTable(_Table):
+    """Complex values of a function on the group, in enumeration order."""
+
+
+class SpectrumTable(_Table):
     """Complex values of a transform on the dual group, in enumeration order."""
 
-    group: GroupDescriptor
-    values: np.ndarray
 
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.complex128)
-        if vals.shape != (self.group.total_size,):
-            raise GroupMismatchError(
-                f"table has {vals.shape} values, dual group size is {self.group.total_size}"
-            )
-        object.__setattr__(self, "values", vals)
-
-    @classmethod
-    def from_function(cls, g: GroupDescriptor, fn: Callable[[GroupElement], complex]) -> "SpectrumTable":
-        return cls(g, np.array([fn(x) for x in g.elements()], dtype=np.complex128))
-
-    def __getitem__(self, gamma: GroupElement) -> complex:
-        return complex(self.values[self.group.index_of(gamma)])
-
-    def write_csv(self, path) -> None:
-        _write_table_csv(path, self.values)
-
-    @classmethod
-    def read_csv(cls, path, group: GroupDescriptor) -> "SpectrumTable":
-        return cls(group, _read_table_csv(path))
+def _write_csv(path, header: list[str], rows: Iterable[Sequence]) -> None:
+    """The one CSV writer: a header line, then one line per row."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _write_table_csv(path, values: np.ndarray) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "re", "im"])
-        for i, z in enumerate(values):
-            writer.writerow([i, repr(float(z.real)), repr(float(z.imag))])
+    _write_csv(
+        path,
+        ["index", "re", "im"],
+        ([i, repr(float(z.real)), repr(float(z.imag))] for i, z in enumerate(values)),
+    )
 
 
 def _read_table_csv(path) -> np.ndarray:

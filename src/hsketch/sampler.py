@@ -18,9 +18,7 @@ fingerprints, isolating pure sampling error for benchmarks.
 
 from __future__ import annotations
 
-import enum
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,12 +35,6 @@ from .tower import _canonical_values
 
 TAU_STAR = 0.34355
 LEVEL_SPAN = 22  # levels cover cell masses e^0 .. e^-22 (~2^-32)
-
-
-class BucketState(enum.Enum):
-    EMPTY = "empty"
-    SINGLETON = "singleton"
-    NOT_SINGLETON = "not-singleton"
 
 
 def splitter_width(group: GroupDescriptor) -> int:
@@ -71,43 +63,6 @@ def classify_many(slots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         codes[single] = 1
         values[single] = picked[single, 0, :]
     return codes, values
-
-
-@dataclass
-class FingerprintBucket:
-    """One level's splitter table: r columns, each value lands in one slot."""
-
-    group: GroupDescriptor
-    r: int
-    slots: np.ndarray = field(default=None)  # (r, width, d)
-
-    def __post_init__(self):
-        width = splitter_width(self.group)
-        if self.slots is None:
-            self.slots = np.zeros((self.r, width, self.group.degree), dtype=np.int64)
-
-    @property
-    def parity(self) -> str:
-        return "odd" if splitter_width(self.group) == 2 else "even"
-
-
-def splitter_update(bucket: FingerprintBucket, v: int, y, seed: int) -> None:
-    """Add y into one PRF-chosen slot per column for element v."""
-    yr = _canonical_values(bucket.group, [y])[0]
-    width = splitter_width(bucket.group)
-    for c in range(bucket.r):
-        u = prf.draw(prf.stream_state(seed, prf.DOMAIN_SLOT, v), prf.tuple_key(j=c))
-        slot = int(u % np.uint64(width))
-        bucket.slots[c, slot] = (bucket.slots[c, slot] + yr) % np.array(
-            bucket.group.orders, dtype=np.int64
-        )
-
-
-def classify_bucket(bucket: FingerprintBucket) -> tuple[BucketState, tuple[int, ...] | None]:
-    codes, values = classify_many(bucket.slots[None, :, :, :])
-    state = (BucketState.EMPTY, BucketState.SINGLETON, BucketState.NOT_SINGLETON)[int(codes[0])]
-    value = tuple(int(x) for x in values[0]) if state is BucketState.SINGLETON else None
-    return state, value
 
 
 def tau_gra_density(zero_levels, m_prime: int) -> float:

@@ -33,9 +33,10 @@ from .errors import (
     CorruptSketchError,
     GroupMismatchError,
     InvalidConfigError,
+    InvalidGroupError,
     RegisterOverflowError,
 )
-from .groups import GroupDescriptor
+from .groups import GroupDescriptor, make_group
 
 _CDF_TAIL = 2.0**-60
 _MAX_POISSON_MEAN = 700.0  # e^{-mu} underflows past this; construction rejects it
@@ -91,7 +92,13 @@ class SketchConfig:
     @property
     def sigma(self) -> float:
         """Total cell mass sum_{k=a}^{b-1} e^{-k/m}."""
-        return float(sum(math.exp(-k / self.m) for k in range(self.a, self.b)))
+        return _cell_mass(self.m, self.a, self.b)
+
+
+@lru_cache(maxsize=4096)
+def _cell_mass(m: int, a: int, b: int) -> float:
+    # cached: every dataclasses.replace of a binomial config re-validates sigma
+    return float(sum(math.exp(-k / m) for k in range(a, b)))
 
 
 def default_window(m: int) -> tuple[int, int]:
@@ -179,9 +186,27 @@ def _binomial_levels_batch(seed: int, vs: np.ndarray, j: int, config: SketchConf
     return np.searchsorted(cum, uf, side="right")
 
 
-def _canonical_values(group: GroupDescriptor, ys) -> np.ndarray:
-    """(n, d) int64 canonical residues from ints, tuples, or arrays."""
+def _as_int64(arr: np.ndarray) -> np.ndarray:
+    """Update values as int64; any other entry must convert to int64 exactly.
+
+    Arrays whose dtype always fits int64 pass without a per-element test;
+    non-integral, NaN, inf and out-of-range entries raise.
+    """
+    kind, size = arr.dtype.kind, arr.dtype.itemsize
+    if kind in "bi" or (kind == "u" and size < 8):
+        return arr.astype(np.int64, copy=False)
+    with np.errstate(invalid="ignore"):
+        out = arr.astype(np.int64)
+    if not np.array_equal(out, arr):
+        raise GroupMismatchError("update values must be integers")
+    return out
+
+
+def _canonical_values(group: GroupDescriptor | None, ys) -> np.ndarray:
+    """Update values as int64: (n,) integers, or (n, d) canonical residues of ``group``."""
     arr = np.asarray(ys)
+    if group is None:
+        return _as_int64(arr)
     if arr.ndim == 1 and group.degree == 1:
         arr = arr[:, None]
     if arr.ndim != 2 or arr.shape[1] != group.degree:
@@ -189,14 +214,44 @@ def _canonical_values(group: GroupDescriptor, ys) -> np.ndarray:
             f"values of shape {arr.shape} do not match a degree-{group.degree} group"
         )
     orders = np.array(group.orders, dtype=np.int64)
-    return np.mod(arr.astype(np.int64), orders)
+    return np.mod(_as_int64(arr), orders)
 
 
 class _TowerBase:
-    """Register storage plus the shared Poisson/binomial ingestion loop."""
+    """Register storage, the shared Poisson/binomial ingestion and the structural operations."""
 
     config: SketchConfig
     registers: np.ndarray
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, type(self))
+            and self.config == other.config
+            and np.array_equal(self.registers, other.registers)
+        )
+
+    def copy(self):
+        return type(self)(self.config, self.registers.copy())
+
+    # -- updates -----------------------------------------------------------
+
+    def update(self, v: int, y) -> None:
+        self.update_batch([v], [y])
+
+    def update_batch(self, vs: Sequence[int], ys) -> None:
+        vs = np.asarray(vs, dtype=np.int64)
+        yr = _canonical_values(self.config.group, ys)
+        if len(vs) != len(yr):
+            raise GroupMismatchError("element ids and values have different lengths")
+        if len(vs) == 0:
+            return
+        self._ingest(vs, yr)
+
+    def _ingest(self, vs: np.ndarray, ys: np.ndarray) -> None:
+        if self.config.mode == "poisson":
+            self._ingest_poisson(vs, ys)
+        else:
+            self._ingest_binomial(vs, ys)
 
     def _ingest_poisson(self, vs: np.ndarray, ys: np.ndarray) -> None:
         cfg = self.config
@@ -232,6 +287,21 @@ class _TowerBase:
                 continue
             self._add_levels(levels[live], j - 1, ys[live])
 
+    # -- structure ---------------------------------------------------------
+
+    def window(self, a: int, b: int):
+        """Sub-sketch over [a, b); valid because Poisson cell draws are keyed per cell."""
+        if self.config.mode != "poisson":
+            raise InvalidConfigError("windowing is only meaningful for Poisson towers")
+        if not (self.config.a <= a < b <= self.config.b):
+            raise InvalidConfigError("window must lie inside the stored cell range")
+        cfg = replace(self.config, a=a, b=b)
+        lo = a - self.config.a
+        return type(self)(cfg, self.registers[lo : lo + (b - a)].copy())
+
+    def serialize(self) -> bytes:
+        return _serialize(self.config, self.registers)
+
 
 class TowerSketch(_TowerBase):
     """Group-valued triple tower; registers are canonical residue vectors."""
@@ -248,33 +318,6 @@ class TowerSketch(_TowerBase):
     @property
     def group(self) -> GroupDescriptor:
         return self.config.group
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TowerSketch)
-            and self.config == other.config
-            and np.array_equal(self.registers, other.registers)
-        )
-
-    def copy(self) -> "TowerSketch":
-        return TowerSketch(self.config, self.registers.copy())
-
-    # -- updates -----------------------------------------------------------
-
-    def update(self, v: int, y) -> None:
-        self.update_batch([v], [y])
-
-    def update_batch(self, vs: Sequence[int], ys) -> None:
-        vs = np.asarray(vs, dtype=np.int64)
-        yr = _canonical_values(self.group, ys)
-        if len(vs) != len(yr):
-            raise GroupMismatchError("element ids and values have different lengths")
-        if len(vs) == 0:
-            return
-        if self.config.mode == "poisson":
-            self._ingest_poisson(vs, yr)
-        else:
-            self._ingest_binomial(vs, yr)
 
     def _orders_arr(self) -> np.ndarray:
         return np.array(self.group.orders, dtype=np.int64)
@@ -307,25 +350,11 @@ class TowerSketch(_TowerBase):
         np.add.at(self.registers[:, col, :], levels, ys)
         self.registers[:, col, :] %= orders
 
-    # -- structure ---------------------------------------------------------
-
-    def window(self, a: int, b: int) -> "TowerSketch":
-        """Sub-sketch over [a, b); valid because Poisson cell draws are keyed per cell."""
-        if self.config.mode != "poisson":
-            raise InvalidConfigError("windowing is only meaningful for Poisson towers")
-        if not (self.config.a <= a < b <= self.config.b):
-            raise InvalidConfigError("window must lie inside the stored cell range")
-        cfg = replace(self.config, a=a, b=b)
-        lo = a - self.config.a
-        return TowerSketch(cfg, self.registers[lo : lo + (b - a)].copy())
-
-    def serialize(self) -> bytes:
-        return _serialize(self.config, self.registers, integer=False)
-
     def reduce_values_mod(self, p: int) -> "TowerSketch":
+        """A copy of this Z_p sketch: its registers are already reduced."""
         if self.group.orders != (p,):
             raise GroupMismatchError(f"sketch is over {self.group.orders}, not Z_{p}")
-        return self
+        return self.copy()
 
 
 def combine_product(s1: TowerSketch, s2: TowerSketch) -> TowerSketch:
@@ -336,15 +365,7 @@ def combine_product(s1: TowerSketch, s2: TowerSketch) -> TowerSketch:
     are exactly the sketch of the product stream.
     """
     c1, c2 = s1.config, s2.config
-    same = (
-        c1.m == c2.m
-        and c1.a == c2.a
-        and c1.b == c2.b
-        and c1.seed == c2.seed
-        and c1.mode == c2.mode
-        and c1.copies == c2.copies
-    )
-    if not same:
+    if replace(c1, group=None) != replace(c2, group=None):
         raise CannotCombineError("sketches must share m, a, b, seed and mode")
     group = c1.group.product(c2.group)
     cfg = replace(c1, group=group)
@@ -363,34 +384,12 @@ class IntegerTowerSketch(_TowerBase):
             registers = np.zeros((config.num_cells, 3), dtype=np.int64)
         self.registers = registers
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, IntegerTowerSketch)
-            and self.config == other.config
-            and np.array_equal(self.registers, other.registers)
-        )
-
-    def copy(self) -> "IntegerTowerSketch":
-        return IntegerTowerSketch(self.config, self.registers.copy())
-
-    def update(self, v: int, y: int) -> None:
-        self.update_batch([v], [y])
-
-    def update_batch(self, vs: Sequence[int], ys: Sequence[int]) -> None:
-        vs = np.asarray(vs, dtype=np.int64)
-        yr = np.asarray(ys, dtype=np.int64)
-        if len(vs) != len(yr):
-            raise GroupMismatchError("element ids and values have different lengths")
-        if len(vs) == 0:
-            return
-        if np.any(np.abs(yr) > _MAX_UPDATE_MAGNITUDE):
+    def _ingest(self, vs: np.ndarray, ys: np.ndarray) -> None:
+        if np.any(np.abs(ys) > _MAX_UPDATE_MAGNITUDE):
             raise RegisterOverflowError(
                 f"update magnitude exceeds the declared bound {_MAX_UPDATE_MAGNITUDE}"
             )
-        if self.config.mode == "poisson":
-            self._ingest_poisson(vs, yr)
-        else:
-            self._ingest_binomial(vs, yr)
+        super()._ingest(vs, ys)
         if np.any(np.abs(self.registers) >= _INT_REGISTER_BOUND):
             raise RegisterOverflowError("integer register exceeded the 2^62 workload bound")
 
@@ -412,26 +411,12 @@ class IntegerTowerSketch(_TowerBase):
     def _add_levels(self, levels, col, ys) -> None:
         np.add.at(self.registers[:, col], levels, ys)
 
-    def window(self, a: int, b: int) -> "IntegerTowerSketch":
-        if self.config.mode != "poisson":
-            raise InvalidConfigError("windowing is only meaningful for Poisson towers")
-        if not (self.config.a <= a < b <= self.config.b):
-            raise InvalidConfigError("window must lie inside the stored cell range")
-        cfg = replace(self.config, a=a, b=b)
-        lo = a - self.config.a
-        return IntegerTowerSketch(cfg, self.registers[lo : lo + (b - a)].copy())
-
     def reduce_values_mod(self, p: int) -> TowerSketch:
         """Group-valued view of the registers mod p (query-time reduction)."""
-        from .groups import make_group
-
         group = make_group([p])
         cfg = replace(self.config, group=group)
         regs = np.mod(self.registers, p)[:, :, None].astype(np.int64)
         return TowerSketch(cfg, regs)
-
-    def serialize(self) -> bytes:
-        return _serialize(self.config, self.registers, integer=True)
 
 
 def sketch_new(config: SketchConfig) -> TowerSketch | IntegerTowerSketch:
@@ -447,25 +432,22 @@ _HEADER = struct.Struct("<4sH")
 _FIXED = struct.Struct("<IiiQB")
 
 
-def _serialize(config: SketchConfig, registers: np.ndarray, integer: bool) -> bytes:
-    parts = [_HEADER.pack(MAGIC, VERSION)]
-    if integer:
-        orders: tuple[int, ...] = (0,)
-    else:
-        orders = config.group.orders
-    parts.append(struct.pack("<I", len(orders)))
-    parts.append(struct.pack(f"<{len(orders)}I", *orders))
-    parts.append(_FIXED.pack(config.m, config.a, config.b, config.seed, _MODE_BYTE[(config.mode, integer)]))
-    if integer:
-        parts.append(registers.astype("<i8").tobytes())
-    else:
-        parts.append(registers.astype("<u4").tobytes())
-    return b"".join(parts)
+def _serialize(config: SketchConfig, registers: np.ndarray) -> bytes:
+    integer = config.group is None
+    orders = (0,) if integer else config.group.orders
+    return b"".join(
+        [
+            _HEADER.pack(MAGIC, VERSION),
+            struct.pack("<I", len(orders)),
+            struct.pack(f"<{len(orders)}I", *orders),
+            _FIXED.pack(config.m, config.a, config.b, config.seed, _MODE_BYTE[(config.mode, integer)]),
+            registers.astype("<i8" if integer else "<u4").tobytes(),
+        ]
+    )
 
 
 def deserialize(data: bytes) -> TowerSketch | IntegerTowerSketch:
-    from .groups import make_group
-
+    """Sketch from its wire format; any malformed blob raises CorruptSketchError."""
     try:
         magic, version = _HEADER.unpack_from(data, 0)
         if magic != MAGIC:
@@ -487,21 +469,28 @@ def deserialize(data: bytes) -> TowerSketch | IntegerTowerSketch:
     nk = b - a
     if nk <= 0:
         raise CorruptSketchError("empty cell range")
-    if integer:
-        if orders != (0,):
-            raise CorruptSketchError("integer sketch must carry the Z sentinel order 0")
-        expect = nk * 3 * 8
-        if len(data) - off != expect:
-            raise CorruptSketchError(f"register payload has {len(data) - off} bytes, expected {expect}")
-        regs = np.frombuffer(data, dtype="<i8", offset=off).reshape(nk, 3).astype(np.int64)
-        cfg = SketchConfig(None, m, a, b, seed, mode)
-        return IntegerTowerSketch(cfg, regs)
-    group = make_group(orders)
-    expect = nk * 3 * group.degree * 4
+    if integer and orders != (0,):
+        raise CorruptSketchError("integer sketch must carry the Z sentinel order 0")
+    try:
+        group = None if integer else make_group(orders)
+    except InvalidGroupError as exc:
+        raise CorruptSketchError(f"invalid group in header: {exc}") from exc
+    shape = (nk, 3) if integer else (nk, 3, group.degree)
+    dtype = np.dtype("<i8" if integer else "<u4")
+    expect = math.prod(shape) * dtype.itemsize
     if len(data) - off != expect:
         raise CorruptSketchError(f"register payload has {len(data) - off} bytes, expected {expect}")
-    regs = np.frombuffer(data, dtype="<u4", offset=off).reshape(nk, 3, group.degree).astype(np.int64)
+    # built only after the payload size matches, so a forged header cannot
+    # make the config validation loop over a huge cell range
+    try:
+        cfg = SketchConfig(group, m, a, b, seed, mode)
+    except InvalidConfigError as exc:
+        raise CorruptSketchError(f"invalid config in header: {exc}") from exc
+    regs = np.frombuffer(data, dtype=dtype, offset=off).reshape(shape).astype(np.int64)
+    if integer:
+        if np.any((regs >= _INT_REGISTER_BOUND) | (regs <= -_INT_REGISTER_BOUND)):
+            raise CorruptSketchError("integer register outside the 2^62 bound")
+        return IntegerTowerSketch(cfg, regs)
     if np.any(regs >= np.array(group.orders, dtype=np.int64)):
         raise CorruptSketchError("register residue out of range")
-    cfg = SketchConfig(group, m, a, b, seed, mode)
     return TowerSketch(cfg, regs)

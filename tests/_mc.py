@@ -1,14 +1,10 @@
 """Shared Monte-Carlo workers for the acceptance suite.
 
-Top-level functions so they pickle into worker processes; the pool uses the
-fork context and honors HSKETCH_THREADS like the package harness does.
+Top-level functions so they pickle into the worker processes of
+``hsketch.experiments._map_trials``, which honors HSKETCH_THREADS.
 """
 
 from __future__ import annotations
-
-import multiprocessing
-import os
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -28,17 +24,6 @@ from hsketch.tower import SketchConfig, TowerSketch
 Z7 = make_group([7])
 Z6 = make_group([6])
 G128 = make_group([128])
-
-
-def pool_map(fn, args_list):
-    env = os.environ.get("HSKETCH_THREADS")
-    workers = max(1, int(env)) if env else max(1, os.cpu_count() or 1)
-    workers = min(workers, len(args_list))
-    if workers <= 1:
-        return [fn(a) for a in args_list]
-    ctx = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
-        return list(pool.map(fn, args_list, chunksize=1))
 
 
 def counts_stream(counts: dict[int, int]):

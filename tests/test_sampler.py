@@ -3,17 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from _oracles import BucketState, FingerprintBucket, classify_bucket, splitter_update
 from hsketch.errors import NoSamplesError, SaturatedError
 from hsketch.groups import FunctionTable, make_group
 from hsketch.sampler import (
-    BucketState,
-    FingerprintBucket,
     SamplerSketch,
-    classify_bucket,
     classify_many,
     equal_memory_m_prime,
     sample_f_moment,
-    splitter_update,
     splitter_width,
     tau_gra_estimate,
 )

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -6,10 +7,12 @@ import pytest
 from hsketch.errors import (
     CannotCombineError,
     CorruptSketchError,
+    GroupMismatchError,
     InvalidConfigError,
     RegisterOverflowError,
 )
 from hsketch.groups import make_group
+from hsketch.sampler import SamplerSketch
 from hsketch.tower import (
     SketchConfig,
     TowerSketch,
@@ -153,6 +156,42 @@ def test_integer_multiples_of_p_vanish_mod_p():
     sk.update_batch(np.arange(50), np.full(50, 7))
     assert sk.registers.any()
     assert not sk.reduce_values_mod(7).registers.any()
+
+
+def test_reduce_values_mod_of_group_sketch_is_a_copy():
+    sk = sketch_new(_cfg(seed=5))
+    sk.update_batch(np.arange(20), 1 + (np.arange(20) % 6))
+    before = sk.copy()
+    view = sk.reduce_values_mod(7)
+    assert view == sk and view is not sk
+    view.update(3, 4)
+    view.registers[:] = 0
+    assert sk == before
+
+
+_INGESTORS = {
+    "group-tower": lambda: sketch_new(_cfg(seed=6)),
+    "integer-tower": lambda: sketch_new(SketchConfig(None, m=4, a=0, b=16, seed=6, mode="poisson")),
+    "sampler": lambda: SamplerSketch(Z7, 8, seed=6),
+}
+
+
+def _ingest_state(obj) -> np.ndarray:
+    return obj.slots if isinstance(obj, SamplerSketch) else obj.registers
+
+
+@pytest.mark.parametrize("bad", [2.7, -0.5, math.nan, math.inf])
+@pytest.mark.parametrize("kind", sorted(_INGESTORS))
+def test_update_batch_rejects_non_integral_values(kind, bad):
+    obj = _INGESTORS[kind]()
+    with pytest.raises(GroupMismatchError):
+        obj.update_batch([1, 2], [3, bad])
+    assert not _ingest_state(obj).any()
+    # whole-number floats are the integers they spell
+    as_float, as_int = _INGESTORS[kind](), _INGESTORS[kind]()
+    as_float.update_batch([1, 2], [3.0, -2.0])
+    as_int.update_batch([1, 2], [3, -2])
+    assert np.array_equal(_ingest_state(as_float), _ingest_state(as_int))
 
 
 def test_batch_equals_sequential():
@@ -319,6 +358,18 @@ def test_deserialize_rejects_corruption():
         deserialize(b"XXXX" + blob[4:])
     with pytest.raises(CorruptSketchError):
         deserialize(blob + b"\x00")
+    # header layout: magic+version (6), d (4), d orders (4 each), then m (4)
+    order_one = blob[:10] + struct.pack("<I", 1) + blob[14:]
+    with pytest.raises(CorruptSketchError):
+        deserialize(order_one)
+    m_one = blob[:14] + struct.pack("<I", 1) + blob[18:]
+    with pytest.raises(CorruptSketchError):
+        deserialize(m_one)
+    iblob = sketch_new(SketchConfig(None, m=4, a=0, b=16, seed=3, mode="poisson")).serialize()
+    payload = len(iblob) - 16 * 3 * 8
+    over_bound = iblob[:payload] + struct.pack("<q", 2**62 + 5) + iblob[payload + 8 :]
+    with pytest.raises(CorruptSketchError):
+        deserialize(over_bound)
 
 
 def test_prf_regression_frozen_values():

@@ -45,11 +45,30 @@ _U53_SCALE = 2.0**-53
 
 
 def mix64(z: np.ndarray | np.uint64) -> np.ndarray | np.uint64:
-    """SplitMix64 finalizer; wraps mod 2^64 (scalar or uint64 array)."""
-    with np.errstate(over="ignore"):
-        z = (z ^ (z >> _S30)) * _M1
-        z = (z ^ (z >> _S27)) * _M2
-        return z ^ (z >> _S31)
+    """SplitMix64 finalizer; wraps mod 2^64 (scalar or uint64 array).
+
+    Returns a new value and never mutates ``z``.
+    """
+    out = np.array(z, dtype=U64)
+    _mix64_inplace(out)
+    return out if isinstance(z, np.ndarray) else out[()]
+
+
+def _mix64_inplace(z: np.ndarray, tmp: np.ndarray | None = None) -> np.ndarray:
+    """``mix64`` evaluated in place on a uint64 array; ``tmp`` is scratch of its shape.
+
+    Array arithmetic wraps mod 2^64 without overflow warnings (only numpy
+    scalars warn), so no ``errstate`` is needed here.
+    """
+    if tmp is None:
+        tmp = np.empty_like(z)
+    for shift, mult in ((_S30, _M1), (_S27, _M2)):
+        np.right_shift(z, shift, out=tmp)
+        z ^= tmp
+        z *= mult
+    np.right_shift(z, _S31, out=tmp)
+    z ^= tmp
+    return z
 
 
 def _as_u64(x) -> np.ndarray | np.uint64:

@@ -15,6 +15,16 @@ uniform, so one PRF word fully determines a cell count.  CDF tables are
 truncated where the remaining tail is below 2^-60; in particular cells with
 mean below ~2^-54 degenerate to a one-threshold Bernoulli draw, which keeps
 full-tower updates affordable without distorting the marginals measurably.
+
+The inversion runs on integers: with thresholds t_c = ceil(cdf[c] * 2^53),
+the count at the 53-bit word u is #{c : t_c <= u}, exactly the float
+``searchsorted(cdf, u * 2^-53, "right")``.  Poisson ingest is blocked: one
+table per (m, a, b) holds every cell's PRF keys and integer thresholds, and
+each block draws the words of many cells at once, (cells, 3, updates) with
+at most ``_BLOCK_WORDS`` words.  Dense cells (P(count = 0) < 0.5, a prefix
+of the window) search their threshold rows; sparse cells compare against
+their first threshold, count only the hits, and add them to the registers
+with one scatter-add per block.
 """
 
 from __future__ import annotations
@@ -42,6 +52,14 @@ _CDF_TAIL = 2.0**-60
 _MAX_POISSON_MEAN = 700.0  # e^{-mu} underflows past this; construction rejects it
 _INT_REGISTER_BOUND = 1 << 62
 _MAX_UPDATE_MAGNITUDE = 1 << 31
+_BLOCK_WORDS = 1 << 16  # PRF words per Poisson block: cells * 3 * updates
+# Updates are ingested in chunks of fewer than 2^15, which also bounds the
+# temporaries of a large batch.  A count is at most 4001 (the CDF table's
+# length) and a value at most 2^31 in magnitude (the update bound, or a group
+# order), so a chunk adds less than 2^58 to any register: int64 sums cannot
+# wrap between the per-chunk register checks.
+_CHUNK_UPDATES = _BLOCK_WORDS // 3
+_U53_END = np.uint64(1 << 53)  # above every 53-bit word
 
 MAGIC = b"FTWR"
 VERSION = 1
@@ -116,12 +134,8 @@ def theoretical_window(m: int, lam: float) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=65536)
-def _poisson_cdf(m: int, k: int) -> tuple[np.ndarray, np.uint64]:
-    """CDF thresholds P(X <= c) for X ~ Poisson(e^{-k/m}), tail-truncated.
-
-    Returns the ascending threshold array and the 53-bit integer threshold
-    equivalent to the first entry (count >= 1 iff u53 >= that threshold).
-    """
+def _poisson_cdf(m: int, k: int) -> np.ndarray:
+    """CDF thresholds P(X <= c) for X ~ Poisson(e^{-k/m}), tail-truncated and ascending."""
     mu = math.exp(-k / m)
     if mu > _MAX_POISSON_MEAN:
         raise InvalidConfigError(f"cell mean {mu:.3g} exceeds {_MAX_POISSON_MEAN}")
@@ -138,8 +152,100 @@ def _poisson_cdf(m: int, k: int) -> tuple[np.ndarray, np.uint64]:
             break
     arr = np.array(cdf)
     arr.setflags(write=False)
-    zero_thr = np.uint64(min(1 << 53, math.ceil(arr[0] * 2.0**53)))
-    return arr, zero_thr
+    return arr
+
+
+def _u53_thresholds(cdf: np.ndarray) -> np.ndarray:
+    """ceil(cdf * 2^53): u >= t exactly when u * 2^-53 >= cdf, for 53-bit words u."""
+    return np.ceil(cdf * 2.0**53).astype(np.uint64)
+
+
+@dataclass(frozen=True)
+class _CellTable:
+    """Per-(m, a, b) constants of blocked Poisson ingest.
+
+    ``keys[i]`` holds the PRF keys of cell a+i in columns 1..3.  The first
+    ``len(dense)`` cells are dense and ``dense[i]`` is cell i's full integer
+    threshold row.  Row s of ``thr`` and ``cum`` describes sparse cell
+    ``len(dense) + s``: its distinct thresholds, ascending and padded with
+    2^53 (which no 53-bit word reaches), and the count once the word reaches
+    each of them.
+    """
+
+    keys: np.ndarray  # (nk, 3) uint64
+    dense: tuple[np.ndarray, ...]
+    thr: np.ndarray  # (nk - nd, width) uint64
+    cum: np.ndarray  # (nk - nd, width) int64
+
+
+@lru_cache(maxsize=16)
+def _cell_table(m: int, a: int, b: int) -> _CellTable:
+    cdfs = [_poisson_cdf(m, k) for k in range(a, b)]
+    # P(count = 0) grows with k, so the dense cells are a prefix of the window
+    nd = sum(1 for cdf in cdfs if cdf[0] < 0.5)
+    dense = tuple(_u53_thresholds(cdf) for cdf in cdfs[:nd])
+    # sparse rows keep the last copy of each threshold: its offset in the row
+    # plus one is the count once the word reaches it
+    lens = np.array([len(cdf) for cdf in cdfs])
+    starts = np.cumsum(lens) - lens
+    row = np.repeat(np.arange(len(cdfs)), lens)
+    flat = _u53_thresholds(np.concatenate(cdfs))
+    last = np.append((flat[1:] != flat[:-1]) | (row[1:] != row[:-1]), True)
+    pos = np.flatnonzero(last & (row >= nd))
+    r = row[pos]
+    col = np.arange(len(pos)) - np.searchsorted(r, r)
+    shape = (len(cdfs) - nd, int(col.max(initial=0)) + 1)
+    thr = np.full(shape, _U53_END)
+    cum = np.zeros(shape, dtype=np.int64)
+    thr[r - nd, col] = flat[pos]
+    cum[r - nd, col] = pos - starts[r] + 1
+    keys = prf.tuple_key(
+        j=np.arange(1, 4, dtype=np.int64)[None, :], k=np.arange(a, b, dtype=np.int64)[:, None]
+    )
+    for arr in (keys, thr, cum, *dense):
+        arr.setflags(write=False)
+    return _CellTable(keys, dense, thr, cum)
+
+
+def _cell_words(state: np.ndarray, keys: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """53-bit PRF words of (cell, column, update): keys (B, 3), state (n,) -> (B, 3, n).
+
+    The words are written into ``buf[0]`` and ``buf[1]`` is scratch; both have
+    room for at least B cells.
+    """
+    z = buf[0, : len(keys)]
+    np.bitwise_xor(keys[:, :, None], state[None, None, :], out=z)
+    prf._mix64_inplace(z, buf[1, : len(keys)])
+    z >>= np.uint64(11)
+    return z
+
+
+def _dense_counts(u: np.ndarray, rows: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Counts of a block of dense cells: (B, 3, n) words against their full threshold rows."""
+    return np.stack([np.searchsorted(t, w, side="right") for t, w in zip(rows, u)])
+
+
+def _sparse_hits(u: np.ndarray, thr: np.ndarray, cum: np.ndarray):
+    """Nonzero counts of a block of sparse cells.
+
+    ``u`` holds the block's (B, 3, n) words and ``thr``/``cum`` its (B, width)
+    table rows.  Returns each hit's row in the block's (B * 3) registers, its
+    count and its update index.
+    """
+    n = u.shape[2]
+    hit = np.flatnonzero(u >= thr[:, :1, None])
+    uh = u.ravel()[hit]
+    cell = hit // (3 * n)
+    cnt = cum[cell, 0]
+    live = np.arange(hit.size)
+    for c in range(1, thr.shape[1]):
+        keep = uh >= thr[cell, c]
+        if not keep.any():
+            break
+        uh, cell, live = uh[keep], cell[keep], live[keep]
+        cnt[live] = cum[cell, c]
+    row, v = np.divmod(hit, n)
+    return row, cnt, v
 
 
 def cell_count(seed: int, v: int, j: int, k: int, m: int) -> int:
@@ -153,13 +259,7 @@ def cell_count(seed: int, v: int, j: int, k: int, m: int) -> int:
 def _poisson_counts_batch(seed: int, vs: np.ndarray, j: int, k: int, m: int) -> np.ndarray:
     state = prf.stream_state(seed, prf.DOMAIN_CELL, vs)
     u = prf.u53(prf.draw(state, prf.tuple_key(j=j, k=k)))
-    cdf, zero_thr = _poisson_cdf(m, k)
-    counts = np.zeros(len(vs), dtype=np.int64)
-    hit = u >= zero_thr
-    if np.any(hit):
-        uf = u[hit].astype(np.float64) * 2.0**-53
-        counts[hit] = np.searchsorted(cdf, uf, side="right")
-    return counts
+    return np.searchsorted(_u53_thresholds(_poisson_cdf(m, k)), u, side="right")
 
 
 def binomial_assign(seed: int, v: int, j: int, config: SketchConfig) -> int | None:
@@ -247,35 +347,45 @@ class _TowerBase:
             return
         self._ingest(vs, yr)
 
+    def _settle(self) -> None:
+        """Restore the register invariant after a chunk of updates."""
+        raise NotImplementedError
+
     def _ingest(self, vs: np.ndarray, ys: np.ndarray) -> None:
-        if self.config.mode == "poisson":
-            self._ingest_poisson(vs, ys)
-        else:
-            self._ingest_binomial(vs, ys)
+        add = self._ingest_poisson if self.config.mode == "poisson" else self._ingest_binomial
+        for s in range(0, len(vs), _CHUNK_UPDATES):
+            add(vs[s : s + _CHUNK_UPDATES], ys[s : s + _CHUNK_UPDATES])
+            self._settle()
 
     def _ingest_poisson(self, vs: np.ndarray, ys: np.ndarray) -> None:
         cfg = self.config
-        n = len(vs)
+        tab = _cell_table(cfg.m, cfg.a, cfg.b)
         state = prf.stream_state(cfg.seed, prf.DOMAIN_CELL, vs)  # (n,)
-        jkeys = prf.tuple_key(
-            j=np.arange(1, 4, dtype=np.int64)[:, None],
-            k=np.arange(cfg.a, cfg.b, dtype=np.int64)[None, :],
-        )  # (3, nk)
-        for i, k in enumerate(range(cfg.a, cfg.b)):
-            cdf, zero_thr = _poisson_cdf(cfg.m, k)
-            u = prf.u53(prf.draw(state[None, :], jkeys[:, i][:, None]))  # (3, n)
-            if cdf[0] < 0.5:
-                # dense cell: most updates land here, invert the CDF wholesale
-                uf = u.astype(np.float64) * 2.0**-53
-                counts = np.searchsorted(cdf, uf, side="right")
-                self._add_dense(i, counts.astype(np.int64), ys)
-            else:
-                jj, vv = np.nonzero(u >= zero_thr)
-                if jj.size == 0:
-                    continue
-                uf = u[jj, vv].astype(np.float64) * 2.0**-53
-                cnt = np.searchsorted(cdf, uf, side="right").astype(np.int64)
-                self._add_sparse(i, jj, vv, cnt, ys)
+        n, nd = len(vs), len(tab.dense)
+        per = min(max(1, _BLOCK_WORDS // (3 * n)), cfg.num_cells)
+        # one word buffer for every block of the call: a fresh block-sized
+        # allocation per block would page-fault it in again each time
+        buf = np.empty((2, per, 3, n), dtype=np.uint64)
+        for lo in range(0, nd, per):
+            hi = min(lo + per, nd)
+            words = _cell_words(state, tab.keys[lo:hi], buf)
+            self.registers[lo:hi] += _dense_counts(words, tab.dense[lo:hi]) @ ys
+        for lo in range(nd, cfg.num_cells, per):
+            self._add_sparse(_cell_words(state, tab.keys[lo : lo + per], buf), ys, tab, lo)
+
+    def _add_sparse(self, words: np.ndarray, ys: np.ndarray, tab: _CellTable, lo: int) -> None:
+        """Add the counts of sparse cells lo, lo + 1, ... with one flat scatter-add.
+
+        A method of its own so that a block's hit arrays are freed before the
+        next block; the scatter is 1-D because numpy's fast path for ``add.at`` is.
+        """
+        nd = len(tab.dense)
+        hi = lo + len(words)
+        row, cnt, v = _sparse_hits(words, tab.thr[lo - nd : hi - nd], tab.cum[lo - nd : hi - nd])
+        slot = np.arange(self.registers[0, 0].size)  # residues per register
+        idx = ((3 * lo + row)[:, None] * slot.size + slot).ravel()
+        terms = cnt.reshape((-1,) + (1,) * (ys.ndim - 1)) * ys[v]
+        np.add.at(self.registers.reshape(-1), idx, terms.ravel())
 
     def _ingest_binomial(self, vs: np.ndarray, ys: np.ndarray) -> None:
         cfg = self.config
@@ -285,7 +395,7 @@ class _TowerBase:
             live = levels < nk
             if not np.any(live):
                 continue
-            self._add_levels(levels[live], j - 1, ys[live])
+            np.add.at(self.registers[:, j - 1], levels[live], ys[live])
 
     # -- structure ---------------------------------------------------------
 
@@ -313,42 +423,14 @@ class TowerSketch(_TowerBase):
         d = config.group.degree
         if registers is None:
             registers = np.zeros((config.num_cells, 3, d), dtype=np.int64)
-        self.registers = registers
+        self.registers = np.ascontiguousarray(registers, dtype=np.int64)
 
     @property
     def group(self) -> GroupDescriptor:
         return self.config.group
 
-    def _orders_arr(self) -> np.ndarray:
-        return np.array(self.group.orders, dtype=np.int64)
-
-    def _chunk_size(self, max_count: int) -> int:
-        worst = max_count * max(self.group.orders)
-        return max(1, _INT_REGISTER_BOUND // max(worst, 1))
-
-    def _add_dense(self, i: int, counts: np.ndarray, ys: np.ndarray) -> None:
-        # counts: (3, n), ys: (n, d)
-        n = counts.shape[1]
-        step = self._chunk_size(int(counts.max(initial=1)))
-        orders = self._orders_arr()
-        if step >= n:
-            contrib = counts @ ys
-        else:
-            contrib = np.zeros((3, ys.shape[1]), dtype=np.int64)
-            for s in range(0, n, step):
-                contrib = (contrib + counts[:, s : s + step] @ ys[s : s + step]) % orders
-        self.registers[i] = (self.registers[i] + contrib) % orders
-
-    def _add_sparse(self, i, jj, vv, cnt, ys) -> None:
-        orders = self._orders_arr()
-        contrib = np.zeros((3, ys.shape[1]), dtype=np.int64)
-        np.add.at(contrib, jj, (cnt[:, None] * ys[vv]) % orders)
-        self.registers[i] = (self.registers[i] + contrib) % orders
-
-    def _add_levels(self, levels, col, ys) -> None:
-        orders = self._orders_arr()
-        np.add.at(self.registers[:, col, :], levels, ys)
-        self.registers[:, col, :] %= orders
+    def _settle(self) -> None:
+        self.registers %= np.array(self.group.orders, dtype=np.int64)
 
     def reduce_values_mod(self, p: int) -> "TowerSketch":
         """A copy of this Z_p sketch: its registers are already reduced."""
@@ -382,34 +464,19 @@ class IntegerTowerSketch(_TowerBase):
         self.config = config
         if registers is None:
             registers = np.zeros((config.num_cells, 3), dtype=np.int64)
-        self.registers = registers
+        self.registers = np.ascontiguousarray(registers, dtype=np.int64)
 
     def _ingest(self, vs: np.ndarray, ys: np.ndarray) -> None:
-        if np.any(np.abs(ys) > _MAX_UPDATE_MAGNITUDE):
+        if np.any((ys > _MAX_UPDATE_MAGNITUDE) | (ys < -_MAX_UPDATE_MAGNITUDE)):
             raise RegisterOverflowError(
                 f"update magnitude exceeds the declared bound {_MAX_UPDATE_MAGNITUDE}"
             )
         super()._ingest(vs, ys)
-        if np.any(np.abs(self.registers) >= _INT_REGISTER_BOUND):
+
+    def _settle(self) -> None:
+        regs = self.registers
+        if np.any((regs >= _INT_REGISTER_BOUND) | (regs <= -_INT_REGISTER_BOUND)):
             raise RegisterOverflowError("integer register exceeded the 2^62 workload bound")
-
-    def _add_dense(self, i, counts, ys) -> None:
-        n = counts.shape[1]
-        worst = int(counts.max(initial=0)) * int(np.max(np.abs(ys), initial=1))
-        step = max(1, _INT_REGISTER_BOUND // max(worst, 1))
-        if step >= n:
-            self.registers[i] += counts @ ys
-        else:
-            for s in range(0, n, step):
-                self.registers[i] += counts[:, s : s + step] @ ys[s : s + step]
-                if np.any(np.abs(self.registers[i]) >= _INT_REGISTER_BOUND):
-                    raise RegisterOverflowError("integer register exceeded the 2^62 bound")
-
-    def _add_sparse(self, i, jj, vv, cnt, ys) -> None:
-        np.add.at(self.registers[i], jj, cnt * ys[vv])
-
-    def _add_levels(self, levels, col, ys) -> None:
-        np.add.at(self.registers[:, col], levels, ys)
 
     def reduce_values_mod(self, p: int) -> TowerSketch:
         """Group-valued view of the registers mod p (query-time reduction)."""

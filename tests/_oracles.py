@@ -1,7 +1,10 @@
-"""Scalar reference implementations the vectorised package code is tested against.
+"""Slow reference implementations the vectorised package code is tested against.
 
-``aggregate_column`` evaluates one (column, character) aggregate the slow way,
-for comparison with ``hsketch.estimator.column_aggregates``.  The bucket
+``poisson_registers_oracle`` ingests a Poisson-mode batch one cell at a time
+with float CDF tables, for comparison with the blocked integer-threshold
+ingest of ``hsketch.tower``.  ``aggregate_column`` evaluates one (column,
+character) aggregate the slow way, for comparison with
+``hsketch.estimator.column_aggregates``.  The bucket
 helpers model a single fingerprint level, one element at a time, for
 comparison with ``hsketch.sampler.classify_many`` and ``SamplerSketch``.
 """
@@ -9,6 +12,7 @@ comparison with ``hsketch.sampler.classify_many`` and ``SamplerSketch``.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,7 +21,43 @@ from hsketch import prf
 from hsketch.estimator import truncation_tail
 from hsketch.groups import GroupDescriptor
 from hsketch.sampler import classify_many, splitter_width
-from hsketch.tower import SketchConfig, _canonical_values
+from hsketch.tower import SketchConfig, _canonical_values, _poisson_cdf
+
+
+def poisson_registers_oracle(config: SketchConfig, vs, ys) -> np.ndarray:
+    """Registers of an empty Poisson-mode sketch after one ``update_batch(vs, ys)``.
+
+    Cell by cell: dense cells invert the float CDF with ``searchsorted``;
+    sparse cells test the first threshold, take ``nonzero`` and invert only
+    the hits.  Sums stay far inside int64 for the batch sizes the tests use.
+    """
+    cfg = config
+    vs = np.asarray(vs, dtype=np.int64)
+    ys = _canonical_values(cfg.group, ys)
+    regs = np.zeros((cfg.num_cells, 3) + ys.shape[1:], dtype=np.int64)
+    state = prf.stream_state(cfg.seed, prf.DOMAIN_CELL, vs)  # (n,)
+    jkeys = prf.tuple_key(
+        j=np.arange(1, 4, dtype=np.int64)[:, None],
+        k=np.arange(cfg.a, cfg.b, dtype=np.int64)[None, :],
+    )  # (3, nk)
+    for i, k in enumerate(range(cfg.a, cfg.b)):
+        cdf = _poisson_cdf(cfg.m, k)
+        zero_thr = np.uint64(min(1 << 53, math.ceil(cdf[0] * 2.0**53)))
+        u = prf.u53(prf.draw(state[None, :], jkeys[:, i][:, None]))  # (3, n)
+        if cdf[0] < 0.5:
+            uf = u.astype(np.float64) * 2.0**-53
+            counts = np.searchsorted(cdf, uf, side="right")
+            regs[i] += counts.astype(np.int64) @ ys
+        else:
+            jj, vv = np.nonzero(u >= zero_thr)
+            if jj.size == 0:
+                continue
+            uf = u[jj, vv].astype(np.float64) * 2.0**-53
+            cnt = np.searchsorted(cdf, uf, side="right").astype(np.int64)
+            np.add.at(regs[i], jj, cnt.reshape((-1,) + (1,) * (ys.ndim - 1)) * ys[vv])
+    if cfg.group is not None:
+        regs %= np.array(cfg.group.orders, dtype=np.int64)
+    return regs
 
 
 def aggregate_column(

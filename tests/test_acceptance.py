@@ -59,6 +59,7 @@ def mod7_m32():
     return support, max(t[2] for t in trials)
 
 
+@pytest.mark.slow
 def test_criterion_1_unbiasedness(mod7_m64):
     # the 10^4 extra elements valued 7 leave mod-7 registers bit-identical,
     # so the Monte-Carlo runs ingest only the support stream
@@ -99,6 +100,7 @@ def test_criterion_1_unbiasedness(mod7_m64):
     )
 
 
+@pytest.mark.slow
 def test_criterion_2_variance_scaling(mod7_m64, mod7_m32):
     sup64 = mod7_m64[0]
     sup32 = mod7_m32[0]
@@ -113,6 +115,7 @@ def test_criterion_2_variance_scaling(mod7_m64, mod7_m32):
     )
 
 
+@pytest.mark.slow
 def test_criterion_3_variance_prediction(mod7_m64):
     support = mod7_m64[0]
     emp = float(support.var(ddof=1))
@@ -129,6 +132,7 @@ def test_criterion_3_variance_prediction(mod7_m64):
     )
 
 
+@pytest.mark.slow
 def test_criterion_3b_variance_prediction_uniform_support():
     # same check on a uniform-value workload, as in the operation contract
     lam, m = 2000, 64
@@ -148,6 +152,7 @@ def test_criterion_3b_variance_prediction_uniform_support():
     )
 
 
+@pytest.mark.slow
 def test_criterion_4_subgroup_nullity():
     results = _map_trials(nullity_trial, [(32, seed, 600) for seed in range(50)])
     worst = 0.0
@@ -164,6 +169,7 @@ def test_criterion_4_subgroup_nullity():
     )
 
 
+@pytest.mark.slow
 def test_criterion_5_union():
     results = _map_trials(union_trial, [(64, seed, 400, 400, 200) for seed in range(200)])
     ests = np.array([r[0] for r in results])
@@ -238,6 +244,7 @@ def test_criterion_6_singleton_detection():
     )
 
 
+@pytest.mark.slow
 def test_support_estimate_at_benchmark_scale():
     # supplementary: support size at the benchmark parameters (lam=1e4, m=128)
     lam, m = 10_000, 128
@@ -254,6 +261,7 @@ def test_support_estimate_at_benchmark_scale():
     )
 
 
+@pytest.mark.slow
 def test_criterion_7_tau_gra():
     lam = 10_000
     ests = np.array(_map_trials(taugra_trial, [(384, seed, lam) for seed in range(100)]))
@@ -268,6 +276,7 @@ def test_criterion_7_tau_gra():
     )
 
 
+@pytest.mark.slow
 def test_criterion_8_depoissonization():
     m, a, lam = 8, 30, 100_000
     b = a + 22 * m
@@ -286,6 +295,7 @@ def test_criterion_8_depoissonization():
     )
 
 
+@pytest.mark.slow
 def test_criterion_9_truncation_insensitivity():
     m, lam = 32, 10_000
     results = _map_trials(trunc_trial, [(m, seed, lam) for seed in range(200)])
@@ -301,6 +311,7 @@ def test_criterion_9_truncation_insensitivity():
     )
 
 
+@pytest.mark.slow
 def test_criterion_10_l2_experiment():
     truth = 419_500.0
     results = _map_trials(l2_trial, [(64, seed) for seed in range(200)])
@@ -320,6 +331,7 @@ def test_criterion_10_l2_experiment():
     )
 
 
+@pytest.mark.slow
 def test_criterion_11_numerics(mod7_m64, mod7_m32):
     rng = np.random.default_rng(17)
     ok = True

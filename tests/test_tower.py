@@ -4,6 +4,7 @@ import struct
 import numpy as np
 import pytest
 
+from hsketch import prf
 from hsketch.errors import (
     CannotCombineError,
     CorruptSketchError,
@@ -240,6 +241,18 @@ def test_register_overflow_guard():
         sk.update(1, 2**40)
 
 
+@pytest.mark.parametrize("y", [-(2**63), 2**63 - 1, -(2**31) - 1, 2**31 + 1])
+def test_update_magnitude_bound_is_signed(y):
+    # -2^63 has no int64 magnitude: np.abs wraps it to itself
+    cfg = SketchConfig(None, m=4, a=0, b=16, seed=9, mode="poisson")
+    sk = sketch_new(cfg)
+    sk.update_batch([3, 4], [5, -6])
+    before = sk.registers.copy()
+    with pytest.raises(RegisterOverflowError):
+        sk.update_batch([1], np.array([y]))
+    assert np.array_equal(sk.registers, before)
+
+
 # -- compound-distribution check ---------------------------------------------------
 
 
@@ -385,3 +398,21 @@ def test_prf_regression_frozen_values():
     assert binomial_assign(3, 11, 1, cfg) == 33
     assert binomial_assign(3, 19, 1, cfg) == 31
     assert binomial_assign(3, 0, 1, cfg) is None
+
+
+def test_mix64_returns_new_array_and_keeps_frozen_words():
+    x = np.array([0, 1, 2**63, 2**64 - 1, 0x123456789ABCDEF0], dtype=np.uint64)
+    kept = x.copy()
+    out = prf.mix64(x)
+    assert np.array_equal(x, kept)
+    assert out is not x and not np.shares_memory(out, x)
+    assert np.array_equal(out, prf.mix64(x.copy()))
+    assert [int(w) for w in out] == [
+        0x0,
+        0x5692161D100B05E5,
+        0x25C26EA579CEA98A,
+        0xB4D055FCF2CBBD7B,
+        0x9629F58E8EC5B906,
+    ]
+    scalar = prf.mix64(np.uint64(42))
+    assert isinstance(scalar, np.uint64) and int(scalar) == 0xA759EA27D4727622

@@ -31,6 +31,11 @@ from .tower import IntegerTowerSketch, SketchConfig, default_window
 from .workloads import WorkloadSpec, gen_stream, uniform_mod_workload
 
 MODULO7_COUNTS = {1: 300, 2: 500, 3: 100, 4: 50, 5: 25, 6: 25}
+# estimator switches; each command registers only the ones it reads
+_ESTIMATE_FLAGS = {
+    "--clamp-nonnegative": "report max(0, estimate) for occurrence counts",
+    "--literal-truncation": "keep the raw truncation term at the trivial character",
+}
 
 
 def _modulo7_workloads(seed: int) -> tuple[WorkloadSpec, ...]:
@@ -186,36 +191,36 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p_, m_default: int, trials_default: int, out_default: str | None = None):
+    def common(p_, m_default: int, trials_default: int | None = None,
+               out_default: str | None = None, flags: tuple[str, ...] = ()):
         p_.add_argument("--m", type=int, default=m_default, help="tower accuracy parameter")
-        p_.add_argument("--trials", type=int, default=trials_default)
+        if trials_default is not None:
+            p_.add_argument("--trials", type=int, default=trials_default)
         p_.add_argument("--seed", type=int, default=1)
         if out_default is not None:
             p_.add_argument("--out", default=out_default, help="output CSV path")
-        p_.add_argument("--clamp-nonnegative", action="store_true",
-                        help="report max(0, estimate) for occurrence counts")
-        p_.add_argument("--literal-truncation", action="store_true",
-                        help="keep the raw truncation term at the trivial character")
+        for flag in flags:
+            p_.add_argument(flag, action="store_true", help=_ESTIMATE_FLAGS[flag])
 
     p_sanity = sub.add_parser("sanity-table", help="print a few single runs of the mod-7 estimator")
-    common(p_sanity, m_default=100, trials_default=3)
+    common(p_sanity, m_default=100, trials_default=3, flags=("--literal-truncation",))
     p_sanity.add_argument("--zero-mod", type=int, default=100000,
                           help="extra elements with value 7 (invisible mod 7)")
     p_sanity.set_defaults(fn=cmd_sanity_table)
 
     p_mod = sub.add_parser("modulo7", help="mod-7 distribution benchmark, all schemes")
-    common(p_mod, m_default=128, trials_default=40, out_default="modulo7.csv")
+    common(p_mod, 128, 40, "modulo7.csv", tuple(_ESTIMATE_FLAGS))
     p_mod.add_argument("--scheme", action="append",
                        help="restrict to a scheme label (repeatable)")
     p_mod.set_defaults(fn=cmd_modulo7)
 
     p_l2 = sub.add_parser("l2", help="sum-of-squares benchmark over Z_128")
-    common(p_l2, m_default=64, trials_default=200, out_default="l2.csv")
+    common(p_l2, 64, 200, "l2.csv", tuple(_ESTIMATE_FLAGS))
     p_l2.add_argument("--scheme", action="append")
     p_l2.set_defaults(fn=cmd_l2)
 
     p_union = sub.add_parser("union", help="two-stream union-size benchmark")
-    common(p_union, m_default=64, trials_default=200, out_default="union.csv")
+    common(p_union, 64, 200, "union.csv", tuple(_ESTIMATE_FLAGS))
     p_union.add_argument("--only-first", type=int, default=400)
     p_union.add_argument("--only-second", type=int, default=400)
     p_union.add_argument("--overlap", type=int, default=200)
@@ -227,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_var.set_defaults(fn=cmd_variance_check)
 
     p_bench = sub.add_parser("bench", help="ingest/estimate throughput")
-    common(p_bench, m_default=64, trials_default=1)
+    common(p_bench, m_default=64)
     p_bench.add_argument("--support", type=int, default=10000)
     p_bench.set_defaults(fn=cmd_bench)
 

@@ -13,7 +13,9 @@ Support size is estimated from the set of empty levels with the
 0.34355-exponent remaining-area estimator; moments are estimated as that
 cardinality times the empirical mean of f over detected singleton values.
 An ``ideal`` mode classifies levels from ground-truth membership instead of
-fingerprints, isolating pure sampling error for benchmarks.
+fingerprints, isolating pure sampling error for benchmarks: it keeps each
+element's net value (sorted ids, one value row each) and counts live elements
+per level.  Both modes add values with :func:`hsketch.tower._scatter_add`.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .errors import (
 )
 from .groups import FunctionTable, GroupDescriptor
 from .special import gamma_cached
-from .tower import _canonical_values
+from .tower import _scatter_add, _update_arrays
 
 TAU_STAR = 0.34355
 LEVEL_SPAN = 22  # levels cover cell masses e^0 .. e^-22 (~2^-32)
@@ -97,7 +99,11 @@ def equal_memory_m_prime(m: int, r: int, group: GroupDescriptor) -> int:
 
 
 class SamplerSketch:
-    """Level-sampled baseline: one fingerprint bucket (or oracle tally) per level."""
+    """Level-sampled baseline: one fingerprint bucket per level, or the ideal oracle.
+
+    Each oracle batch re-merges every id seen so far (``np.unique``), so
+    every caller in this package feeds the oracle one bulk batch per trial.
+    """
 
     def __init__(
         self,
@@ -123,9 +129,9 @@ class SamplerSketch:
                 (self.num_levels, r, width, group.degree), dtype=np.int64
             )
         else:
-            self._tally: list[dict[int, tuple[int, ...]]] = [
-                {} for _ in range(self.num_levels)
-            ]
+            # sorted ids of the elements with a nonzero net value, and those values
+            self._ids = np.zeros(0, dtype=np.int64)
+            self._net = np.zeros((0, group.degree), dtype=np.int64)
 
     # -- ingest -------------------------------------------------------------
 
@@ -142,26 +148,24 @@ class SamplerSketch:
         self.update_batch([v], [y])
 
     def update_batch(self, vs, ys) -> None:
-        vs = np.asarray(vs, dtype=np.int64)
-        yr = _canonical_values(self.group, ys)
-        if len(vs) != len(yr):
-            raise GroupMismatchError("element ids and values have different lengths")
+        vs, yr = _update_arrays(self.group, vs, ys)
         if len(vs) == 0:
             return
-        levels = self._levels(vs)
-        if self.mode == "ideal":
-            orders = self.group.orders
-            for v, lv, y in zip(vs.tolist(), levels.tolist(), yr.tolist()):
-                tally = self._tally[lv]
-                cur = tally.get(v, (0,) * self.group.degree)
-                tally[v] = tuple((a + b) % p for a, b, p in zip(cur, y, orders))
-            return
         orders = np.array(self.group.orders, dtype=np.int64)
+        if self.mode == "ideal":
+            ids, inv = np.unique(np.concatenate([self._ids, vs]), return_inverse=True)
+            net = np.zeros((len(ids), self.group.degree), dtype=np.int64)
+            _scatter_add(net, inv, np.concatenate([self._net, yr]))
+            net %= orders
+            live = net.any(axis=1)
+            self._ids, self._net = ids[live], net[live]
+            return
         width = splitter_width(self.group)
         state = prf.stream_state(self.seed, prf.DOMAIN_SLOT, vs)
-        for c in range(self.r):
-            slot = (prf.draw(state, prf.tuple_key(j=c)) % np.uint64(width)).astype(np.int64)
-            np.add.at(self.slots, (levels, c, slot), yr)
+        cols = np.arange(self.r, dtype=np.int64)[:, None]
+        slot = (prf.draw(state, prf.tuple_key(j=cols)) % np.uint64(width)).astype(np.int64)
+        rows = (self._levels(vs) * self.r + cols) * width + slot  # (r, n)
+        _scatter_add(self.slots, rows.ravel(), np.tile(yr, (self.r, 1)))
         self.slots %= orders
 
     # -- classification and estimates ----------------------------------------
@@ -170,15 +174,11 @@ class SamplerSketch:
         """(codes, values) per level; codes as in :func:`classify_many`."""
         if self.mode == "fingerprint":
             return classify_many(self.slots)
-        codes = np.full(self.num_levels, 2, dtype=np.int64)
+        levels = self._levels(self._ids)
+        codes = np.minimum(np.bincount(levels, minlength=self.num_levels), 2)
         values = np.zeros((self.num_levels, self.group.degree), dtype=np.int64)
-        for lv, tally in enumerate(self._tally):
-            live = [y for y in tally.values() if any(y)]
-            if not live:
-                codes[lv] = 0
-            elif len(live) == 1:
-                codes[lv] = 1
-                values[lv] = live[0]
+        single = codes[levels] == 1
+        values[levels[single]] = self._net[single]
         return codes, values
 
     def empty_levels(self) -> np.ndarray:
@@ -190,11 +190,8 @@ class SamplerSketch:
         return values[codes == 1]
 
     def singleton_tally(self) -> dict[tuple[int, ...], int]:
-        tally: dict[tuple[int, ...], int] = {}
-        for row in self.singleton_values():
-            key = tuple(int(x) for x in row)
-            tally[key] = tally.get(key, 0) + 1
-        return tally
+        values, counts = np.unique(self.singleton_values(), axis=0, return_counts=True)
+        return {tuple(v.tolist()): int(n) for v, n in zip(values, counts)}
 
     def estimate_support(self) -> float:
         return tau_gra_estimate(self.empty_levels(), self.m_prime)

@@ -11,10 +11,9 @@ Two modes share one register layout of 3*(b-a) cells:
   sigma = sum e^{-k/m} < 1.  Updates cost O(1) per column.
 
 Counts are drawn by inverting a per-cell Poisson CDF at a single 53-bit
-uniform, so one PRF word fully determines a cell count.  CDF tables are
-truncated where the remaining tail is below 2^-60; in particular cells with
-mean below ~2^-54 degenerate to a one-threshold Bernoulli draw, which keeps
-full-tower updates affordable without distorting the marginals measurably.
+uniform, so one PRF word fully determines a cell count.  A CDF row ends where
+the float CDF stops rising or reaches 1, so cells with mean below ~2^-53
+degenerate to a one-threshold Bernoulli draw or a constant zero.
 
 The inversion runs on integers: with thresholds t_c = ceil(cdf[c] * 2^53),
 the count at the 53-bit word u is #{c : t_c <= u}, exactly the float
@@ -25,6 +24,9 @@ at most ``_BLOCK_WORDS`` words.  Dense cells (P(count = 0) < 0.5, a prefix
 of the window) search their threshold rows; sparse cells compare against
 their first threshold, count only the hits, and add them to the registers
 with one scatter-add per block.
+
+Every register array, towers of both modes and both sampler modes, is
+updated by one flat scatter-add, :func:`_scatter_add`.
 """
 
 from __future__ import annotations
@@ -48,7 +50,6 @@ from .errors import (
 )
 from .groups import GroupDescriptor, make_group
 
-_CDF_TAIL = 2.0**-60
 _MAX_POISSON_MEAN = 700.0  # e^{-mu} underflows past this; construction rejects it
 _INT_REGISTER_BOUND = 1 << 62
 _MAX_UPDATE_MAGNITUDE = 1 << 31
@@ -60,6 +61,7 @@ _BLOCK_WORDS = 1 << 16  # PRF words per Poisson block: cells * 3 * updates
 # wrap between the per-chunk register checks.
 _CHUNK_UPDATES = _BLOCK_WORDS // 3
 _U53_END = np.uint64(1 << 53)  # above every 53-bit word
+_COLUMNS = np.arange(1, 4, dtype=np.int64)[:, None]  # j = 1, 2, 3 against (n,) updates
 
 MAGIC = b"FTWR"
 VERSION = 1
@@ -81,13 +83,10 @@ class SketchConfig:
     b: int
     seed: int
     mode: str = "poisson"
-    copies: int = 3
 
     def __post_init__(self):
         if self.mode not in ("poisson", "binomial"):
             raise InvalidConfigError(f"unknown mode {self.mode!r}")
-        if self.copies != 3:
-            raise InvalidConfigError("the estimator is built around exactly 3 columns")
         if self.m < 2:
             raise InvalidConfigError(f"accuracy parameter m={self.m} must be >= 2")
         if self.b <= self.a:
@@ -109,14 +108,8 @@ class SketchConfig:
 
     @property
     def sigma(self) -> float:
-        """Total cell mass sum_{k=a}^{b-1} e^{-k/m}."""
-        return _cell_mass(self.m, self.a, self.b)
-
-
-@lru_cache(maxsize=4096)
-def _cell_mass(m: int, a: int, b: int) -> float:
-    # cached: every dataclasses.replace of a binomial config re-validates sigma
-    return float(sum(math.exp(-k / m) for k in range(a, b)))
+        """Total cell mass sum_{k=a}^{b-1} e^{-k/m}, as the binomial level draw sums it."""
+        return float(_level_cdf(self.m, self.a, self.b)[-1])
 
 
 def default_window(m: int) -> tuple[int, int]:
@@ -135,7 +128,7 @@ def theoretical_window(m: int, lam: float) -> tuple[int, int]:
 
 @lru_cache(maxsize=65536)
 def _poisson_cdf(m: int, k: int) -> np.ndarray:
-    """CDF thresholds P(X <= c) for X ~ Poisson(e^{-k/m}), tail-truncated and ascending."""
+    """CDF thresholds P(X <= c) for X ~ Poisson(e^{-k/m}), ending where the float sum stops rising."""
     mu = math.exp(-k / m)
     if mu > _MAX_POISSON_MEAN:
         raise InvalidConfigError(f"cell mean {mu:.3g} exceeds {_MAX_POISSON_MEAN}")
@@ -143,13 +136,13 @@ def _poisson_cdf(m: int, k: int) -> np.ndarray:
     cdf = [p]
     c = p
     n = 0
-    while 1.0 - c > _CDF_TAIL and n < 4000:
+    while c < 1.0 and n < 4000:
         n += 1
         p *= mu / n
+        if c + p == c:  # a repeated value would give the top words its last copy's count
+            break
         c += p
         cdf.append(min(c, 1.0))
-        if p == 0.0:
-            break
     arr = np.array(cdf)
     arr.setflags(write=False)
     return arr
@@ -199,9 +192,7 @@ def _cell_table(m: int, a: int, b: int) -> _CellTable:
     cum = np.zeros(shape, dtype=np.int64)
     thr[r - nd, col] = flat[pos]
     cum[r - nd, col] = pos - starts[r] + 1
-    keys = prf.tuple_key(
-        j=np.arange(1, 4, dtype=np.int64)[None, :], k=np.arange(a, b, dtype=np.int64)[:, None]
-    )
+    keys = prf.tuple_key(j=_COLUMNS.T, k=np.arange(a, b, dtype=np.int64)[:, None])
     for arr in (keys, thr, cum, *dense):
         arr.setflags(write=False)
     return _CellTable(keys, dense, thr, cum)
@@ -278,12 +269,22 @@ def _level_cdf(m: int, a: int, b: int) -> np.ndarray:
     return cum
 
 
-def _binomial_levels_batch(seed: int, vs: np.ndarray, j: int, config: SketchConfig) -> np.ndarray:
-    """Level offsets in [0, num_cells]; num_cells encodes the no-op."""
+def _binomial_levels_batch(seed: int, vs: np.ndarray, j, config: SketchConfig) -> np.ndarray:
+    """Level offsets in [0, num_cells]; num_cells encodes the no-op; ``j`` broadcasts against ``vs``."""
     state = prf.stream_state(seed, prf.DOMAIN_LEVEL, vs)
     uf = prf.to_uniform53(prf.draw(state, prf.tuple_key(j=j)))
     cum = _level_cdf(config.m, config.a, config.b)
     return np.searchsorted(cum, uf, side="right")
+
+
+def _scatter_add(regs: np.ndarray, rows: np.ndarray, terms: np.ndarray) -> None:
+    """Add ``terms[i]``, (h,) or (h, d), to row ``rows[i]`` of C-contiguous ``regs`` viewed as (R, d).
+
+    Repeated rows sum.  The scatter is flat because numpy's fast path for ``add.at`` is 1-D.
+    """
+    d = math.prod(terms.shape[1:])
+    idx = (rows[:, None] * d + np.arange(d)).ravel()
+    np.add.at(regs.reshape(-1), idx, terms.ravel())
 
 
 def _as_int64(arr: np.ndarray) -> np.ndarray:
@@ -300,6 +301,15 @@ def _as_int64(arr: np.ndarray) -> np.ndarray:
     if not np.array_equal(out, arr):
         raise GroupMismatchError("update values must be integers")
     return out
+
+
+def _update_arrays(group: GroupDescriptor | None, vs, ys) -> tuple[np.ndarray, np.ndarray]:
+    """A batch's element ids as int64 and its canonical values, checked to match in length."""
+    vs = np.asarray(vs, dtype=np.int64)
+    yr = _canonical_values(group, ys)
+    if len(vs) != len(yr):
+        raise GroupMismatchError("element ids and values have different lengths")
+    return vs, yr
 
 
 def _canonical_values(group: GroupDescriptor | None, ys) -> np.ndarray:
@@ -339,13 +349,9 @@ class _TowerBase:
         self.update_batch([v], [y])
 
     def update_batch(self, vs: Sequence[int], ys) -> None:
-        vs = np.asarray(vs, dtype=np.int64)
-        yr = _canonical_values(self.config.group, ys)
-        if len(vs) != len(yr):
-            raise GroupMismatchError("element ids and values have different lengths")
-        if len(vs) == 0:
-            return
-        self._ingest(vs, yr)
+        vs, yr = _update_arrays(self.config.group, vs, ys)
+        if len(vs):
+            self._ingest(vs, yr)
 
     def _settle(self) -> None:
         """Restore the register invariant after a chunk of updates."""
@@ -374,28 +380,23 @@ class _TowerBase:
             self._add_sparse(_cell_words(state, tab.keys[lo : lo + per], buf), ys, tab, lo)
 
     def _add_sparse(self, words: np.ndarray, ys: np.ndarray, tab: _CellTable, lo: int) -> None:
-        """Add the counts of sparse cells lo, lo + 1, ... with one flat scatter-add.
+        """Add the counts of sparse cells lo, lo + 1, ... with one scatter-add.
 
         A method of its own so that a block's hit arrays are freed before the
-        next block; the scatter is 1-D because numpy's fast path for ``add.at`` is.
+        next block.
         """
         nd = len(tab.dense)
         hi = lo + len(words)
         row, cnt, v = _sparse_hits(words, tab.thr[lo - nd : hi - nd], tab.cum[lo - nd : hi - nd])
-        slot = np.arange(self.registers[0, 0].size)  # residues per register
-        idx = ((3 * lo + row)[:, None] * slot.size + slot).ravel()
         terms = cnt.reshape((-1,) + (1,) * (ys.ndim - 1)) * ys[v]
-        np.add.at(self.registers.reshape(-1), idx, terms.ravel())
+        _scatter_add(self.registers, 3 * lo + row, terms)
 
     def _ingest_binomial(self, vs: np.ndarray, ys: np.ndarray) -> None:
         cfg = self.config
-        nk = cfg.num_cells
-        for j in (1, 2, 3):
-            levels = _binomial_levels_batch(cfg.seed, vs, j, cfg)
-            live = levels < nk
-            if not np.any(live):
-                continue
-            np.add.at(self.registers[:, j - 1], levels[live], ys[live])
+        levels = _binomial_levels_batch(cfg.seed, vs, _COLUMNS, cfg)  # (3, n)
+        live = levels < cfg.num_cells
+        rows = 3 * levels + (_COLUMNS - 1)
+        _scatter_add(self.registers, rows[live], np.broadcast_to(ys, (3,) + ys.shape)[live])
 
     # -- structure ---------------------------------------------------------
 

@@ -7,6 +7,8 @@ character) aggregate the slow way, for comparison with
 ``hsketch.estimator.column_aggregates``.  The bucket
 helpers model a single fingerprint level, one element at a time, for
 comparison with ``hsketch.sampler.classify_many`` and ``SamplerSketch``.
+``ideal_levels_oracle`` classifies the levels of an ideal-mode sampler from
+one dict of net values per level, updated one element at a time.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 from hsketch import prf
 from hsketch.estimator import truncation_tail
 from hsketch.groups import GroupDescriptor
-from hsketch.sampler import classify_many, splitter_width
+from hsketch.sampler import SamplerSketch, classify_many, splitter_width
 from hsketch.tower import SketchConfig, _canonical_values, _poisson_cdf
 
 
@@ -121,3 +123,30 @@ def classify_bucket(bucket: FingerprintBucket) -> tuple[BucketState, tuple[int, 
     state = (BucketState.EMPTY, BucketState.SINGLETON, BucketState.NOT_SINGLETON)[int(codes[0])]
     value = tuple(int(x) for x in values[0]) if state is BucketState.SINGLETON else None
     return state, value
+
+
+def ideal_levels_oracle(group: GroupDescriptor, m_prime: int, seed: int, batches):
+    """(codes, values) of ``SamplerSketch(group, m_prime, seed, mode="ideal")`` after ``batches``.
+
+    ``batches`` is a list of (vs, ys) pairs; levels come from the sampler's
+    own level hash, and codes are as in ``classify_many``.
+    """
+    probe = SamplerSketch(group, m_prime, seed)
+    num_levels = probe.num_levels
+    tally: list[dict[int, tuple[int, ...]]] = [{} for _ in range(num_levels)]
+    for vs, ys in batches:
+        vs = np.asarray(vs, dtype=np.int64)
+        yr = _canonical_values(group, ys)
+        for v, lv, y in zip(vs.tolist(), probe._levels(vs).tolist(), yr.tolist()):
+            cur = tally[lv].get(v, (0,) * group.degree)
+            tally[lv][v] = tuple((a + b) % p for a, b, p in zip(cur, y, group.orders))
+    codes = np.full(num_levels, 2, dtype=np.int64)
+    values = np.zeros((num_levels, group.degree), dtype=np.int64)
+    for lv, level in enumerate(tally):
+        live = [y for y in level.values() if any(y)]
+        if not live:
+            codes[lv] = 0
+        elif len(live) == 1:
+            codes[lv] = 1
+            values[lv] = live[0]
+    return codes, values

@@ -237,6 +237,24 @@ def test_cli_variance_check_smoke(capsys):
     assert "predicted variance" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bench", "--trials", "3"],
+        ["bench", "--literal-truncation"],
+        ["bench", "--clamp-nonnegative"],
+        ["variance-check", "--literal-truncation"],
+        ["variance-check", "--clamp-nonnegative"],
+        ["sanity-table", "--clamp-nonnegative"],
+    ],
+)
+def test_cli_rejects_flags_the_command_does_not_read(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_modulo7_counts_constant():
     assert MODULO7_COUNTS == {1: 300, 2: 500, 3: 100, 4: 50, 5: 25, 6: 25}
     assert sum(MODULO7_COUNTS.values()) == 1000

@@ -93,3 +93,15 @@ def test_threshold_table_counts_match_float_cdf(m, a, b):
             got = np.zeros(len(u), dtype=np.int64)
             got[v] = cnt
         assert np.array_equal(got, want), (m, k)
+
+
+def test_cdf_rows_end_where_the_float_cdf_stops_rising():
+    # a row that kept appending its stalled last value gave the topmost words
+    # the count of that value's last copy: 174 in the cell of mean 0.86 at m=64
+    top = np.uint64((1 << 53) - 1)
+    for k in range(*default_window(64)):
+        cdf = _poisson_cdf(64, k)
+        assert np.all(np.diff(cdf) > 0), k
+        assert len(cdf) <= 20, k
+        count = np.searchsorted(np.ceil(cdf * 2.0**53).astype(np.uint64), top, side="right")
+        assert count <= 20, k

@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from _oracles import BucketState, FingerprintBucket, classify_bucket, splitter_update
+from _oracles import (
+    BucketState,
+    FingerprintBucket,
+    classify_bucket,
+    ideal_levels_oracle,
+    splitter_update,
+)
 from hsketch.errors import NoSamplesError, SaturatedError
 from hsketch.groups import FunctionTable, make_group
 from hsketch.sampler import (
@@ -171,6 +177,31 @@ def test_ideal_mode_tracks_cancellation():
     sampler.update(3, 3)  # cancels to 0 mod 7
     codes, _ = sampler.classify_levels()
     assert (codes == 0).all()
+
+
+@pytest.mark.parametrize("orders", [[7], [8], [2, 2, 2], [3, 5]])
+def test_ideal_mode_matches_dict_oracle(orders):
+    # turnstile batches over a small universe: ids repeat within and across
+    # batches, and part of each batch inverts earlier updates
+    group = make_group(orders)
+    rng = np.random.default_rng(orders)
+    sampler = SamplerSketch(group, 8, 13, mode="ideal")
+    batches = []
+    for _ in range(5):
+        n = int(rng.integers(0, 300))
+        vs = rng.integers(0, 500, n)
+        ys = rng.integers(-20, 21, (n, group.degree))
+        if batches:
+            old_vs, old_ys = batches[int(rng.integers(len(batches)))]
+            back = rng.permutation(len(old_vs))[: len(old_vs) // 2]
+            vs, ys = np.concatenate([vs, old_vs[back]]), np.concatenate([ys, -old_ys[back]])
+        batches.append((vs, ys))
+        sampler.update_batch(vs, ys)
+        codes, values = sampler.classify_levels()
+        want_codes, want_values = ideal_levels_oracle(group, 8, 13, batches)
+        assert np.array_equal(codes, want_codes)
+        assert np.array_equal(values, want_values)
+    assert set(codes.tolist()) == {0, 1, 2}
 
 
 def test_ideal_mode_sampling_means():

@@ -62,8 +62,6 @@ def test_config_invariants():
     with pytest.raises(InvalidConfigError):
         SketchConfig(Z7, m=4, a=8, b=8, seed=0)
     with pytest.raises(InvalidConfigError):
-        SketchConfig(Z7, m=4, a=0, b=8, seed=0, copies=2)
-    with pytest.raises(InvalidConfigError):
         SketchConfig(Z7, m=4, a=-100, b=8, seed=0)  # cell mean e^{25} unsupported
 
 

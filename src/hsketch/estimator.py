@@ -19,7 +19,10 @@ keeps the verbatim formula (useful for studying truncation error, and it is
 the variant whose subgroup cancellations are exact).
 
 Aggregates depend only on the sketch, so they are computed once and reused
-across any number of transforms at query time.
+across any number of transforms at query time.  The characters chi(x, gamma) - 1
+are evaluated once per distinct register value x (u <= |G| of them) and gathered
+back to every register: O(3 nk d + u |G|) plus one contraction with the weights,
+which sees the same array as a per-register evaluation and returns the same bits.
 """
 
 from __future__ import annotations
@@ -31,7 +34,9 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import GroupMismatchError, InvalidConfigError, InvalidRHatError
-from .groups import FunctionTable, GroupDescriptor, SpectrumTable, _write_csv, dft, make_group
+from .groups import (
+    FunctionTable, GroupDescriptor, SpectrumTable, _phase_rows, _write_csv, dft, make_group,
+)
 from .special import gamma_cached
 from .tower import IntegerTowerSketch, SketchConfig, TowerSketch, combine_product
 
@@ -73,13 +78,14 @@ def column_aggregates(sketch: TowerSketch, literal: bool = False) -> ColumnAggre
     group = sketch.group
     cfg = sketch.config
     m, a, b = cfg.m, cfg.a, cfg.b
-    L = group.char_modulus
-    # Q[t, gi] = gamma_t * (L / p_t) for every character gi
-    Q = (group.residue_matrix * group.phase_factors).T  # (d, n_gamma)
-    phases = np.tensordot(sketch.registers, Q, axes=(2, 0)) % L  # (nk, 3, n_gamma)
-    chars = group.roots[phases]
+    regs = sketch.registers.reshape(-1, group.degree)  # (3 nk, d) residue rows
+    index = regs @ np.array(group.index_weights, dtype=np.int64)
+    _, first, inverse = np.unique(index, return_index=True, return_inverse=True)
+    # chi - 1 once per distinct register value, gathered back per register
+    rows = group.roots[_phase_rows(group, regs[first])] - 1.0  # (u, n_gamma)
+    chars = rows[inverse].reshape(sketch.registers.shape[:2] + (-1,))  # (nk, 3, n_gamma)
     weights = np.exp(np.arange(a, b) / (3.0 * m))
-    agg = np.tensordot(weights, chars - 1.0, axes=(0, 0)) - truncation_tail(m, a)
+    agg = np.tensordot(weights, chars, axes=(0, 0)) - truncation_tail(m, a)
     if not literal:
         agg[:, 0] = 0.0  # trivial character: the infinite-tower aggregate is 0
     return ColumnAggregates(group, cfg, agg, literal)

@@ -236,10 +236,25 @@ def _read_table_csv(path) -> np.ndarray:
     return out
 
 
-def _phase_matrix_column(g: GroupDescriptor, gamma_res: np.ndarray) -> np.ndarray:
-    """Phase indices of chi(x, gamma) for every x, vectorized over x."""
-    q = (gamma_res * g.phase_factors) % g.char_modulus
-    return (g.residue_matrix @ q) % g.char_modulus
+def _phase_rows(g: GroupDescriptor, residues: np.ndarray) -> np.ndarray:
+    """Phase indices of chi(x, gamma), one row per residue row x and one column per gamma."""
+    return (residues @ (g.residue_matrix * g.phase_factors).T) % g.char_modulus
+
+
+def _transform(g: GroupDescriptor, values: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """out[i] = values @ roots[phase row of element i]; the pairing is symmetric in x and gamma.
+
+    Rows are built in blocks of about 2^16 phases, and each output is one 1-D
+    dot with a C-contiguous row: the same bits as a row built on its own.
+    """
+    n = g.total_size
+    out = np.empty(n, dtype=np.complex128)
+    step = max(1, (1 << 16) // n)
+    for lo in range(0, n, step):
+        rows = roots[_phase_rows(g, g.residue_matrix[lo : lo + step])]
+        for i, row in enumerate(rows, lo):
+            out[i] = values @ row
+    return out
 
 
 def dft(g: GroupDescriptor, f: FunctionTable) -> SpectrumTable:
@@ -249,25 +264,14 @@ def dft(g: GroupDescriptor, f: FunctionTable) -> SpectrumTable:
     """
     if f.group != g:
         raise GroupMismatchError("function table is over a different group")
-    res = g.residue_matrix
-    out = np.empty(g.total_size, dtype=np.complex128)
-    roots_conj = g.roots.conj()
-    for gi in range(g.total_size):
-        phases = _phase_matrix_column(g, res[gi])
-        out[gi] = f.values @ roots_conj[phases]
-    return SpectrumTable(g, out)
+    return SpectrumTable(g, _transform(g, f.values, g.roots.conj()))
 
 
 def idft(g: GroupDescriptor, s: SpectrumTable) -> FunctionTable:
     """Inverse transform: f(x) = (1/|G|) * sum_gamma hat(f)(gamma) * chi(x, gamma)."""
     if s.group != g:
         raise GroupMismatchError("spectrum table is over a different group")
-    res = g.residue_matrix
-    out = np.empty(g.total_size, dtype=np.complex128)
-    for xi in range(g.total_size):
-        phases = _phase_matrix_column(g, res[xi])
-        out[xi] = s.values @ g.roots[phases]
-    return FunctionTable(g, out / g.total_size)
+    return FunctionTable(g, _transform(g, s.values, g.roots) / g.total_size)
 
 
 def norms(f: FunctionTable, s: SpectrumTable) -> tuple[float, float]:

@@ -123,6 +123,8 @@ class SamplerSketch:
         self.r = r
         self.mode = mode
         self.num_levels = LEVEL_SPAN * m_prime
+        # ascending level boundaries e^{-L/m'} .. e^{-1/m'}, searched by every _levels call
+        self._asc = np.exp(-np.arange(self.num_levels, 0, -1) / m_prime)
         width = splitter_width(group)
         if mode == "fingerprint":
             self.slots = np.zeros(
@@ -139,8 +141,7 @@ class SamplerSketch:
         state = prf.stream_state(self.seed, prf.DOMAIN_SAMPLER_LEVEL, vs)
         uf = prf.to_uniform53(prf.draw(state, prf.tuple_key()))
         L = self.num_levels
-        asc = np.exp(-np.arange(L, 0, -1) / self.m_prime)
-        idx = np.searchsorted(asc, uf, side="right")
+        idx = np.searchsorted(self._asc, uf, side="right")
         levels = L - idx
         return np.minimum(levels, L - 1)  # fold the e^{-22} tail into the last level
 

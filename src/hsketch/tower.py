@@ -91,11 +91,14 @@ class SketchConfig:
             raise InvalidConfigError(f"accuracy parameter m={self.m} must be >= 2")
         if self.b <= self.a:
             raise InvalidConfigError(f"need b > a, got a={self.a}, b={self.b}")
+        if self.mode == "binomial" and self.a <= 0:  # the first cell alone has mass e^{-a/m} >= 1
+            raise InvalidConfigError(f"binomial tower needs sigma < 1, so a > 0; got a={self.a}")
         if self.mode == "binomial" and self.sigma >= 1.0:
             raise InvalidConfigError(
                 f"binomial tower needs sigma < 1, got sigma={self.sigma:.4g}; raise a"
             )
-        if self.mode == "poisson" and math.exp(-self.a / self.m) > _MAX_POISSON_MEAN:
+        # the exponent is capped where math.exp would overflow; any such mean is rejected
+        if self.mode == "poisson" and math.exp(min(-self.a / self.m, 709.0)) > _MAX_POISSON_MEAN:
             raise InvalidConfigError(
                 f"cell mean e^{{-a/m}} exceeds {_MAX_POISSON_MEAN}; raise a"
             )

@@ -3,8 +3,11 @@
 ``poisson_registers_oracle`` ingests a Poisson-mode batch one cell at a time
 with float CDF tables, for comparison with the blocked integer-threshold
 ingest of ``hsketch.tower``.  ``aggregate_column`` evaluates one (column,
-character) aggregate the slow way, for comparison with
-``hsketch.estimator.column_aggregates``.  The bucket
+character) aggregate the slow way, and ``column_aggregates_oracle`` evaluates
+every character of every register, both for comparison with
+``hsketch.estimator.column_aggregates``.  ``dft_oracle`` and ``idft_oracle``
+build one phase column per output, for comparison with ``hsketch.groups.dft``
+and ``idft``.  The bucket
 helpers model a single fingerprint level, one element at a time, for
 comparison with ``hsketch.sampler.classify_many`` and ``SamplerSketch``.
 ``ideal_levels_oracle`` classifies the levels of an ideal-mode sampler from
@@ -20,10 +23,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from hsketch import prf
-from hsketch.estimator import truncation_tail
-from hsketch.groups import GroupDescriptor
+from hsketch.estimator import ColumnAggregates, truncation_tail
+from hsketch.groups import FunctionTable, GroupDescriptor, SpectrumTable
 from hsketch.sampler import SamplerSketch, classify_many, splitter_width
-from hsketch.tower import SketchConfig, _canonical_values, _poisson_cdf
+from hsketch.tower import SketchConfig, TowerSketch, _canonical_values, _poisson_cdf
 
 
 def poisson_registers_oracle(config: SketchConfig, vs, ys) -> np.ndarray:
@@ -84,6 +87,50 @@ def aggregate_column(
     m, a, b = config.m, config.a, config.b
     weights = np.exp(np.arange(a, b) / (3.0 * m))
     return complex((chars - 1.0) @ weights - truncation_tail(m, a))
+
+
+def column_aggregates_oracle(sketch: TowerSketch, literal: bool = False) -> ColumnAggregates:
+    """``column_aggregates`` with one character evaluation per (register, character)."""
+    group = sketch.group
+    cfg = sketch.config
+    m, a, b = cfg.m, cfg.a, cfg.b
+    L = group.char_modulus
+    # Q[t, gi] = gamma_t * (L / p_t) for every character gi
+    Q = (group.residue_matrix * group.phase_factors).T  # (d, n_gamma)
+    phases = np.tensordot(sketch.registers, Q, axes=(2, 0)) % L  # (nk, 3, n_gamma)
+    chars = group.roots[phases]
+    weights = np.exp(np.arange(a, b) / (3.0 * m))
+    agg = np.tensordot(weights, chars - 1.0, axes=(0, 0)) - truncation_tail(m, a)
+    if not literal:
+        agg[:, 0] = 0.0  # trivial character: the infinite-tower aggregate is 0
+    return ColumnAggregates(group, cfg, agg, literal)
+
+
+def _phase_matrix_column(g: GroupDescriptor, gamma_res: np.ndarray) -> np.ndarray:
+    """Phase indices of chi(x, gamma) for every x, vectorized over x."""
+    q = (gamma_res * g.phase_factors) % g.char_modulus
+    return (g.residue_matrix @ q) % g.char_modulus
+
+
+def dft_oracle(g: GroupDescriptor, f: FunctionTable) -> SpectrumTable:
+    """Forward transform with one phase column per character."""
+    res = g.residue_matrix
+    out = np.empty(g.total_size, dtype=np.complex128)
+    roots_conj = g.roots.conj()
+    for gi in range(g.total_size):
+        phases = _phase_matrix_column(g, res[gi])
+        out[gi] = f.values @ roots_conj[phases]
+    return SpectrumTable(g, out)
+
+
+def idft_oracle(g: GroupDescriptor, s: SpectrumTable) -> FunctionTable:
+    """Inverse transform with one phase column per element."""
+    res = g.residue_matrix
+    out = np.empty(g.total_size, dtype=np.complex128)
+    for xi in range(g.total_size):
+        phases = _phase_matrix_column(g, res[xi])
+        out[xi] = s.values @ g.roots[phases]
+    return FunctionTable(g, out / g.total_size)
 
 
 class BucketState(enum.Enum):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from _oracles import aggregate_column
+from _oracles import aggregate_column, column_aggregates_oracle
 from hsketch.errors import GroupMismatchError, InvalidConfigError, InvalidRHatError
 from hsketch.estimator import (
     EstimateReport,
@@ -20,7 +20,7 @@ from hsketch.estimator import (
     variance_factor,
 )
 from hsketch.groups import FunctionTable, SpectrumTable, char_eval, dft, make_group
-from hsketch.tower import SketchConfig, sketch_new
+from hsketch.tower import SketchConfig, combine_product, sketch_new
 
 Z7 = make_group([7])
 
@@ -407,3 +407,59 @@ def test_gamma_terms_table():
     assert rep.gamma_terms is not None and rep.gamma_terms.shape == (7,)
     assert rep.gamma_terms.sum().real == pytest.approx(rep.estimate, abs=1e-12)
     assert estimate_f(sk, spectrum).gamma_terms is None
+
+
+# -- distinct-value aggregation against the per-register oracle -----------------
+
+AGG_GROUPS = [(2,), (7,), (128,), (7, 7), (2,) * 8, (3, 5, 7, 2)]
+
+
+def _random_updates(rng, n, degree):
+    return rng.integers(0, 1 << 40, n), rng.integers(-(1 << 20), 1 << 20, (n, degree))
+
+
+def _agg_sketch(kind, orders, seed=5):
+    """A sketch over ``orders`` of one of the kinds whose aggregates are compared with the oracle."""
+    rng = np.random.default_rng(seed)
+    m = 16
+    if kind == "integer-mod":
+        sk = sketch_new(SketchConfig(None, m, 0, 22 * m, seed, "poisson"))
+        sk.update_batch(rng.integers(0, 1 << 40, 400), rng.integers(-1000, 1000, 400))
+        return sk.reduce_values_mod(orders[0])
+    if kind == "product":
+        half = [sketch_new(SketchConfig(make_group([p]), m, 5 * m, 27 * m, seed, "binomial"))
+                for p in orders]
+        for sk in half:
+            sk.update_batch(*_random_updates(rng, 3000, 1))
+        return combine_product(*half)
+    group = make_group(orders)
+    if kind == "poisson":
+        sk = sketch_new(SketchConfig(group, m, 0, 22 * m, seed, "poisson"))
+        sk.update_batch(*_random_updates(rng, 300, group.degree))
+        return sk
+    sk = sketch_new(SketchConfig(group, m, 5 * m, 27 * m, seed, "binomial"))
+    n = {"empty": 0, "binomial-sparse": 40, "binomial-dense": 200_000}[kind]
+    if n:
+        sk.update_batch(*_random_updates(rng, n, group.degree))
+    return sk
+
+
+AGG_CASES = [
+    (kind, orders)
+    for orders in AGG_GROUPS
+    for kind in ("empty", "binomial-sparse", "binomial-dense", "poisson")
+] + [("integer-mod", (7,)), ("integer-mod", (128,)), ("product", (7, 7)), ("product", (2, 128))]
+
+
+@pytest.mark.parametrize("literal", [False, True])
+@pytest.mark.parametrize(
+    "kind,orders", AGG_CASES, ids=[f"{k}-Z{'x'.join(map(str, o))}" for k, o in AGG_CASES]
+)
+def test_column_aggregates_equal_per_register_oracle(kind, orders, literal):
+    sk = _agg_sketch(kind, orders)
+    assert sk.group.orders == orders
+    got = column_aggregates(sk, literal=literal)
+    want = column_aggregates_oracle(sk, literal=literal)
+    assert got.values.shape == want.values.shape == (3, sk.group.total_size)
+    assert np.array_equal(got.values, want.values)
+    assert got.literal == literal and got.config == sk.config

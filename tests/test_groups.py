@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from _oracles import dft_oracle, idft_oracle
 from hsketch.errors import GroupMismatchError, InvalidGroupError
 from hsketch.groups import (
     FunctionTable,
@@ -195,3 +196,17 @@ def test_table_size_validation():
         FunctionTable(g, np.zeros(6))
     with pytest.raises(GroupMismatchError):
         SpectrumTable(g, np.zeros(8))
+
+
+@pytest.mark.parametrize(
+    "orders",
+    [(2,), (7,), (128,), (7, 7), (2,) * 8, (10, 10, 10), (2,) * 11, (3, 5, 7, 2)],
+)
+def test_blocked_transforms_equal_per_character_oracle(orders):
+    g = make_group(list(orders))
+    rng = np.random.default_rng(g.total_size)
+    vals = rng.normal(size=g.total_size) + 1j * rng.normal(size=g.total_size)
+    f = FunctionTable(g, vals)
+    s = SpectrumTable(g, vals)
+    assert np.array_equal(dft(g, f).values, dft_oracle(g, f).values)
+    assert np.array_equal(idft(g, s).values, idft_oracle(g, s).values)

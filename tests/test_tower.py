@@ -63,6 +63,9 @@ def test_config_invariants():
         SketchConfig(Z7, m=4, a=8, b=8, seed=0)
     with pytest.raises(InvalidConfigError):
         SketchConfig(Z7, m=4, a=-100, b=8, seed=0)  # cell mean e^{25} unsupported
+    for mode in ("poisson", "binomial"):  # e^{-a/m} beyond the float range
+        with pytest.raises(InvalidConfigError):
+            SketchConfig(Z7, m=2, a=-1500, b=-1499, seed=0, mode=mode)
 
 
 def test_windows():

@@ -23,11 +23,16 @@ across any number of transforms at query time.  The characters chi(x, gamma) - 1
 are evaluated once per distinct register value x (u <= |G| of them) and gathered
 back to every register: O(3 nk d + u |G|) plus one contraction with the weights,
 which sees the same array as a per-register evaluation and returns the same bits.
+``column_aggregates`` also keeps a memo of the last 8 aggregations, each under a
+snapshot of the registers it read; a query whose config, ``literal`` flag and
+registers equal an entry's gets a copy of the stored values.  Any change to the
+registers misses, and entries leave only by least-recently-used eviction.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -73,17 +78,36 @@ class ColumnAggregates:
         return self.group.total_size
 
 
+_MEMO_SIZE = 8
+_MEMO: list[tuple[SketchConfig, bool, np.ndarray, np.ndarray]] = []  # oldest first
+_MEMO_LOCK = threading.Lock()
+
+
 def column_aggregates(sketch: TowerSketch, literal: bool = False) -> ColumnAggregates:
-    """All (column, character) aggregates of a group-valued sketch at once."""
-    group = sketch.group
+    """All (column, character) aggregates of a group-valued sketch at once (memoized)."""
     cfg = sketch.config
+    with _MEMO_LOCK:
+        for i, (c, lit, snap, values) in enumerate(_MEMO):
+            if c == cfg and lit == literal and np.array_equal(snap, sketch.registers):
+                _MEMO.append(_MEMO.pop(i))
+                return ColumnAggregates(sketch.group, cfg, values.copy(), literal)
+    snap = sketch.registers.copy()  # computed from the snapshot, so the entry matches it
+    agg = _column_aggregates(cfg, snap, literal)
+    with _MEMO_LOCK:
+        _MEMO.append((cfg, literal, snap, agg.values.copy()))
+        del _MEMO[:-_MEMO_SIZE]
+    return agg
+
+
+def _column_aggregates(cfg: SketchConfig, registers: np.ndarray, literal: bool) -> ColumnAggregates:
+    group = cfg.group
     m, a, b = cfg.m, cfg.a, cfg.b
-    regs = sketch.registers.reshape(-1, group.degree)  # (3 nk, d) residue rows
+    regs = registers.reshape(-1, group.degree)  # (3 nk, d) residue rows
     index = regs @ np.array(group.index_weights, dtype=np.int64)
     _, first, inverse = np.unique(index, return_index=True, return_inverse=True)
     # chi - 1 once per distinct register value, gathered back per register
     rows = group.roots[_phase_rows(group, regs[first])] - 1.0  # (u, n_gamma)
-    chars = rows[inverse].reshape(sketch.registers.shape[:2] + (-1,))  # (nk, 3, n_gamma)
+    chars = rows[inverse].reshape(registers.shape[:2] + (-1,))  # (nk, 3, n_gamma)
     weights = np.exp(np.arange(a, b) / (3.0 * m))
     agg = np.tensordot(weights, chars, axes=(0, 0)) - truncation_tail(m, a)
     if not literal:

@@ -26,7 +26,7 @@ from .estimator import (
     estimate_union,
 )
 from .groups import FunctionTable, GroupDescriptor, _write_csv, dft, make_group
-from .sampler import SamplerSketch, equal_memory_m_prime, sample_f_moment
+from .sampler import SamplerSketch, _tally, equal_memory_m_prime, sample_f_moment
 from .tower import IntegerTowerSketch, SketchConfig, TowerSketch, default_window
 from .workloads import WorkloadSpec, gen_stream, signed_representative
 
@@ -147,12 +147,13 @@ def _modulo_trial(args) -> list[list]:
         else:
             sampler = _sampler_for(scheme, group, seed)
             sampler.update_batch(vs, np.mod(ys, p))
+            codes, values = sampler.classify_levels()  # one classification per trial
             try:
-                lam0 = sampler.estimate_support()
+                lam0 = sampler._support(codes)
             except SaturatedError:
                 lam0 = math.nan
             estimates["lambda0"] = (lam0, 0.0)
-            tally = sampler.singleton_tally()
+            tally = _tally(values[codes == 1])
             total = sum(tally.values())
             for j in range(1, p):
                 if total == 0 or math.isnan(lam0):

@@ -191,21 +191,31 @@ class SamplerSketch:
         return values[codes == 1]
 
     def singleton_tally(self) -> dict[tuple[int, ...], int]:
-        values, counts = np.unique(self.singleton_values(), axis=0, return_counts=True)
-        return {tuple(v.tolist()): int(n) for v, n in zip(values, counts)}
+        return _tally(self.singleton_values())
 
     def estimate_support(self) -> float:
-        return tau_gra_estimate(self.empty_levels(), self.m_prime)
+        return self._support(self.classify_levels()[0])
+
+    def _support(self, codes: np.ndarray) -> float:
+        """Support estimate from the codes of one ``classify_levels`` call."""
+        return tau_gra_estimate(np.nonzero(codes == 0)[0], self.m_prime)
+
+
+def _tally(singles: np.ndarray) -> dict[tuple[int, ...], int]:
+    """How many singleton levels carry each value row."""
+    values, counts = np.unique(singles, axis=0, return_counts=True)
+    return {tuple(v.tolist()): int(n) for v, n in zip(values, counts)}
 
 
 def sample_f_moment(sampler: SamplerSketch, f: FunctionTable) -> float:
     """Support estimate times the empirical mean of f over singleton values."""
     if f.group != sampler.group:
         raise GroupMismatchError("function table is over a different group")
-    values = sampler.singleton_values()
+    codes, values = sampler.classify_levels()  # one classification for both factors
+    values = values[codes == 1]
     if values.shape[0] == 0:
         raise NoSamplesError("no singletons detected")
-    lam0 = sampler.estimate_support()
+    lam0 = sampler._support(codes)
     weights = np.array(sampler.group.index_weights, dtype=np.int64)
     idx = values @ weights
     return lam0 * float(np.mean(f.values[idx].real))

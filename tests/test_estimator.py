@@ -1,12 +1,19 @@
 import math
+import sys
+import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _oracles import aggregate_column, column_aggregates_oracle
+from hsketch import estimator
 from hsketch.errors import GroupMismatchError, InvalidConfigError, InvalidRHatError
 from hsketch.estimator import (
     EstimateReport,
+    _column_aggregates,
     column_aggregates,
     estimate_f,
     estimate_modulo,
@@ -463,3 +470,173 @@ def test_column_aggregates_equal_per_register_oracle(kind, orders, literal):
     assert got.values.shape == want.values.shape == (3, sk.group.total_size)
     assert np.array_equal(got.values, want.values)
     assert got.literal == literal and got.config == sk.config
+
+
+# -- the column_aggregates memo -----------------------------------------------------
+
+
+@pytest.fixture
+def fresh_memo():
+    estimator._MEMO.clear()
+    yield estimator._MEMO
+    estimator._MEMO.clear()
+
+
+def _binomial_z7(seed=3, n=2000, salt=0):
+    rng = np.random.default_rng(salt)
+    sk = sketch_new(SketchConfig(Z7, 8, 40, 216, seed, "binomial"))
+    sk.update_batch(rng.integers(0, 1 << 40, n), rng.integers(-50, 50, n))
+    return sk
+
+
+def _uncached(sk, literal=False):
+    return _column_aggregates(sk.config, sk.registers, literal).values
+
+
+@pytest.mark.parametrize("literal", [False, True])
+def test_memo_repeated_query_returns_the_fresh_bits(fresh_memo, literal):
+    sk = _binomial_z7()
+    want = column_aggregates_oracle(sk, literal=literal).values
+    first = column_aggregates(sk, literal=literal)
+    second = column_aggregates(sk, literal=literal)
+    assert len(fresh_memo) == 1
+    assert np.array_equal(first.values, want) and np.array_equal(second.values, want)
+    assert second.values is not first.values and second.values is not fresh_memo[0][3]
+    assert second.literal == literal and second.config == sk.config
+    # the other flag is its own entry: its trivial-character column differs
+    other = column_aggregates(sk, literal=not literal)
+    assert len(fresh_memo) == 2
+    assert np.array_equal(other.values, column_aggregates_oracle(sk, literal=not literal).values)
+    assert not np.array_equal(other.values, want)
+
+
+def _mutate(sk, how):
+    rng = np.random.default_rng(9)
+    vs, ys = rng.integers(0, 1 << 40, 50), rng.integers(1, 7, 50)
+    if how == "update_batch":
+        sk.update_batch(vs, ys)
+    elif how == "register-write":
+        sk.registers[3, 1, 0] = (sk.registers[3, 1, 0] + 1) % 7
+    elif how == "inplace-mod":
+        sk.registers[:] = 3
+        sk.registers %= 2
+    else:  # an update, a query in between, then its inverse
+        sk.update_batch(vs, ys)
+        assert np.array_equal(column_aggregates(sk).values, column_aggregates_oracle(sk).values)
+        sk.update_batch(vs, -ys)
+
+
+@pytest.mark.parametrize("how", ["update_batch", "register-write", "inplace-mod", "update-inverse"])
+def test_memo_misses_after_the_registers_change(fresh_memo, how):
+    sk = _binomial_z7()
+    before = column_aggregates(sk).values
+    _mutate(sk, how)
+    got = column_aggregates(sk).values
+    assert np.array_equal(got, column_aggregates_oracle(sk).values)
+    assert np.array_equal(got, before) == (how == "update-inverse")
+
+
+def test_memo_tells_same_config_sketches_apart(fresh_memo):
+    z7a, z7b = _binomial_z7(salt=1), _binomial_z7(salt=2)
+    ski = sketch_new(replace(z7a.config, group=None))
+    rng = np.random.default_rng(4)
+    ski.update_batch(rng.integers(0, 1 << 40, 2000), rng.integers(-1000, 1000, 2000))
+    assert z7a.config == z7b.config == ski.reduce_values_mod(7).config
+    wants = [column_aggregates_oracle(sk).values for sk in (z7a, z7b, ski.reduce_values_mod(7))]
+    assert not np.array_equal(wants[0], wants[1]) and not np.array_equal(wants[0], wants[2])
+    for _ in range(3):
+        for sk, want in zip((z7a, z7b, ski.reduce_values_mod(7)), wants):
+            assert np.array_equal(column_aggregates(sk).values, want)
+    assert len(fresh_memo) == 3
+
+
+def test_memo_holds_at_most_eight_least_recently_used(fresh_memo):
+    sketches = [_binomial_z7(seed=s, n=200) for s in range(12)]
+    for sk in sketches[:8]:
+        column_aggregates(sk)
+    column_aggregates(sketches[0])  # a hit makes seed 0 the most recent entry
+    for sk in sketches[8:]:
+        column_aggregates(sk)
+        assert len(fresh_memo) <= 8
+    assert [c.seed for c, *_ in fresh_memo] == [5, 6, 7, 0, 8, 9, 10, 11]
+    for sk in sketches:
+        assert np.array_equal(column_aggregates(sk).values, column_aggregates_oracle(sk).values)
+    assert len(fresh_memo) == 8
+
+
+def test_memo_entries_do_not_alias_callers(fresh_memo):
+    sk = _binomial_z7()
+    regs = sk.registers.copy()
+    want = column_aggregates_oracle(sk).values
+    column_aggregates(sk).values[:] = 0  # written into a miss's result
+    column_aggregates(sk).values[:] = 0  # and into a hit's
+    _mutate(sk, "register-write")
+    ((_, _, snap, values),) = fresh_memo
+    assert np.array_equal(snap, regs) and np.array_equal(values, want)
+    sk.registers[:] = regs
+    assert np.array_equal(column_aggregates(sk).values, want)
+
+
+def test_memo_is_safe_across_threads(fresh_memo):
+    sketches = [_binomial_z7(seed=s, n=300) for s in range(10)]
+    wants = [column_aggregates_oracle(sk).values for sk in sketches]
+    bad = []
+
+    def work(offset):
+        for i in range(40):
+            k = (i + offset) % len(sketches)
+            if not np.array_equal(column_aggregates(sketches[k]).values, wants[k]):
+                bad.append(k)
+
+    threads = [threading.Thread(target=work, args=(t,)) for t in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert bad == [] and len(fresh_memo) <= 8
+    for cfg, literal, snap, values in fresh_memo:
+        assert np.array_equal(values, _column_aggregates(cfg, snap, literal).values)
+
+
+OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["batch", "inverse", "write", "query"]),
+        st.integers(0, 1),  # which of two same-config sketches
+        st.integers(0, 2**32 - 1),
+        st.booleans(),  # literal flag of a query
+    ),
+    max_size=30,
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60, database=None)
+@given(OPS)
+def test_memo_equals_the_uncached_computation(ops):
+    estimator._MEMO.clear()
+    sketches = [sketch_new(_cfg(m=4, a=0, b=12, seed=2)) for _ in range(2)]
+    history = [[], []]
+    for op, i, x, literal in ops:
+        sk = sketches[i]
+        if op == "batch":
+            rng = np.random.default_rng(x)
+            batch = rng.integers(0, 1 << 30, 4), rng.integers(-20, 20, 4)
+            sk.update_batch(*batch)
+            history[i].append(batch)
+        elif op == "inverse" and history[i]:
+            vs, ys = history[i].pop(x % len(history[i]))
+            sk.update_batch(vs, -ys)
+        elif op == "write":
+            sk.registers.flat[x % sk.registers.size] = x % 7
+        elif op == "query":
+            got = column_aggregates(sk, literal=literal).values
+            assert np.array_equal(got, _uncached(sk, literal))
+    for sk in sketches:
+        assert np.array_equal(column_aggregates(sk).values, _uncached(sk))
+    assert len(estimator._MEMO) <= 8
+    estimator._MEMO.clear()

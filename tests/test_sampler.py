@@ -11,6 +11,7 @@ from _oracles import (
     splitter_update,
 )
 from hsketch.errors import NoSamplesError, SaturatedError
+from hsketch.experiments import SchemeSpec, _modulo_trial
 from hsketch.groups import FunctionTable, make_group
 from hsketch.sampler import (
     SamplerSketch,
@@ -20,6 +21,7 @@ from hsketch.sampler import (
     splitter_width,
     tau_gra_estimate,
 )
+from hsketch.workloads import WorkloadSpec
 
 Z7 = make_group([7])
 Z8 = make_group([8])
@@ -162,6 +164,23 @@ def test_sample_f_moment_point_mass():
     assert est == pytest.approx(sampler.estimate_support())
     assert sampler.singleton_values().shape[0] >= 1
     assert all(v == (3,) for v in map(tuple, sampler.singleton_values()))
+
+
+def test_each_sampler_is_classified_once(monkeypatch):
+    calls = []
+    classify = SamplerSketch.classify_levels
+    monkeypatch.setattr(
+        SamplerSketch, "classify_levels", lambda self: calls.append(self) or classify(self)
+    )
+    sampler = SamplerSketch(Z7, m_prime=16, seed=3, r=3)
+    sampler.update_batch(np.arange(40), np.full(40, 3))
+    sample_f_moment(sampler, FunctionTable.from_function(Z7, lambda x: float(x[0] == 3)))
+    assert calls == [sampler]
+    calls.clear()
+    spec = WorkloadSpec("w", {3: 200, 7: 50}, 1 << 16, shuffle_seed=4)
+    schemes = (SchemeSpec("fingerprint", 16, r=2), SchemeSpec("ideal-oracle", 16))
+    rows = _modulo_trial((spec, schemes, 7, 0, 11))
+    assert len(rows) == 14 and len(calls) == 2 and calls[0] is not calls[1]
 
 
 def test_sample_f_moment_no_singletons():

@@ -13,7 +13,6 @@ from .errors import (
     InvalidRHatError,
     InvalidWorkloadError,
     NoSamplesError,
-    QuadratureError,
     RegisterOverflowError,
     SaturatedError,
     SchemaError,
@@ -38,12 +37,10 @@ from .groups import (
     FunctionTable,
     GroupDescriptor,
     SpectrumTable,
-    char_eval,
     dft,
     idft,
     make_group,
     norms,
-    reduce_mod,
 )
 from .sampler import (
     SamplerSketch,
@@ -52,13 +49,11 @@ from .sampler import (
     tau_gra_density,
     tau_gra_estimate,
 )
-from .special import EtaParams, eta1_closed, eta1_quadrature, gamma_fn, riemann_gap_check
+from .special import gamma_fn
 from .tower import (
     IntegerTowerSketch,
     SketchConfig,
     TowerSketch,
-    binomial_assign,
-    cell_count,
     combine_product,
     default_window,
     deserialize,

@@ -33,10 +33,6 @@ class DomainError(HSketchError):
     """Special-function argument outside the supported domain."""
 
 
-class QuadratureError(HSketchError):
-    """Adaptive quadrature failed to converge to the requested tolerance."""
-
-
 class InvalidRHatError(HSketchError):
     """Support-distribution transform table violates |value| <= 1."""
 

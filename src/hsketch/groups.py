@@ -9,7 +9,13 @@ Conventions, fixed so serialized tables are portable:
   and the dual group shares the descriptor;
 * the transform uses the counting measure on the group (plain sum) and the
   uniform probability measure on the dual (a 1/|G| weight), so the inverse
-  transform carries the 1/|G| factor and norms on the dual are 1/|G|-weighted.
+  transform carries the 1/|G| factor and norms on the dual are 1/|G|-weighted;
+* a table is stored as CSV rows ``index,re,im`` in enumeration order with
+  ``repr`` floats, and is read back only if its index column is exactly
+  0, 1, ..., n-1, so a table round-trips bit for bit.
+
+Characters are evaluated only in bulk, as integer phase rows
+(``_phase_rows``) into the table :attr:`GroupDescriptor.roots`.
 """
 
 from __future__ import annotations
@@ -95,10 +101,6 @@ class GroupDescriptor:
             )
         return tuple(int(r) % p for r, p in zip(residues, self.orders))
 
-    @property
-    def identity(self) -> GroupElement:
-        return (0,) * self.degree
-
     def index_of(self, x: GroupElement) -> int:
         return sum(r * w for r, w in zip(self.element(x), self.index_weights))
 
@@ -128,14 +130,6 @@ class GroupDescriptor:
     def product(self, other: "GroupDescriptor") -> "GroupDescriptor":
         return GroupDescriptor(self.orders + other.orders)
 
-    def phase_index(self, x: GroupElement, gamma: GroupElement) -> int:
-        """Integer r with chi(x, gamma) = exp(2*pi*i*r/L), L = char_modulus."""
-        x, gamma = self.element(x), self.element(gamma)
-        L = self.char_modulus
-        return sum(
-            (a * g % p) * f for a, g, p, f in zip(x, gamma, self.orders, self.phase_factors)
-        ) % L
-
 
 def make_group(orders: Sequence[int]) -> GroupDescriptor:
     """Validated descriptor for Z_{orders[0]} x ... x Z_{orders[-1]}."""
@@ -152,18 +146,6 @@ def make_group(orders: Sequence[int]) -> GroupDescriptor:
         if total > MAX_TOTAL_SIZE:
             raise InvalidGroupError(f"group size {total} too large (limit {MAX_TOTAL_SIZE})")
     return GroupDescriptor(tuple(clean))
-
-
-def char_eval(g: GroupDescriptor, x: GroupElement, gamma: GroupElement) -> complex:
-    """Character value chi(x, gamma), a unit-modulus complex number."""
-    return complex(g.roots[g.phase_index(x, gamma)])
-
-
-def reduce_mod(v: int, p: int) -> GroupElement:
-    """Canonical residue of a signed integer in Z_p, as a group element."""
-    if p < 2:
-        raise InvalidGroupError(f"modulus {p} < 2")
-    return (int(v) % p,)
 
 
 # -- tabulated functions and spectra ----------------------------------------
@@ -230,9 +212,11 @@ def _read_table_csv(path) -> np.ndarray:
         if header != ["index", "re", "im"]:
             raise InvalidGroupError(f"unexpected table header {header}")
         rows = [(int(i), float(re), float(im)) for i, re, im in reader]
-    out = np.zeros(len(rows), dtype=np.complex128)
-    for i, re, im in rows:
-        out[i] = re + 1j * im
+    if [r[0] for r in rows] != list(range(len(rows))):
+        raise InvalidGroupError("table index column is not 0, 1, ..., n-1 in order")
+    out = np.empty(len(rows), dtype=np.complex128)
+    out.real = [r[1] for r in rows]
+    out.imag = [r[2] for r in rows]
     return out
 
 

@@ -1,19 +1,16 @@
-"""Special functions and numeric oracles backing the estimators.
+"""The Gamma function behind the estimators' constants.
 
-Every Gamma-dependent constant in the estimators is derived from
-:func:`gamma_fn` at first use, never hard-coded, so a single routine is the
-source of truth.
+Every Gamma-dependent constant in the estimators and the sampler is derived
+from :func:`gamma_fn` at first use, never hard-coded, so a single routine is
+the source of truth.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
 
-from .errors import DomainError, QuadratureError
+from .errors import DomainError
 
 # Lanczos approximation, g = 7, 9 coefficients (double precision classic).
 _LANCZOS_G = 7.0
@@ -64,141 +61,3 @@ def gamma_fn(x: float) -> float:
 @lru_cache(maxsize=None)
 def gamma_cached(x: float) -> float:
     return gamma_fn(x)
-
-
-@dataclass(frozen=True)
-class EtaParams:
-    """Parameters of the kernel (e^{-a e^{-x}} - e^{-b e^{-x}}) e^{c x}."""
-
-    a: complex
-    b: complex
-    c: float
-
-    def __post_init__(self):
-        if self.a.real < 0.0 or self.b.real < 0.0:
-            raise DomainError("eta kernel needs Re(a) >= 0 and Re(b) >= 0")
-        if not 0.0 < self.c < 1.0:
-            raise DomainError(f"eta kernel exponent c={self.c} outside (0, 1)")
-
-
-def _cexpm1(z: complex) -> complex:
-    """exp(z) - 1 without cancellation for small |z|."""
-    if abs(z) < 1e-4:
-        return z * (1.0 + z / 2.0 * (1.0 + z / 3.0 * (1.0 + z / 4.0)))
-    return cmath.exp(z) - 1.0
-
-
-def eta1(x: float, params: EtaParams) -> complex:
-    """Kernel value, evaluated as -e^{-u e^{-x}} expm1(-(v-u) e^{-x}) e^{cx}
-    with u the exponent of smaller real part, so the right tail (where the
-    two exponentials agree to machine precision) stays accurate."""
-    a, b, c = params.a, params.b, params.c
-    e = math.exp(-x)
-    if a.real <= b.real:
-        u, v, sign = a, b, 1.0
-    else:
-        u, v, sign = b, a, -1.0
-    return -sign * cmath.exp(-u * e) * _cexpm1(-(v - u) * e) * math.exp(c * x)
-
-
-def eta1_prime(x: float, params: EtaParams) -> complex:
-    """d/dx of the kernel; used by the sum-vs-integral gap check."""
-    a, b, c = params.a, params.b, params.c
-    e = math.exp(-x)
-    eta2_a = a * e * cmath.exp(-a * e)
-    eta2_b = b * e * cmath.exp(-b * e)
-    return c * eta1(x, params) + (eta2_a - eta2_b) * math.exp(c * x)
-
-
-def eta1_closed(params: EtaParams) -> complex:
-    """Closed form of the full-line integral: (a^c - b^c) * Gamma(-c).
-
-    Principal-branch complex powers; the Re >= 0 precondition keeps the
-    branch cut untouched.
-    """
-    a, b, c = params.a, params.b, params.c
-    a_pow = a**c if a != 0 else 0.0 + 0.0j
-    b_pow = b**c if b != 0 else 0.0 + 0.0j
-    return (a_pow - b_pow) * gamma_cached(-c)
-
-
-def _adaptive_simpson(
-    fn: Callable[[float], complex],
-    lo: float,
-    hi: float,
-    tol: float,
-    max_depth: int = 30,
-) -> complex:
-    """Panelized adaptive Simpson; panels of width ~1 so that localized
-    features cannot slip between the initial probe points."""
-
-    def recurse(a, b, fa, fm, fb, acc, eps, depth):
-        m = 0.5 * (a + b)
-        lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-        flm, frm = fn(lm), fn(rm)
-        left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-        right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-        if abs(left + right - acc) <= 15.0 * eps:
-            return left + right + (left + right - acc) / 15.0
-        if depth <= 0:
-            raise QuadratureError("adaptive quadrature failed to converge")
-        return recurse(a, m, fa, flm, fm, left, eps / 2.0, depth - 1) + recurse(
-            m, b, fm, frm, fb, right, eps / 2.0, depth - 1
-        )
-
-    panels = max(8, min(4096, int(math.ceil(hi - lo))))
-    edges = [lo + (hi - lo) * i / panels for i in range(panels + 1)]
-    total = 0.0 + 0.0j
-    eps = tol / panels
-    for a, b in zip(edges[:-1], edges[1:]):
-        fa, fm, fb = fn(a), fn(0.5 * (a + b)), fn(b)
-        whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-        total += recurse(a, b, fa, fm, fb, whole, eps, max_depth)
-    return total
-
-
-def eta1_quadrature(params: EtaParams, tolerance: float = 1e-9) -> complex:
-    """Numeric full-line integral of the kernel, independent of the closed form.
-
-    The integration window is chosen so the discarded tails are provably
-    below tolerance/10: the kernel decays like |b - a| e^{-(1-c)x} on the
-    right and like 2 e^{c x} on the left.
-    """
-    a, b, c = params.a, params.b, params.c
-    if a == b:
-        return 0.0 + 0.0j
-    diff = abs(b - a)
-    # right tail: |eta1| <= |b-a| e^{-(1-c)x}; left tail: |eta1| <= 2 e^{cx}
-    hi = math.log(10.0 * (diff + 1.0) / tolerance) / (1.0 - c) + 1.0
-    lo = math.log(tolerance / 20.0) / c - 1.0
-    return _adaptive_simpson(lambda x: eta1(x, params), lo, hi, tolerance / 4.0)
-
-
-@dataclass(frozen=True)
-class GapCheckResult:
-    integral_gap: float
-    derivative_bound: float
-
-    @property
-    def holds(self) -> bool:
-        return self.integral_gap <= self.derivative_bound + 1e-12
-
-
-def riemann_gap_check(
-    h: Callable[[float], complex],
-    h_prime: Callable[[float], complex],
-    m: int,
-    lo: float = -60.0,
-    hi: float = 60.0,
-    tol: float = 1e-10,
-) -> GapCheckResult:
-    """Verify |integral(h) - (1/m) sum_k h(k/m)| <= (1/m) integral(|h'|).
-
-    Both sides are evaluated numerically over [lo, hi], which must contain
-    essentially all of the mass of h and h'.
-    """
-    integral = _adaptive_simpson(h, lo, hi, tol)
-    ks = range(math.ceil(lo * m), math.floor(hi * m) + 1)
-    riemann = sum(h(k / m) for k in ks) / m
-    deriv_mass = _adaptive_simpson(lambda x: abs(h_prime(x)), lo, hi, tol)
-    return GapCheckResult(abs(integral - riemann), float(deriv_mass.real) / m)

@@ -242,29 +242,6 @@ def _sparse_hits(u: np.ndarray, thr: np.ndarray, cum: np.ndarray):
     return row, cnt, v
 
 
-def cell_count(seed: int, v: int, j: int, k: int, m: int) -> int:
-    """Deterministic pseudo-Poisson(e^{-k/m}) count for element v, column j, cell k."""
-    counts = _poisson_counts_batch(
-        seed, np.array([v], dtype=np.int64), j, k, m
-    )
-    return int(counts[0])
-
-
-def _poisson_counts_batch(seed: int, vs: np.ndarray, j: int, k: int, m: int) -> np.ndarray:
-    state = prf.stream_state(seed, prf.DOMAIN_CELL, vs)
-    u = prf.u53(prf.draw(state, prf.tuple_key(j=j, k=k)))
-    return np.searchsorted(_u53_thresholds(_poisson_cdf(m, k)), u, side="right")
-
-
-def binomial_assign(seed: int, v: int, j: int, config: SketchConfig) -> int | None:
-    """Level in [a, b) for one column of the binomial tower, or None for no-op."""
-    if config.mode != "binomial":
-        raise InvalidConfigError("level assignment is a binomial-mode operation")
-    levels = _binomial_levels_batch(seed, np.array([v], dtype=np.int64), j, config)
-    lv = int(levels[0])
-    return None if lv == config.num_cells else config.a + lv
-
-
 @lru_cache(maxsize=4096)
 def _level_cdf(m: int, a: int, b: int) -> np.ndarray:
     cum = np.cumsum([math.exp(-k / m) for k in range(a, b)])
@@ -451,6 +428,8 @@ def combine_product(s1: TowerSketch, s2: TowerSketch) -> TowerSketch:
     are exactly the sketch of the product stream.
     """
     c1, c2 = s1.config, s2.config
+    if c1.group is None or c2.group is None:
+        raise CannotCombineError("integer sketches have no group to pair; reduce them first")
     if replace(c1, group=None) != replace(c2, group=None):
         raise CannotCombineError("sketches must share m, a, b, seed and mode")
     group = c1.group.product(c2.group)
@@ -486,8 +465,7 @@ class IntegerTowerSketch(_TowerBase):
         """Group-valued view of the registers mod p (query-time reduction)."""
         group = make_group([p])
         cfg = replace(self.config, group=group)
-        regs = np.mod(self.registers, p)[:, :, None].astype(np.int64)
-        return TowerSketch(cfg, regs)
+        return TowerSketch(cfg, np.mod(self.registers, p)[:, :, None])
 
 
 def sketch_new(config: SketchConfig) -> TowerSketch | IntegerTowerSketch:

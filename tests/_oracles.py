@@ -12,21 +12,48 @@ helpers model a single fingerprint level, one element at a time, for
 comparison with ``hsketch.sampler.classify_many`` and ``SamplerSketch``.
 ``ideal_levels_oracle`` classifies the levels of an ideal-mode sampler from
 one dict of net values per level, updated one element at a time.
+
+``cell_count`` and ``binomial_assign`` draw one element's Poisson count or
+binomial level for one cell or column, for comparison with what
+``update_batch`` writes and to pin the PRF construction.  ``char_eval``
+evaluates one character value with scalar arithmetic, independently of the
+phase rows behind ``dft`` and ``column_aggregates``.
+
+``eta1_closed`` and ``eta1_quadrature`` give the full-line integral of the
+eta kernel (e^{-a e^{-x}} - e^{-b e^{-x}}) e^{c x} in closed form (through
+``hsketch.special.gamma_fn``) and by adaptive quadrature; the two agree only
+if the Gamma constants the estimators use are right.  ``riemann_gap_check``
+tests the sum-versus-integral bound behind the towers' discretization.
 """
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from hsketch import prf
+from hsketch.errors import DomainError, InvalidConfigError
 from hsketch.estimator import ColumnAggregates, truncation_tail
-from hsketch.groups import FunctionTable, GroupDescriptor, SpectrumTable
+from hsketch.groups import FunctionTable, GroupDescriptor, GroupElement, SpectrumTable
 from hsketch.sampler import SamplerSketch, classify_many, splitter_width
-from hsketch.tower import SketchConfig, TowerSketch, _canonical_values, _poisson_cdf
+from hsketch.special import gamma_cached
+from hsketch.tower import (
+    SketchConfig,
+    TowerSketch,
+    _binomial_levels_batch,
+    _canonical_values,
+    _poisson_cdf,
+    _u53_thresholds,
+)
+
+
+class QuadratureError(Exception):
+    """Adaptive quadrature failed to converge to the requested tolerance."""
 
 
 def poisson_registers_oracle(config: SketchConfig, vs, ys) -> np.ndarray:
@@ -63,6 +90,39 @@ def poisson_registers_oracle(config: SketchConfig, vs, ys) -> np.ndarray:
     if cfg.group is not None:
         regs %= np.array(cfg.group.orders, dtype=np.int64)
     return regs
+
+
+def cell_count(seed: int, v: int, j: int, k: int, m: int) -> int:
+    """Deterministic pseudo-Poisson(e^{-k/m}) count for element v, column j, cell k."""
+    counts = _poisson_counts_batch(
+        seed, np.array([v], dtype=np.int64), j, k, m
+    )
+    return int(counts[0])
+
+
+def _poisson_counts_batch(seed: int, vs: np.ndarray, j: int, k: int, m: int) -> np.ndarray:
+    state = prf.stream_state(seed, prf.DOMAIN_CELL, vs)
+    u = prf.u53(prf.draw(state, prf.tuple_key(j=j, k=k)))
+    return np.searchsorted(_u53_thresholds(_poisson_cdf(m, k)), u, side="right")
+
+
+def binomial_assign(seed: int, v: int, j: int, config: SketchConfig) -> int | None:
+    """Level in [a, b) for one column of the binomial tower, or None for no-op."""
+    if config.mode != "binomial":
+        raise InvalidConfigError("level assignment is a binomial-mode operation")
+    levels = _binomial_levels_batch(seed, np.array([v], dtype=np.int64), j, config)
+    lv = int(levels[0])
+    return None if lv == config.num_cells else config.a + lv
+
+
+
+
+def char_eval(g: GroupDescriptor, x: GroupElement, gamma: GroupElement) -> complex:
+    """Character value chi(x, gamma), a unit-modulus complex number."""
+    x, gamma = g.element(x), g.element(gamma)
+    L = g.char_modulus
+    r = sum((a * c % p) * f for a, c, p, f in zip(x, gamma, g.orders, g.phase_factors)) % L
+    return complex(g.roots[r])
 
 
 def aggregate_column(
@@ -197,3 +257,141 @@ def ideal_levels_oracle(group: GroupDescriptor, m_prime: int, seed: int, batches
             codes[lv] = 1
             values[lv] = live[0]
     return codes, values
+
+
+@dataclass(frozen=True)
+class EtaParams:
+    """Parameters of the kernel (e^{-a e^{-x}} - e^{-b e^{-x}}) e^{c x}."""
+
+    a: complex
+    b: complex
+    c: float
+
+    def __post_init__(self):
+        if self.a.real < 0.0 or self.b.real < 0.0:
+            raise DomainError("eta kernel needs Re(a) >= 0 and Re(b) >= 0")
+        if not 0.0 < self.c < 1.0:
+            raise DomainError(f"eta kernel exponent c={self.c} outside (0, 1)")
+
+
+def _cexpm1(z: complex) -> complex:
+    """exp(z) - 1 without cancellation for small |z|."""
+    if abs(z) < 1e-4:
+        return z * (1.0 + z / 2.0 * (1.0 + z / 3.0 * (1.0 + z / 4.0)))
+    return cmath.exp(z) - 1.0
+
+
+def eta1(x: float, params: EtaParams) -> complex:
+    """Kernel value, evaluated as -e^{-u e^{-x}} expm1(-(v-u) e^{-x}) e^{cx}
+    with u the exponent of smaller real part, so the right tail (where the
+    two exponentials agree to machine precision) stays accurate."""
+    a, b, c = params.a, params.b, params.c
+    e = math.exp(-x)
+    if a.real <= b.real:
+        u, v, sign = a, b, 1.0
+    else:
+        u, v, sign = b, a, -1.0
+    return -sign * cmath.exp(-u * e) * _cexpm1(-(v - u) * e) * math.exp(c * x)
+
+
+def eta1_prime(x: float, params: EtaParams) -> complex:
+    """d/dx of the kernel; used by the sum-vs-integral gap check."""
+    a, b, c = params.a, params.b, params.c
+    e = math.exp(-x)
+    eta2_a = a * e * cmath.exp(-a * e)
+    eta2_b = b * e * cmath.exp(-b * e)
+    return c * eta1(x, params) + (eta2_a - eta2_b) * math.exp(c * x)
+
+
+def eta1_closed(params: EtaParams) -> complex:
+    """Closed form of the full-line integral: (a^c - b^c) * Gamma(-c).
+
+    Principal-branch complex powers; the Re >= 0 precondition keeps the
+    branch cut untouched.
+    """
+    a, b, c = params.a, params.b, params.c
+    a_pow = a**c if a != 0 else 0.0 + 0.0j
+    b_pow = b**c if b != 0 else 0.0 + 0.0j
+    return (a_pow - b_pow) * gamma_cached(-c)
+
+
+def _adaptive_simpson(
+    fn: Callable[[float], complex],
+    lo: float,
+    hi: float,
+    tol: float,
+    max_depth: int = 30,
+) -> complex:
+    """Panelized adaptive Simpson; panels of width ~1 so that localized
+    features cannot slip between the initial probe points."""
+
+    def recurse(a, b, fa, fm, fb, acc, eps, depth):
+        m = 0.5 * (a + b)
+        lm, rm = 0.5 * (a + m), 0.5 * (m + b)
+        flm, frm = fn(lm), fn(rm)
+        left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
+        right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
+        if abs(left + right - acc) <= 15.0 * eps:
+            return left + right + (left + right - acc) / 15.0
+        if depth <= 0:
+            raise QuadratureError("adaptive quadrature failed to converge")
+        return recurse(a, m, fa, flm, fm, left, eps / 2.0, depth - 1) + recurse(
+            m, b, fm, frm, fb, right, eps / 2.0, depth - 1
+        )
+
+    panels = max(8, min(4096, int(math.ceil(hi - lo))))
+    edges = [lo + (hi - lo) * i / panels for i in range(panels + 1)]
+    total = 0.0 + 0.0j
+    eps = tol / panels
+    for a, b in zip(edges[:-1], edges[1:]):
+        fa, fm, fb = fn(a), fn(0.5 * (a + b)), fn(b)
+        whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+        total += recurse(a, b, fa, fm, fb, whole, eps, max_depth)
+    return total
+
+
+def eta1_quadrature(params: EtaParams, tolerance: float = 1e-9) -> complex:
+    """Numeric full-line integral of the kernel, independent of the closed form.
+
+    The integration window is chosen so the discarded tails are provably
+    below tolerance/10: the kernel decays like |b - a| e^{-(1-c)x} on the
+    right and like 2 e^{c x} on the left.
+    """
+    a, b, c = params.a, params.b, params.c
+    if a == b:
+        return 0.0 + 0.0j
+    diff = abs(b - a)
+    # right tail: |eta1| <= |b-a| e^{-(1-c)x}; left tail: |eta1| <= 2 e^{cx}
+    hi = math.log(10.0 * (diff + 1.0) / tolerance) / (1.0 - c) + 1.0
+    lo = math.log(tolerance / 20.0) / c - 1.0
+    return _adaptive_simpson(lambda x: eta1(x, params), lo, hi, tolerance / 4.0)
+
+
+@dataclass(frozen=True)
+class GapCheckResult:
+    integral_gap: float
+    derivative_bound: float
+
+    @property
+    def holds(self) -> bool:
+        return self.integral_gap <= self.derivative_bound + 1e-12
+
+
+def riemann_gap_check(
+    h: Callable[[float], complex],
+    h_prime: Callable[[float], complex],
+    m: int,
+    lo: float = -60.0,
+    hi: float = 60.0,
+    tol: float = 1e-10,
+) -> GapCheckResult:
+    """Verify |integral(h) - (1/m) sum_k h(k/m)| <= (1/m) integral(|h'|).
+
+    Both sides are evaluated numerically over [lo, hi], which must contain
+    essentially all of the mass of h and h'.
+    """
+    integral = _adaptive_simpson(h, lo, hi, tol)
+    ks = range(math.ceil(lo * m), math.floor(hi * m) + 1)
+    riemann = sum(h(k / m) for k in ks) / m
+    deriv_mass = _adaptive_simpson(lambda x: abs(h_prime(x)), lo, hi, tol)
+    return GapCheckResult(abs(integral - riemann), float(deriv_mass.real) / m)

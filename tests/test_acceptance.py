@@ -20,11 +20,12 @@ from _mc import (
     trunc_trial,
     union_trial,
 )
+from _oracles import EtaParams, eta1_closed, eta1_quadrature
 from hsketch.estimator import predict_variance, rhat_from_pmf
 from hsketch.experiments import _map_trials
 from hsketch.groups import FunctionTable, SpectrumTable, dft, idft, make_group
 from hsketch.sampler import classify_many, splitter_width
-from hsketch.special import EtaParams, eta1_closed, eta1_quadrature, gamma_fn
+from hsketch.special import gamma_fn
 from hsketch.tower import IntegerTowerSketch, SketchConfig, TowerSketch
 
 COUNTS = {1: 300, 2: 500, 3: 100, 4: 50, 5: 25, 6: 25}

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import aggregate_column, column_aggregates_oracle
+from _oracles import aggregate_column, char_eval, column_aggregates_oracle
 from hsketch import estimator
 from hsketch.errors import GroupMismatchError, InvalidConfigError, InvalidRHatError
 from hsketch.estimator import (
@@ -26,7 +26,7 @@ from hsketch.estimator import (
     truncation_tail,
     variance_factor,
 )
-from hsketch.groups import FunctionTable, SpectrumTable, char_eval, dft, make_group
+from hsketch.groups import FunctionTable, SpectrumTable, dft, make_group
 from hsketch.tower import SketchConfig, combine_product, sketch_new
 
 Z7 = make_group([7])

@@ -1,17 +1,15 @@
 import numpy as np
 import pytest
 
-from _oracles import dft_oracle, idft_oracle
+from _oracles import char_eval, dft_oracle, idft_oracle
 from hsketch.errors import GroupMismatchError, InvalidGroupError
 from hsketch.groups import (
     FunctionTable,
     SpectrumTable,
-    char_eval,
     dft,
     idft,
     make_group,
     norms,
-    reduce_mod,
 )
 
 
@@ -165,14 +163,6 @@ def test_norms_rejects_non_transform_pair():
         norms(f, s)
 
 
-def test_reduce_mod_examples():
-    assert reduce_mod(64, 7) == (1,)
-    assert reduce_mod(-1, 7) == (6,)
-    assert reduce_mod(14, 7) == (0,)
-    with pytest.raises(InvalidGroupError):
-        reduce_mod(5, 1)
-
-
 def test_table_csv_round_trip(tmp_path):
     g = make_group([2, 3])
     rng = np.random.default_rng(5)
@@ -188,6 +178,28 @@ def test_table_csv_round_trip(tmp_path):
     s = SpectrumTable(g, vals)
     s.write_csv(path)
     assert np.array_equal(SpectrumTable.read_csv(path, g).values, s.values)
+
+
+@pytest.mark.parametrize(
+    "indices",
+    [[0, 0, 1], [0, 0, -1], [0, 1, 3], [0, 2, 1], [0, 2]],
+    ids=["duplicate", "negative", "out-of-range", "out-of-order", "missing"],
+)
+def test_table_csv_rejects_bad_index_column(tmp_path, indices):
+    g = make_group([3])
+    path = tmp_path / "table.csv"
+    path.write_text("index,re,im\n" + "".join(f"{i},1.0,0.0\n" for i in indices))
+    with pytest.raises(InvalidGroupError):
+        FunctionTable.read_csv(path, g)
+
+
+def test_table_csv_round_trip_keeps_signed_zeros(tmp_path):
+    g = make_group([2, 2])
+    vals = np.array([complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), 1.5 - 0.0j])
+    path = tmp_path / "table.csv"
+    FunctionTable(g, vals).write_csv(path)
+    back = FunctionTable.read_csv(path, g).values
+    assert back.tobytes() == vals.tobytes()
 
 
 def test_table_size_validation():

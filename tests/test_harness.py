@@ -1,9 +1,12 @@
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import hsketch
 from hsketch.cli import main as cli_main
 from hsketch.errors import InvalidWorkloadError, SchemaError
 from hsketch.experiments import (
@@ -281,3 +284,36 @@ def test_cli_config_file(tmp_path, capsys):
     rc = cli_main(["modulo7", "--config", str(cfg), "--out", str(out2), "--trials", "1"])
     assert rc == 0
     assert len(read_rows(out2)) == 3 * 1 * 1 * 7
+
+
+def test_public_names_are_pinned():
+    # a fresh interpreter, because importing hsketch.cli or hsketch.experiments
+    # adds those submodules to the package namespace; test-only helpers live
+    # in tests/_oracles.py, not here
+    src = os.path.dirname(os.path.dirname(hsketch.__file__))
+    names = subprocess.run(
+        [sys.executable, "-c", "import hsketch; print(*(n for n in dir(hsketch) if n[0] != '_'))"],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    ).stdout.split()
+    expect = [
+        "CannotCombineError", "ColumnAggregates", "CorruptSketchError", "DomainError",
+        "EstimateReport", "FunctionTable", "GroupDescriptor", "GroupMismatchError",
+        "HSketchError", "IntegerTowerSketch", "InvalidConfigError", "InvalidGroupError",
+        "InvalidRHatError", "InvalidWorkloadError", "NoSamplesError", "RHatTable",
+        "RegisterOverflowError", "SamplerSketch", "SaturatedError", "SchemaError",
+        "SketchConfig", "SpectrumTable", "TowerSketch", "TruthTable", "WorkloadSpec",
+        "column_aggregates", "combine_product", "default_window", "deserialize", "dft",
+        "equal_memory_m_prime", "errors", "estimate_f", "estimate_modulo",
+        "estimate_support", "estimate_union", "estimator", "export_estimates", "gamma_fn",
+        "gen_stream", "groups", "idft", "make_group", "modulo_spectrum", "norms",
+        "predict_variance", "prf", "rhat_from_pmf", "sample_f_moment", "sampler",
+        "signed_representative", "sketch_new", "special", "tau_gra_density",
+        "tau_gra_estimate", "theoretical_window", "tower", "truncation_tail",
+        "variance_factor", "workloads",
+    ]
+    assert len(expect) == 60
+    assert sorted(names) == expect

@@ -3,17 +3,17 @@ import math
 
 import pytest
 
-from hsketch.errors import DomainError
-from hsketch.special import (
+from _oracles import (
     EtaParams,
     GapCheckResult,
     eta1,
     eta1_closed,
     eta1_prime,
     eta1_quadrature,
-    gamma_fn,
     riemann_gap_check,
 )
+from hsketch.errors import DomainError
+from hsketch.special import gamma_fn
 
 
 def test_gamma_exact_identities():

@@ -4,6 +4,7 @@ import struct
 import numpy as np
 import pytest
 
+from _oracles import binomial_assign, cell_count
 from hsketch import prf
 from hsketch.errors import (
     CannotCombineError,
@@ -12,13 +13,12 @@ from hsketch.errors import (
     InvalidConfigError,
     RegisterOverflowError,
 )
+from hsketch.estimator import estimate_union
 from hsketch.groups import make_group
 from hsketch.sampler import SamplerSketch
 from hsketch.tower import (
     SketchConfig,
     TowerSketch,
-    binomial_assign,
-    cell_count,
     combine_product,
     default_window,
     deserialize,
@@ -87,7 +87,7 @@ def test_cell_count_monte_carlo_mean():
     # mean of the count at a cell of mass ~0.1 over 10^6 distinct elements
     m, k = 10, 23  # e^{-23/10} = 0.10026
     mu = math.exp(-k / m)
-    from hsketch.tower import _poisson_counts_batch
+    from _oracles import _poisson_counts_batch
 
     counts = _poisson_counts_batch(7, np.arange(1_000_000), 1, k, m)
     assert abs(counts.mean() - mu) <= 1e-3
@@ -95,7 +95,7 @@ def test_cell_count_monte_carlo_mean():
 
 def test_cell_count_tiny_mean_fast_path():
     # mass below 1e-15: the draw degenerates to zero with overwhelming odds
-    from hsketch.tower import _poisson_counts_batch
+    from _oracles import _poisson_counts_batch
 
     counts = _poisson_counts_batch(7, np.arange(1_000_000), 2, 400, 10)
     assert not counts.any()
@@ -266,7 +266,7 @@ def test_cell_distribution_matches_direct_simulation():
     mu_cell = math.exp(-k / m)
     trials = 10_000
 
-    from hsketch.tower import _poisson_counts_batch
+    from _oracles import _poisson_counts_batch
 
     sketch_side = np.zeros(trials, dtype=np.int64)
     for seed in range(trials):
@@ -320,6 +320,12 @@ def test_combine_product_examples():
     other = sketch_new(_cfg(seed=6))
     with pytest.raises(CannotCombineError):
         combine_product(s1, other)
+    ints = sketch_new(_cfg(seed=5, group=None))
+    for pair in [(ints, ints), (ints, s1), (s1, ints)]:
+        with pytest.raises(CannotCombineError):
+            combine_product(*pair)
+    with pytest.raises(CannotCombineError):
+        estimate_union(ints, ints)
 
 
 def test_window_shares_cells():

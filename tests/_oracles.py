@@ -115,8 +115,6 @@ def binomial_assign(seed: int, v: int, j: int, config: SketchConfig) -> int | No
     return None if lv == config.num_cells else config.a + lv
 
 
-
-
 def char_eval(g: GroupDescriptor, x: GroupElement, gamma: GroupElement) -> complex:
     """Character value chi(x, gamma), a unit-modulus complex number."""
     x, gamma = g.element(x), g.element(gamma)

@@ -25,15 +25,18 @@ back to every register: O(3 nk d + u |G|) plus one contraction with the weights,
 which sees the same array as a per-register evaluation and returns the same bits.
 ``column_aggregates`` also keeps a memo of the last 8 aggregations, each under a
 snapshot of the registers it read; a query whose config, ``literal`` flag and
-registers equal an entry's gets a copy of the stored values.  Any change to the
-registers misses, and entries leave only by least-recently-used eviction.
+registers equal an entry's gets a copy of the stored values.  A query of an
+integer sketch mod p is keyed on the sketch's config over Z_p and a snapshot of
+its int64 registers, so a hit reduces nothing; the (nk, 3) integer snapshot never
+equals the (nk, 3, 1) registers of a Z_p sketch.  Any change to the registers
+misses, and entries leave only by least-recently-used eviction.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -85,14 +88,23 @@ _MEMO_LOCK = threading.Lock()
 
 def column_aggregates(sketch: TowerSketch, literal: bool = False) -> ColumnAggregates:
     """All (column, character) aggregates of a group-valued sketch at once (memoized)."""
-    cfg = sketch.config
+    return _memoized_aggregates(sketch.config, sketch.registers, literal)
+
+
+def _memoized_aggregates(
+    cfg: SketchConfig, registers: np.ndarray, literal: bool, p: int | None = None
+) -> ColumnAggregates:
+    """Aggregates of ``registers``, first reduced mod ``p`` if it is given (integer sketches)."""
+    if p is not None:
+        cfg = replace(cfg, group=make_group([p]))
     with _MEMO_LOCK:
         for i, (c, lit, snap, values) in enumerate(_MEMO):
-            if c == cfg and lit == literal and np.array_equal(snap, sketch.registers):
+            if c == cfg and lit == literal and np.array_equal(snap, registers):
                 _MEMO.append(_MEMO.pop(i))
-                return ColumnAggregates(sketch.group, cfg, values.copy(), literal)
-    snap = sketch.registers.copy()  # computed from the snapshot, so the entry matches it
-    agg = _column_aggregates(cfg, snap, literal)
+                return ColumnAggregates(cfg.group, cfg, values.copy(), literal)
+    snap = registers.copy()  # computed from the snapshot, so the entry matches it
+    reduced = snap if p is None else np.mod(snap, p)[:, :, None]
+    agg = _column_aggregates(cfg, reduced, literal)
     with _MEMO_LOCK:
         _MEMO.append((cfg, literal, snap, agg.values.copy()))
         del _MEMO[:-_MEMO_SIZE]
@@ -128,7 +140,7 @@ def _resolve_aggregates(
     if isinstance(sketch, IntegerTowerSketch):
         if p is None:
             raise GroupMismatchError("integer sketch needs a modulus at query time")
-        return column_aggregates(sketch.reduce_values_mod(p), literal)
+        return _memoized_aggregates(sketch.config, sketch.registers, literal, p)
     if isinstance(sketch, TowerSketch):
         return column_aggregates(sketch, literal)
     raise TypeError(f"cannot aggregate {type(sketch).__name__}")

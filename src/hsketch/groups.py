@@ -206,12 +206,16 @@ def _write_table_csv(path, values: np.ndarray) -> None:
 
 
 def _read_table_csv(path) -> np.ndarray:
+    """Values of a table CSV; any malformed content raises ``InvalidGroupError``."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["index", "re", "im"]:
-            raise InvalidGroupError(f"unexpected table header {header}")
-        rows = [(int(i), float(re), float(im)) for i, re, im in reader]
+        try:
+            header = next(reader, None)
+            if header != ["index", "re", "im"]:
+                raise InvalidGroupError(f"unexpected table header {header}")
+            rows = [(int(i), float(re), float(im)) for i, re, im in reader]
+        except (ValueError, csv.Error) as exc:  # wrong field count, non-numeric field
+            raise InvalidGroupError(f"malformed table row {reader.line_num}: {exc}") from exc
     if [r[0] for r in rows] != list(range(len(rows))):
         raise InvalidGroupError("table index column is not 0, 1, ..., n-1 in order")
     out = np.empty(len(rows), dtype=np.complex128)

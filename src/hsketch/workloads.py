@@ -79,11 +79,20 @@ def signed_representative(x: int, modulus: int = SIGNED_REP_DEFAULT) -> int:
 
 
 def _prf_permutation(seed: int, n: int, salt: int) -> np.ndarray:
+    """The permutation that sorts the PRF keys of indices 0..n-1.
+
+    The key of index v is mix64(mix64(base ^ v * GOLDEN) ^ key), with base
+    and key fixed by (seed, salt).  Each step is a bijection of 64-bit words:
+    the multiply by the odd GOLDEN, each XOR with a constant, and inside
+    ``mix64`` each xorshift (z ^ z >> s, s > 0) and each odd multiply.  So for
+    n <= 2^64 the n keys are pairwise distinct, every correct sort returns the
+    same permutation, and the default (unstable) ``argsort`` is exact.
+    """
     keys = prf.draw(
         prf.stream_state(seed, prf.DOMAIN_SHUFFLE, np.arange(n, dtype=np.int64)),
         prf.tuple_key(j=salt),
     )
-    return np.argsort(keys, kind="stable")
+    return np.argsort(keys)
 
 
 def gen_stream(spec: WorkloadSpec) -> tuple[np.ndarray, np.ndarray, TruthTable]:

@@ -19,6 +19,12 @@ binomial level for one cell or column, for comparison with what
 evaluates one character value with scalar arithmetic, independently of the
 phase rows behind ``dft`` and ``column_aggregates``.
 
+``gen_stream_oracle`` is the workload generator as it was when its shuffle
+used a stable ``argsort``, for comparison with ``hsketch.workloads.gen_stream``,
+which uses the default sort on the same (pairwise distinct) keys.  ``unmix64``
+inverts ``hsketch.prf.mix64``: it is the witness that the finalizer is a
+bijection, which is why those keys are distinct.
+
 ``eta1_closed`` and ``eta1_quadrature`` give the full-line integral of the
 eta kernel (e^{-a e^{-x}} - e^{-b e^{-x}}) e^{c x} in closed form (through
 ``hsketch.special.gamma_fn``) and by adaptive quadrature; the two agree only
@@ -50,6 +56,7 @@ from hsketch.tower import (
     _poisson_cdf,
     _u53_thresholds,
 )
+from hsketch.workloads import TruthTable, WorkloadSpec
 
 
 class QuadratureError(Exception):
@@ -189,6 +196,68 @@ def idft_oracle(g: GroupDescriptor, s: SpectrumTable) -> FunctionTable:
         phases = _phase_matrix_column(g, res[xi])
         out[xi] = s.values @ g.roots[phases]
     return FunctionTable(g, out / g.total_size)
+
+
+def _unxorshift(z: np.ndarray, shift: int) -> np.ndarray:
+    """Inverse of z ^ (z >> shift): each pass recovers ``shift`` more high bits."""
+    out = z.copy()
+    for _ in range(64 // shift):
+        out = z ^ (out >> np.uint64(shift))
+    return out
+
+
+def unmix64(z: np.ndarray) -> np.ndarray:
+    """Inverse of ``prf.mix64`` on a uint64 array: the finalizer's steps undone in reverse."""
+    m1_inv = np.uint64(pow(int(prf._M1), -1, 1 << 64))
+    m2_inv = np.uint64(pow(int(prf._M2), -1, 1 << 64))
+    z = _unxorshift(np.asarray(z, dtype=np.uint64), 31)
+    z = _unxorshift(z * m2_inv, 27)
+    return _unxorshift(z * m1_inv, 30)
+
+
+def _prf_permutation(seed: int, n: int, salt: int) -> np.ndarray:
+    """The shuffle as first written: a stable sort of the PRF keys of 0..n-1."""
+    keys = prf.draw(
+        prf.stream_state(seed, prf.DOMAIN_SHUFFLE, np.arange(n, dtype=np.int64)),
+        prf.tuple_key(j=salt),
+    )
+    return np.argsort(keys, kind="stable")
+
+
+def gen_stream_oracle(spec: WorkloadSpec) -> tuple[np.ndarray, np.ndarray, TruthTable]:
+    """Deterministic update sequence (ids, values) realizing the workload.
+
+    Element ids [0, support) carry the multiset of values in a PRF-shuffled
+    assignment; ids [support, support + cancel_pairs) each get one update and
+    its inverse.  The emitted order is a PRF shuffle of all updates.
+    """
+    support = spec.support_size
+    values = np.empty(support, dtype=np.int64)
+    pos = 0
+    for value in sorted(spec.value_counts):
+        count = spec.value_counts[value]
+        values[pos : pos + count] = value
+        pos += count
+    values = values[_prf_permutation(spec.shuffle_seed, support, salt=1)]
+
+    vs = [np.arange(support, dtype=np.int64)]
+    ys = [values]
+    if spec.cancel_pairs:
+        ids = support + np.arange(spec.cancel_pairs, dtype=np.int64)
+        mags = 1 + (
+            prf.draw(
+                prf.stream_state(spec.shuffle_seed, prf.DOMAIN_VALUE, ids),
+                prf.tuple_key(j=2),
+            )
+            % np.uint64(7)
+        ).astype(np.int64)
+        vs.extend([ids, ids])
+        ys.extend([mags, -mags])
+    all_vs = np.concatenate(vs)
+    all_ys = np.concatenate(ys)
+    order = _prf_permutation(spec.shuffle_seed, len(all_vs), salt=3)
+    truth = TruthTable(dict(spec.value_counts), spec.universe)
+    return all_vs[order], all_ys[order], truth
 
 
 class BucketState(enum.Enum):

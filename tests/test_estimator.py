@@ -27,7 +27,7 @@ from hsketch.estimator import (
     variance_factor,
 )
 from hsketch.groups import FunctionTable, SpectrumTable, dft, make_group
-from hsketch.tower import SketchConfig, combine_product, sketch_new
+from hsketch.tower import IntegerTowerSketch, SketchConfig, combine_product, sketch_new
 
 Z7 = make_group([7])
 
@@ -577,6 +577,36 @@ def test_memo_entries_do_not_alias_callers(fresh_memo):
     assert np.array_equal(column_aggregates(sk).values, want)
 
 
+@pytest.mark.parametrize("how", ["update_batch", "register-write", "add-modulus"])
+def test_memo_integer_queries_reduce_only_on_a_miss(fresh_memo, monkeypatch, how):
+    ski = sketch_new(replace(_binomial_z7().config, group=None))
+    rng = np.random.default_rng(4)
+    ski.update_batch(rng.integers(0, 1 << 40, 2000), rng.integers(-1000, 1000, 2000))
+    reduce = IntegerTowerSketch.reduce_values_mod
+
+    def refuse(self, p):
+        raise AssertionError("an integer query built a reduced copy")
+
+    def query(literal=False):
+        return estimator._resolve_aggregates(ski, literal, p=7).values
+
+    monkeypatch.setattr(IntegerTowerSketch, "reduce_values_mod", refuse)
+    first = query()
+    assert np.array_equal(query(), first) and len(fresh_memo) == 1
+    if how == "update_batch":
+        ski.update_batch(rng.integers(0, 1 << 40, 50), rng.integers(1, 7, 50))
+    elif how == "register-write":
+        ski.registers[3, 1] += 1
+    else:  # the residues stay, the integer registers change
+        ski.registers[3, 1] += 7
+    got = query()
+    assert len(fresh_memo) == 2  # a miss, keyed on the new integer registers
+    assert np.array_equal(query(), got) and len(fresh_memo) == 2
+    assert np.array_equal(query(literal=True), _uncached(reduce(ski, 7), literal=True))
+    assert np.array_equal(got, column_aggregates(reduce(ski, 7)).values)
+    assert np.array_equal(got, first) == (how == "add-modulus")
+
+
 def test_memo_is_safe_across_threads(fresh_memo):
     sketches = [_binomial_z7(seed=s, n=300) for s in range(10)]
     wants = [column_aggregates_oracle(sk).values for sk in sketches]
@@ -615,7 +645,7 @@ OPS = st.lists(
 )
 
 
-@settings(derandomize=True, deadline=None, max_examples=60, database=None)
+@settings(max_examples=60)
 @given(OPS)
 def test_memo_equals_the_uncached_computation(ops):
     estimator._MEMO.clear()

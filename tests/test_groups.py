@@ -193,6 +193,25 @@ def test_table_csv_rejects_bad_index_column(tmp_path, indices):
         FunctionTable.read_csv(path, g)
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "index,re,im\n0,1.0,0.0\n1,1.0\n2,1.0,0.0\n",
+        "index,re,im\n0,1.0,0.0\n1,1.0,0.0,0.0\n2,1.0,0.0\n",
+        "index,re,im\n0,1.0,0.0\n1,one,0.0\n2,1.0,0.0\n",
+        "index,re,im\n0,1.0,0.0\n1,1.0,0.0j\n2,1.0,0.0\n",
+        "index,re,im\n0,1.0,0.0\n1.0,1.0,0.0\n2,1.0,0.0\n",
+        "",
+    ],
+    ids=["two-fields", "four-fields", "non-numeric-re", "non-numeric-im", "non-integer-index", "empty"],
+)
+def test_table_csv_rejects_malformed_rows(tmp_path, text):
+    path = tmp_path / "table.csv"
+    path.write_text(text)
+    with pytest.raises(InvalidGroupError):
+        FunctionTable.read_csv(path, make_group([3]))
+
+
 def test_table_csv_round_trip_keeps_signed_zeros(tmp_path):
     g = make_group([2, 2])
     vals = np.array([complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), 1.5 - 0.0j])

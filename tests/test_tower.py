@@ -1,8 +1,11 @@
 import math
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from _oracles import binomial_assign, cell_count
 from hsketch import prf
@@ -336,6 +339,77 @@ def test_window_shares_cells():
     direct = sketch_new(_cfg(seed=31, a=0, b=16, m=4))
     direct.update_batch(np.arange(25), 1 + (np.arange(25) % 6))
     assert sub == direct
+
+
+# -- the exact invariants, as properties ---------------------------------------------
+
+UPDATES = st.lists(st.tuples(st.integers(0, 2**40), st.integers(-(10**6), 10**6)), max_size=40)
+
+
+@st.composite
+def small_configs(draw, modes=("poisson", "binomial"), orders=(None, (2,), (7,), (128,))):
+    """m <= 16 and at most 24 cells; a binomial window starts at a >= 3m, where sigma < 1."""
+    mode = draw(st.sampled_from(modes))
+    m = draw(st.integers(2, 16))
+    a = draw(st.integers(3 * m, 6 * m) if mode == "binomial" else st.integers(-2 * m, 2 * m))
+    group = draw(st.sampled_from(orders))
+    return SketchConfig(
+        group and make_group(group), m, a, a + draw(st.integers(1, 24)),
+        draw(st.integers(0, 2**64 - 1)), mode,
+    )
+
+
+def _arrays(updates):
+    return (
+        np.array([v for v, _ in updates], dtype=np.int64),
+        np.array([y for _, y in updates], dtype=np.int64),
+    )
+
+
+@given(small_configs(), UPDATES, UPDATES)
+def test_property_update_then_inverse_restores(cfg, held, extra):
+    sk = sketch_new(cfg)
+    sk.update_batch(*_arrays(held))
+    before = sk.copy()
+    vs, ys = _arrays(extra)
+    sk.update_batch(vs, ys)
+    sk.update_batch(vs[::-1], -ys[::-1])
+    assert sk == before
+
+
+@given(small_configs(orders=(None,)), st.sampled_from([2, 3, 7, 128]), UPDATES)
+def test_property_integer_sketch_reduced_mod_p_is_the_zp_sketch(cfg, p, updates):
+    vs, ys = _arrays(updates)
+    ints = sketch_new(cfg)
+    ints.update_batch(vs, ys)
+    zp = sketch_new(replace(cfg, group=make_group([p])))
+    zp.update_batch(vs, ys % p)
+    assert ints.reduce_values_mod(p) == zp
+
+
+@given(small_configs(orders=((2,), (3,), (7,))), st.sampled_from([(2,), (7,), (128,)]), UPDATES, UPDATES)
+def test_property_combine_product_is_the_sketch_of_the_product_stream(cfg, orders2, u1, u2):
+    s1, s2 = sketch_new(cfg), sketch_new(replace(cfg, group=make_group(orders2)))
+    (v1, y1), (v2, y2) = _arrays(u1), _arrays(u2)
+    s1.update_batch(v1, y1)
+    s2.update_batch(v2, y2)
+    # element v's product value is (x1(v), x2(v)): updates of each stream on its own coordinate
+    product = sketch_new(replace(cfg, group=s1.group.product(s2.group)))
+    pairs = [np.stack([y1, 0 * y1], axis=1), np.stack([0 * y2, y2], axis=1)]
+    product.update_batch(np.concatenate([v1, v2]), np.concatenate(pairs))
+    assert combine_product(s1, s2) == product
+
+
+@given(small_configs(modes=("poisson",)), st.data(), UPDATES)
+def test_property_window_is_the_sketch_built_with_that_window(cfg, data, updates):
+    a = data.draw(st.integers(cfg.a, cfg.b - 1))
+    b = data.draw(st.integers(a + 1, cfg.b))
+    vs, ys = _arrays(updates)
+    wide = sketch_new(cfg)
+    wide.update_batch(vs, ys)
+    direct = sketch_new(replace(cfg, a=a, b=b))
+    direct.update_batch(vs, ys)
+    assert wide.window(a, b) == direct
 
 
 # -- serialization -------------------------------------------------------------------

@@ -23,7 +23,7 @@ from hsketch.tower import (
     deserialize,
 )
 
-PROPERTY = settings(derandomize=True, deadline=None, max_examples=60, database=None)
+PROPERTY = settings(max_examples=60)
 
 GROUPS = [None, (2,), (7,), (128,), (7, 7), (2, 2, 2)]  # None: integer registers
 
@@ -94,7 +94,7 @@ def test_random_blob_decodes_or_is_corrupt(tail, framed):
     _decodes_or_is_corrupt((struct.pack("<4sH", MAGIC, VERSION) if framed else b"") + tail)
 
 
-@settings(PROPERTY, max_examples=200)
+@settings(max_examples=200)
 @given(
     st.sampled_from([(), (0,), (1,), (7,), (2, 128), (7, 7), (2**32 - 1,), (2**16, 2**16)]),
     st.sampled_from([0, 1, 2, 3, 64, 2**32 - 1]) | st.integers(0, 2**32 - 1),

@@ -10,7 +10,6 @@ import time
 import numpy as np
 
 from .estimator import (
-    column_aggregates,
     estimate_modulo,
     estimate_support,
     predict_variance,
@@ -55,6 +54,15 @@ def _fingerprint_schemes(m: int, clamp: bool, literal: bool) -> list[SchemeSpec]
     return schemes
 
 
+def _pick_schemes(schemes: list[SchemeSpec], labels: list[str] | None) -> list[SchemeSpec]:
+    """The schemes whose labels ``--scheme`` names (all if it is absent); none exits with 2."""
+    picked = [s for s in schemes if not labels or s.label() in labels]
+    if not picked:
+        print(f"no schemes match {labels}", file=sys.stderr)
+        raise SystemExit(2)
+    return picked
+
+
 def _report(out) -> int:
     """Print the summary of an experiment CSV, then where it was written."""
     print(format_summary(summarize(out)))
@@ -80,8 +88,7 @@ def cmd_sanity_table(args) -> int:
     for t in range(args.trials):
         sk = IntegerTowerSketch(SketchConfig(None, args.m, a, b, args.seed + t, "poisson"))
         sk.update_batch(vs, ys)
-        agg = column_aggregates(sk.reduce_values_mod(p), literal=args.literal_truncation)
-        runs.append([estimate_modulo(agg, p, j, literal=args.literal_truncation) for j in range(p)])
+        runs.append([estimate_modulo(sk, p, j, literal=args.literal_truncation) for j in range(p)])
     for j in range(p):
         truth_j = residue_truth[0] if j == 0 else residue_truth[j]
         vals = " ".join(f"{runs[t][j].estimate:>12.2f}" for t in range(args.trials))
@@ -94,11 +101,7 @@ def cmd_sanity_table(args) -> int:
 
 def cmd_modulo7(args) -> int:
     schemes = _fingerprint_schemes(args.m, args.clamp_nonnegative, args.literal_truncation)
-    if args.scheme:
-        schemes = [s for s in schemes if s.label() in args.scheme]
-        if not schemes:
-            print(f"no schemes match {args.scheme}", file=sys.stderr)
-            return 2
+    schemes = _pick_schemes(schemes, args.scheme)
     config = ExperimentConfig(
         "modulo7",
         _modulo7_workloads(args.seed),
@@ -118,8 +121,7 @@ def cmd_l2(args) -> int:
                    literal_truncation=args.literal_truncation),
         SchemeSpec("fingerprint", args.m, r=2),
     ]
-    if args.scheme:
-        schemes = [s for s in schemes if s.label() in args.scheme]
+    schemes = _pick_schemes(schemes, args.scheme)
     config = ExperimentConfig(
         "l2", (spec,), tuple(schemes), trials=args.trials, base_seed=args.seed, p=128
     )
@@ -175,8 +177,7 @@ def cmd_bench(args) -> int:
     sk = IntegerTowerSketch(SketchConfig(None, args.m, a, b, args.seed, "poisson"))
     sk.update_batch(vs, ys)
     t1 = time.perf_counter()
-    agg = column_aggregates(sk.reduce_values_mod(p))
-    rep = estimate_support(agg, p)
+    rep = estimate_support(sk, p)
     t2 = time.perf_counter()
     print(f"m={args.m} cells={3*(b-a)} updates={len(vs)}")
     print(f"ingest: {t1-t0:.3f}s ({len(vs)/(t1-t0):.0f} updates/s)")

@@ -8,7 +8,6 @@ caps worker processes; 1 disables multiprocessing.
 
 from __future__ import annotations
 
-import csv
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -17,15 +16,14 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import NoSamplesError, SaturatedError, SchemaError
+from .errors import InvalidConfigError, NoSamplesError, SaturatedError, SchemaError
 from .estimator import (
-    column_aggregates,
     estimate_f,
     estimate_modulo,
     estimate_support,
     estimate_union,
 )
-from .groups import FunctionTable, GroupDescriptor, _write_csv, dft, make_group
+from .groups import FunctionTable, GroupDescriptor, _read_csv, _write_csv, dft, make_group
 from .sampler import SamplerSketch, _tally, equal_memory_m_prime, sample_f_moment
 from .tower import IntegerTowerSketch, SketchConfig, TowerSketch, default_window
 from .workloads import WorkloadSpec, gen_stream, signed_representative
@@ -79,7 +77,10 @@ class ExperimentConfig:
 def thread_budget() -> int:
     env = os.environ.get("HSKETCH_THREADS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise InvalidConfigError(f"HSKETCH_THREADS={env!r} is not an integer") from None
     return max(1, os.cpu_count() or 1)
 
 
@@ -130,23 +131,13 @@ def _modulo_trial(args) -> list[list]:
             a, b = default_window(scheme.m)
             sk = IntegerTowerSketch(SketchConfig(None, scheme.m, a, b, seed, "poisson"))
             sk.update_batch(vs, ys)
-            agg = column_aggregates(
-                sk.reduce_values_mod(p), literal=scheme.literal_truncation
-            )
-            rep = estimate_support(
-                agg, p, clamp_nonnegative=scheme.clamp_nonnegative,
-                literal=scheme.literal_truncation,
-            )
-            estimates["lambda0"] = (rep.estimate, rep.imag_residual)
-            for j in range(1, p):
-                rep = estimate_modulo(
-                    agg, p, j, clamp_nonnegative=scheme.clamp_nonnegative,
-                    literal=scheme.literal_truncation,
-                )
+            opts = dict(clamp_nonnegative=scheme.clamp_nonnegative, literal=scheme.literal_truncation)
+            for j in range(p):  # one aggregation: each query after the first is a memo hit
+                rep = estimate_modulo(sk, p, j, **opts) if j else estimate_support(sk, p, **opts)
                 estimates[f"lambda{j}"] = (rep.estimate, rep.imag_residual)
         else:
             sampler = _sampler_for(scheme, group, seed)
-            sampler.update_batch(vs, np.mod(ys, p))
+            sampler.update_batch(vs, ys)
             codes, values = sampler.classify_levels()  # one classification per trial
             try:
                 lam0 = sampler._support(codes)
@@ -202,7 +193,7 @@ def _l2_trial(args) -> list[list]:
         if scheme.kind == "fourier":
             a, b = default_window(scheme.m)
             sk = TowerSketch(SketchConfig(group, scheme.m, a, b, seed, "poisson"))
-            sk.update_batch(vs, np.mod(ys, modulus))
+            sk.update_batch(vs, ys)
             rep = estimate_f(
                 sk, struth, clamp_nonnegative=scheme.clamp_nonnegative,
                 literal=scheme.literal_truncation,
@@ -210,7 +201,7 @@ def _l2_trial(args) -> list[list]:
             est, imag = rep.estimate, rep.imag_residual
         else:
             sampler = _sampler_for(scheme, group, seed)
-            sampler.update_batch(vs, np.mod(ys, modulus))
+            sampler.update_batch(vs, ys)
             try:
                 est = sample_f_moment(sampler, ftable)
             except (NoSamplesError, SaturatedError):
@@ -308,28 +299,10 @@ class SummaryRow:
 
 
 def read_rows(path) -> list[dict]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != CSV_HEADER:
-            raise SchemaError(f"unexpected CSV header {header}")
-        out = []
-        for row in reader:
-            if len(row) != len(CSV_HEADER):
-                raise SchemaError(f"malformed row {row}")
-            out.append(
-                {
-                    "workload": row[0],
-                    "scheme": row[1],
-                    "quantity": row[2],
-                    "trial": int(row[3]),
-                    "seed": int(row[4]),
-                    "estimate": float(row[5]),
-                    "imag_residual": float(row[6]),
-                    "truth": float(row[7]),
-                }
-            )
-    return out
+    """Rows of an experiment CSV; any malformed content raises ``SchemaError``."""
+    types = (str, str, str, int, int, float, float, float)
+    rows = _read_csv(path, CSV_HEADER, types, SchemaError)
+    return [dict(zip(CSV_HEADER, row)) for row in rows]
 
 
 def summarize(path) -> list[SummaryRow]:

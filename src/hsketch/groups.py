@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Sequence
@@ -138,7 +139,10 @@ def make_group(orders: Sequence[int]) -> GroupDescriptor:
     clean = []
     total = 1
     for p in orders:
-        p = int(p)
+        try:
+            p = operator.index(p)  # int() would truncate 2.9 to 2
+        except TypeError:
+            raise InvalidGroupError(f"cyclic factor order {p!r} is not an integer") from None
         if p < 2:
             raise InvalidGroupError(f"cyclic factor order {p} < 2 is invalid")
         clean.append(p)
@@ -205,17 +209,25 @@ def _write_table_csv(path, values: np.ndarray) -> None:
     )
 
 
-def _read_table_csv(path) -> np.ndarray:
-    """Values of a table CSV; any malformed content raises ``InvalidGroupError``."""
+def _read_csv(path, header: list[str], types: Sequence[Callable], error: type) -> list[list]:
+    """The one CSV reader: the rows under ``header``, each field converted by its type.
+
+    A wrong header or field count, a field its type rejects and undecodable bytes raise ``error``.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader, None)
-            if header != ["index", "re", "im"]:
-                raise InvalidGroupError(f"unexpected table header {header}")
-            rows = [(int(i), float(re), float(im)) for i, re, im in reader]
-        except (ValueError, csv.Error) as exc:  # wrong field count, non-numeric field
-            raise InvalidGroupError(f"malformed table row {reader.line_num}: {exc}") from exc
+            found = next(reader, None)
+            if found != header:
+                raise error(f"unexpected CSV header {found}")
+            return [[t(x) for t, x in zip(types, row, strict=True)] for row in reader]
+        except (ValueError, csv.Error) as exc:  # UnicodeDecodeError is a ValueError
+            raise error(f"malformed CSV row {reader.line_num}: {exc}") from exc
+
+
+def _read_table_csv(path) -> np.ndarray:
+    """Values of a table CSV; any malformed content raises ``InvalidGroupError``."""
+    rows = _read_csv(path, ["index", "re", "im"], (int, float, float), InvalidGroupError)
     if [r[0] for r in rows] != list(range(len(rows))):
         raise InvalidGroupError("table index column is not 0, 1, ..., n-1 in order")
     out = np.empty(len(rows), dtype=np.complex128)

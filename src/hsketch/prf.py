@@ -11,7 +11,8 @@ where ``state`` pre-mixes the seed/element pair and ``key`` pre-mixes the
 remaining coordinates.  Both halves pass through the finalizer, so the final
 mix sees two independently avalanched 64-bit words.  Distinct DOMAIN_*
 constants keep unrelated consumers (Poisson cells, level hashes, splitter
-slots, workload shuffles) on disjoint streams of the same seed.
+slots, workload shuffles) on disjoint streams of the same seed.  Consumers
+compare ``u53`` of a word with integer thresholds; no word becomes a float.
 """
 
 from __future__ import annotations
@@ -40,8 +41,6 @@ DOMAIN_VALUE = U64(0x5851F42D4C957F2D)
 _C_COLUMN = U64(0xD1342543DE82EF95)
 _C_INDEX = U64(0xC2B2AE3D27D4EB4F)
 _C_COUNTER = U64(0x2545F4914F6CDD1D)
-
-_U53_SCALE = 2.0**-53
 
 
 def mix64(z: np.ndarray | np.uint64) -> np.ndarray | np.uint64:
@@ -98,14 +97,6 @@ def draw(state, key) -> np.ndarray | np.uint64:
     return mix64(state ^ key)
 
 
-def to_uniform53(u) -> np.ndarray | float:
-    """Map 64-bit words to uniform doubles in [0, 1) with 53-bit resolution."""
-    shifted = u >> U64(11)
-    if isinstance(shifted, np.ndarray):
-        return shifted.astype(np.float64) * _U53_SCALE
-    return float(shifted) * _U53_SCALE
-
-
 def u53(u) -> np.ndarray | np.uint64:
-    """The raw 53-bit value; ``to_uniform53(u) == u53(u) * 2**-53`` exactly."""
+    """The top 53 bits of a 64-bit word, the value every threshold inversion compares."""
     return u >> U64(11)

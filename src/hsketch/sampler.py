@@ -1,10 +1,11 @@
 """Sampling-plus-singleton-detection baseline at matched memory budgets.
 
 Each element id hashes to exactly one level with P(level k) =
-e^{-k/m'} - e^{-(k+1)/m'} (a smoothed PCSA grid over [0, 22m')).  A level
-holds a fingerprint bucket: r columns of 2 slots (odd group order,
-bi-splitter) or 3 slots (even order, tri-splitter); every inserted value is
-added to one PRF-chosen slot per column.  A bucket whose columns each hold
+e^{-k/m'} - e^{-(k+1)/m'} (a smoothed PCSA grid over [0, 22m')), drawn by
+the towers' integer threshold search.  A level holds a fingerprint bucket: r
+columns of 2 slots (odd group order, bi-splitter) or 3 slots (even order,
+tri-splitter); every inserted value is added to one PRF-chosen slot per
+column.  A bucket whose columns each hold
 exactly one nonzero slot, all equal to the same value, certifies a singleton
 carrying that value; collisions escape detection with probability at most
 (3/4)^r (odd) or (8/9)^r (even).
@@ -33,7 +34,7 @@ from .errors import (
 )
 from .groups import FunctionTable, GroupDescriptor
 from .special import gamma_cached
-from .tower import _scatter_add, _update_arrays
+from .tower import _scatter_add, _u53_thresholds, _update_arrays
 
 TAU_STAR = 0.34355
 LEVEL_SPAN = 22  # levels cover cell masses e^0 .. e^-22 (~2^-32)
@@ -123,8 +124,8 @@ class SamplerSketch:
         self.r = r
         self.mode = mode
         self.num_levels = LEVEL_SPAN * m_prime
-        # ascending level boundaries e^{-L/m'} .. e^{-1/m'}, searched by every _levels call
-        self._asc = np.exp(-np.arange(self.num_levels, 0, -1) / m_prime)
+        # integer thresholds of the ascending level boundaries e^{-L/m'} .. e^{-1/m'}
+        self._thresholds = _u53_thresholds(np.exp(-np.arange(self.num_levels, 0, -1) / m_prime))
         width = splitter_width(group)
         if mode == "fingerprint":
             self.slots = np.zeros(
@@ -139,10 +140,9 @@ class SamplerSketch:
 
     def _levels(self, vs: np.ndarray) -> np.ndarray:
         state = prf.stream_state(self.seed, prf.DOMAIN_SAMPLER_LEVEL, vs)
-        uf = prf.to_uniform53(prf.draw(state, prf.tuple_key()))
+        u = prf.u53(prf.draw(state, prf.tuple_key()))
         L = self.num_levels
-        idx = np.searchsorted(self._asc, uf, side="right")
-        levels = L - idx
+        levels = L - np.searchsorted(self._thresholds, u, side="right")
         return np.minimum(levels, L - 1)  # fold the e^{-22} tail into the last level
 
     def update(self, v: int, y) -> None:

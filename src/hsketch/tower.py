@@ -10,20 +10,19 @@ Two modes share one register layout of 3*(b-a) cells:
   P(cell k) = e^{-k/m} and a no-op otherwise; requires the total cell mass
   sigma = sum e^{-k/m} < 1.  Updates cost O(1) per column.
 
-Counts are drawn by inverting a per-cell Poisson CDF at a single 53-bit
-uniform, so one PRF word fully determines a cell count.  A CDF row ends where
-the float CDF stops rising or reaches 1, so cells with mean below ~2^-53
-degenerate to a one-threshold Bernoulli draw or a constant zero.
+Every draw inverts a float CDF at the top 53 bits u of one PRF word, on
+integers: with t_c = ceil(cdf[c] * 2^53) the draw is #{c : t_c <= u}, exactly
+the float ``searchsorted(cdf, u * 2^-53, "right")`` as scaling by 2^53 is
+exact.  The CDF is a cell's Poisson counts, the binomial cell masses or the
+sampler's level grid.  A Poisson row ends where the float CDF stops rising or
+reaches 1, so cells with mean below ~2^-53 are a Bernoulli draw or zero.
 
-The inversion runs on integers: with thresholds t_c = ceil(cdf[c] * 2^53),
-the count at the 53-bit word u is #{c : t_c <= u}, exactly the float
-``searchsorted(cdf, u * 2^-53, "right")``.  Poisson ingest is blocked: one
-table per (m, a, b) holds every cell's PRF keys and integer thresholds, and
-each block draws the words of many cells at once, (cells, 3, updates) with
-at most ``_BLOCK_WORDS`` words.  Dense cells (P(count = 0) < 0.5, a prefix
-of the window) search their threshold rows; sparse cells compare against
-their first threshold, count only the hits, and add them to the registers
-with one scatter-add per block.
+Poisson ingest is blocked: one table per (m, a, b) holds every cell's PRF keys
+and integer thresholds, and each block draws the words of many cells at once,
+(cells, 3, updates) with at most ``_BLOCK_WORDS`` words.  Dense cells
+(P(count = 0) < 0.5, a prefix of the window) search their threshold rows;
+sparse cells compare against their first threshold, count only the hits, and
+add them to the registers with one scatter-add per block.
 
 Every register array, towers of both modes and both sampler modes, is
 updated by one flat scatter-add, :func:`_scatter_add`.
@@ -252,9 +251,9 @@ def _level_cdf(m: int, a: int, b: int) -> np.ndarray:
 def _binomial_levels_batch(seed: int, vs: np.ndarray, j, config: SketchConfig) -> np.ndarray:
     """Level offsets in [0, num_cells]; num_cells encodes the no-op; ``j`` broadcasts against ``vs``."""
     state = prf.stream_state(seed, prf.DOMAIN_LEVEL, vs)
-    uf = prf.to_uniform53(prf.draw(state, prf.tuple_key(j=j)))
-    cum = _level_cdf(config.m, config.a, config.b)
-    return np.searchsorted(cum, uf, side="right")
+    u = prf.u53(prf.draw(state, prf.tuple_key(j=j)))
+    thr = _u53_thresholds(_level_cdf(config.m, config.a, config.b))
+    return np.searchsorted(thr, u, side="right")
 
 
 def _scatter_add(regs: np.ndarray, rows: np.ndarray, terms: np.ndarray) -> None:

@@ -13,6 +13,11 @@ comparison with ``hsketch.sampler.classify_many`` and ``SamplerSketch``.
 ``ideal_levels_oracle`` classifies the levels of an ideal-mode sampler from
 one dict of net values per level, updated one element at a time.
 
+``binomial_levels_float`` and ``sampler_levels_float`` are the binomial and
+sampler level draws as first written, with each word's top 53 bits as a
+double in [0, 1) searched in a float grid, for comparison with the integer
+threshold search in ``hsketch.tower`` and ``hsketch.sampler``.
+
 ``cell_count`` and ``binomial_assign`` draw one element's Poisson count or
 binomial level for one cell or column, for comparison with what
 ``update_batch`` writes and to pin the PRF construction.  ``char_eval``
@@ -53,6 +58,7 @@ from hsketch.tower import (
     TowerSketch,
     _binomial_levels_batch,
     _canonical_values,
+    _level_cdf,
     _poisson_cdf,
     _u53_thresholds,
 )
@@ -120,6 +126,22 @@ def binomial_assign(seed: int, v: int, j: int, config: SketchConfig) -> int | No
     levels = _binomial_levels_batch(seed, np.array([v], dtype=np.int64), j, config)
     lv = int(levels[0])
     return None if lv == config.num_cells else config.a + lv
+
+
+def _uniform53(words: np.ndarray) -> np.ndarray:
+    return prf.u53(words).astype(np.float64) * 2.0**-53
+
+
+def binomial_levels_float(config: SketchConfig, words: np.ndarray) -> np.ndarray:
+    """Level offsets in [0, num_cells] that ``words`` give in the binomial level draw."""
+    return np.searchsorted(_level_cdf(config.m, config.a, config.b), _uniform53(words), "right")
+
+
+def sampler_levels_float(sampler: SamplerSketch, words: np.ndarray) -> np.ndarray:
+    """Levels that ``words`` give in the sampler's level draw."""
+    L = sampler.num_levels
+    asc = np.exp(-np.arange(L, 0, -1) / sampler.m_prime)
+    return np.minimum(L - np.searchsorted(asc, _uniform53(words), "right"), L - 1)
 
 
 def char_eval(g: GroupDescriptor, x: GroupElement, gamma: GroupElement) -> complex:

@@ -24,6 +24,10 @@ def test_make_group_examples():
         make_group([])
     with pytest.raises(InvalidGroupError):
         make_group([2] * 40)  # 2^40 elements
+    for orders in ([2.9], [7.5], [7.0], [7, 3.0], ["7"]):
+        with pytest.raises(InvalidGroupError):
+            make_group(orders)
+    assert make_group([np.int64(7)]).orders == (7,)
 
 
 def test_enumeration_order_first_factor_most_significant():

@@ -8,8 +8,9 @@ import pytest
 
 import hsketch
 from hsketch.cli import main as cli_main
-from hsketch.errors import InvalidWorkloadError, SchemaError
+from hsketch.errors import InvalidConfigError, InvalidWorkloadError, SchemaError
 from hsketch.experiments import (
+    CSV_HEADER,
     ExperimentConfig,
     SchemeSpec,
     UnionWorkload,
@@ -17,6 +18,7 @@ from hsketch.experiments import (
     read_rows,
     run_modulo_experiment,
     summarize,
+    thread_budget,
     write_rows,
 )
 from hsketch.tower import SketchConfig, sketch_new
@@ -143,6 +145,13 @@ def test_csv_bytes_independent_of_parallelism(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+@pytest.mark.parametrize("value", ["two", "2.5"])
+def test_thread_budget_rejects_a_non_integer(monkeypatch, value):
+    monkeypatch.setenv("HSKETCH_THREADS", value)
+    with pytest.raises(InvalidConfigError, match="HSKETCH_THREADS"):
+        thread_budget()
+
+
 def test_summarize_hand_computed(tmp_path):
     out = tmp_path / "rows.csv"
     write_rows(
@@ -165,10 +174,23 @@ def test_summarize_hand_computed(tmp_path):
 
 
 def test_read_rows_schema_errors(tmp_path):
+    good = "w,fourier,lambda1,0,10,4.0,0.0,5.0"
+    bad_rows = [
+        good.replace(",0,10,", ",x,10,"),  # non-numeric trial
+        good.replace(",0,10,", ",0,1.5,"),  # non-integer seed
+        good.replace(",4.0,", ",four,"),
+        good.replace(",5.0", ",5.0j"),
+        good.rsplit(",", 1)[0],  # 7 fields
+        good + ",1.0",  # 9 fields
+        good.replace(",0,10,", ",\udcff,10,"),  # the undecodable byte 0xff
+    ]
+    texts = ["nope,nope\n1,2\n", ""]
+    texts += [f"{','.join(CSV_HEADER)}\n{good}\n{row}\n" for row in bad_rows]
     bad = tmp_path / "bad.csv"
-    bad.write_text("nope,nope\n1,2\n")
-    with pytest.raises(SchemaError):
-        read_rows(bad)
+    for text in texts:
+        bad.write_bytes(text.encode("utf-8", "surrogateescape"))
+        with pytest.raises(SchemaError):
+            read_rows(bad)
 
 
 def test_union_workload_streams():
@@ -256,6 +278,16 @@ def test_cli_rejects_flags_the_command_does_not_read(argv, capsys):
         cli_main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["modulo7", "l2"])
+def test_cli_scheme_filter_matching_nothing_exits_2(command, tmp_path, capsys):
+    out = tmp_path / "rows.csv"
+    with pytest.raises(SystemExit) as exc:
+        cli_main([command, "--m", "8", "--trials", "1", "--out", str(out), "--scheme", "nomatch"])
+    assert exc.value.code == 2
+    assert "no schemes match" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_modulo7_counts_constant():

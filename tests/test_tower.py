@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from _oracles import binomial_assign, cell_count
+from _oracles import binomial_assign, binomial_levels_float, cell_count, sampler_levels_float
 from hsketch import prf
 from hsketch.errors import (
     CannotCombineError,
@@ -22,6 +22,8 @@ from hsketch.sampler import SamplerSketch
 from hsketch.tower import (
     SketchConfig,
     TowerSketch,
+    _binomial_levels_batch,
+    _level_cdf,
     combine_product,
     default_window,
     deserialize,
@@ -119,8 +121,6 @@ def test_cell_count_matches_update():
 def test_binomial_assign_distribution():
     cfg = SketchConfig(Z7, m=8, a=30, b=206, seed=5, mode="binomial")
     n = 1_000_000
-    from hsketch.tower import _binomial_levels_batch
-
     levels = _binomial_levels_batch(cfg.seed, np.arange(n), 1, cfg)
     p_a = math.exp(-cfg.a / cfg.m)
     frac_a = np.mean(levels == 0)
@@ -129,6 +129,36 @@ def test_binomial_assign_distribution():
     frac_noop = np.mean(levels == cfg.num_cells)
     assert abs(frac_noop - p_noop) <= 3 * math.sqrt(p_noop * (1 - p_noop) / n)
     assert binomial_assign(cfg.seed, 123, 1, cfg) == binomial_assign(cfg.seed, 123, 1, cfg)
+
+
+def _probe_words(grid: np.ndarray, n: int, seed) -> np.ndarray:
+    """n random words, then words whose top 53 bits are t - 1, t and t + 1 for
+    every boundary t = ceil(c * 2^53) of the float grid, with random low bits."""
+    rng = np.random.default_rng(seed)
+    t = np.ceil(grid * 2.0**53).astype(np.int64)
+    u = np.concatenate([t - 1, t, t + 1])
+    u = u[(u >= 0) & (u < 1 << 53)].astype(np.uint64)
+    low = rng.integers(0, 1 << 11, u.size, dtype=np.uint64)
+    return np.concatenate([rng.integers(0, 2**64, n, dtype=np.uint64), u << np.uint64(11) | low])
+
+
+@pytest.mark.parametrize("m,a,b", [(2, 3, 9), (8, 40, 176), (64, 320, 1408)])
+def test_binomial_level_draw_matches_the_float_oracle(monkeypatch, m, a, b):
+    cfg = SketchConfig(None, m, a, b, 5, "binomial")
+    words = _probe_words(_level_cdf(m, a, b), 1 << 20, [m, a, b])
+    monkeypatch.setattr(prf, "draw", lambda state, key: words)  # the draw sees these words
+    got = _binomial_levels_batch(cfg.seed, np.zeros(len(words), dtype=np.int64), 1, cfg)
+    assert np.array_equal(got, binomial_levels_float(cfg, words))
+
+
+@pytest.mark.parametrize("m_prime", [24, 64, 192])
+def test_sampler_level_draw_matches_the_float_oracle(monkeypatch, m_prime):
+    sampler = SamplerSketch(Z7, m_prime, seed=3)
+    grid = np.exp(-np.arange(sampler.num_levels, 0, -1) / m_prime)
+    words = _probe_words(grid, 1 << 20, m_prime)
+    monkeypatch.setattr(prf, "draw", lambda state, key: words)
+    got = sampler._levels(np.zeros(len(words), dtype=np.int64))
+    assert np.array_equal(got, sampler_levels_float(sampler, words))
 
 
 # -- update semantics -------------------------------------------------------------

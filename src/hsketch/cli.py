@@ -9,6 +9,7 @@ import time
 
 import numpy as np
 
+from .errors import HSketchError, InvalidConfigError
 from .estimator import (
     estimate_modulo,
     estimate_support,
@@ -253,7 +254,7 @@ def _apply_config_file(argv: list[str]) -> list[str]:
     try:
         path = argv[idx + 1]
     except IndexError:
-        raise SystemExit("--config requires a file path")
+        raise InvalidConfigError("--config requires a file path") from None
     injected: list[str] = []
     with open(path) as fh:
         for line in fh:
@@ -261,7 +262,7 @@ def _apply_config_file(argv: list[str]) -> list[str]:
             if not line:
                 continue
             if "=" not in line:
-                raise SystemExit(f"config line {line!r} is not key=value")
+                raise InvalidConfigError(f"config line {line!r} is not key=value")
             key, value = (part.strip() for part in line.split("=", 1))
             flag = "--" + key.replace("_", "-")
             if value.lower() in ("true", "false"):
@@ -277,9 +278,14 @@ def _apply_config_file(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
+    """Run one command; a package error or an unreadable file exits 2 with one stderr line."""
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    args = build_parser().parse_args(_apply_config_file(argv))
-    return args.fn(args)
+    parser = build_parser()
+    try:
+        args = parser.parse_args(_apply_config_file(argv))
+        return args.fn(args)
+    except (HSketchError, OSError) as exc:
+        parser.exit(2, f"hsketch: error: {exc}\n")
 
 
 if __name__ == "__main__":

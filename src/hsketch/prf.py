@@ -9,7 +9,12 @@ register states are reproducible across platforms: the SplitMix64 finalizer
 
 where ``state`` pre-mixes the seed/element pair and ``key`` pre-mixes the
 remaining coordinates.  Both halves pass through the finalizer, so the final
-mix sees two independently avalanched 64-bit words.  Distinct DOMAIN_*
+mix sees two independently avalanched 64-bit words.  The finalizer is defined
+once, as three in-place steps that ``mix64`` composes: head (xorshift 30),
+core (multiply, xorshift 27, multiply) and tail (xorshift 31).  Bulk Poisson
+ingest calls them apart: a shift distributes over XOR, so the head of
+``state ^ key`` is the XOR of the heads, and the tail keeps the top 31 bits,
+so a threshold on them can be tested before it.  Distinct DOMAIN_*
 constants keep unrelated consumers (Poisson cells, level hashes, splitter
 slots, workload shuffles) on disjoint streams of the same seed.  Consumers
 compare ``u53`` of a word with integer thresholds; no word becomes a float.
@@ -49,25 +54,33 @@ def mix64(z: np.ndarray | np.uint64) -> np.ndarray | np.uint64:
     Returns a new value and never mutates ``z``.
     """
     out = np.array(z, dtype=U64)
-    _mix64_inplace(out)
+    tmp = np.empty_like(out)
+    _mix64_head(out, tmp)
+    _mix64_core(out, tmp)
+    _mix64_tail(out, tmp)
     return out if isinstance(z, np.ndarray) else out[()]
 
 
-def _mix64_inplace(z: np.ndarray, tmp: np.ndarray | None = None) -> np.ndarray:
-    """``mix64`` evaluated in place on a uint64 array; ``tmp`` is scratch of its shape.
+# The finalizer's steps, in place on a uint64 array; ``tmp`` is optional
+# scratch of its shape.  Array arithmetic wraps mod 2^64 without overflow
+# warnings (only numpy scalars warn), so no ``errstate`` is needed here.
 
-    Array arithmetic wraps mod 2^64 without overflow warnings (only numpy
-    scalars warn), so no ``errstate`` is needed here.
-    """
-    if tmp is None:
-        tmp = np.empty_like(z)
-    for shift, mult in ((_S30, _M1), (_S27, _M2)):
-        np.right_shift(z, shift, out=tmp)
-        z ^= tmp
-        z *= mult
-    np.right_shift(z, _S31, out=tmp)
-    z ^= tmp
-    return z
+
+def _mix64_head(z: np.ndarray, tmp: np.ndarray | None = None) -> None:
+    """z ^= z >> 30.  It distributes over XOR, so a draw may apply it to state and key apart."""
+    z ^= np.right_shift(z, _S30, out=tmp)
+
+
+def _mix64_core(z: np.ndarray, tmp: np.ndarray | None = None) -> None:
+    """z *= M1; z ^= z >> 27; z *= M2."""
+    z *= _M1
+    z ^= np.right_shift(z, _S27, out=tmp)
+    z *= _M2
+
+
+def _mix64_tail(z: np.ndarray, tmp: np.ndarray | None = None) -> None:
+    """z ^= z >> 31.  It keeps bits 63..33, so a screen on them may run before it."""
+    z ^= np.right_shift(z, _S31, out=tmp)
 
 
 def _as_u64(x) -> np.ndarray | np.uint64:

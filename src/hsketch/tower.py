@@ -19,10 +19,16 @@ reaches 1, so cells with mean below ~2^-53 are a Bernoulli draw or zero.
 
 Poisson ingest is blocked: one table per (m, a, b) holds every cell's PRF keys
 and integer thresholds, and each block draws the words of many cells at once,
-(cells, 3, updates) with at most ``_BLOCK_WORDS`` words.  Dense cells
-(P(count = 0) < 0.5, a prefix of the window) search their threshold rows;
-sparse cells compare against their first threshold, count only the hits, and
-add them to the registers with one scatter-add per block.
+(cells, 3, updates) with at most ``_BLOCK_WORDS`` words.  The draw is
+mix64(state ^ key), split as head, core and tail (see ``prf``).  The head
+distributes over XOR, so the table holds the keys already through it, each
+chunk passes its states through it once, and a block starts at the core.
+Dense cells (P(count = 0) < 0.5, a prefix of the window) finish every word
+and search their threshold rows.  Sparse cells screen the words before the
+tail, which keeps bits 63..33: a word that reaches the first threshold t0
+reaches (t0 >> 22) << 33 first.  Only the few words that pass (about 3% at
+m=64) are finished and resolved against the thresholds, and the hits go to
+the registers with one scatter-add per block.
 
 Every register array, towers of both modes and both sampler modes, is
 updated by one flat scatter-add, :func:`_scatter_add`.
@@ -159,16 +165,20 @@ def _u53_thresholds(cdf: np.ndarray) -> np.ndarray:
 class _CellTable:
     """Per-(m, a, b) constants of blocked Poisson ingest.
 
-    ``keys[i]`` holds the PRF keys of cell a+i in columns 1..3.  The first
-    ``len(dense)`` cells are dense and ``dense[i]`` is cell i's full integer
-    threshold row.  Row s of ``thr`` and ``cum`` describes sparse cell
-    ``len(dense) + s``: its distinct thresholds, ascending and padded with
-    2^53 (which no 53-bit word reaches), and the count once the word reaches
-    each of them.
+    ``keys[i]`` holds the PRF keys of cell a+i in columns 1..3, folded
+    through ``prf._mix64_head``.  The first ``len(dense)`` cells are dense and
+    ``dense[i]`` is cell i's full integer threshold row.  Row s of ``thr`` and
+    ``cum`` describes sparse cell ``len(dense) + s``: its distinct thresholds,
+    ascending and padded with 2^53 (which no 53-bit word reaches), and the
+    count once the word reaches each of them.  ``screen[s]`` is
+    (t0 >> 22) << 33 for its first threshold t0, clipped to 2^53 - 1: a word
+    whose u53 reaches t0 reaches ``screen[s]`` before ``prf._mix64_tail``,
+    which keeps bits 63..33.
     """
 
     keys: np.ndarray  # (nk, 3) uint64
     dense: tuple[np.ndarray, ...]
+    screen: np.ndarray  # (nk - nd,) uint64
     thr: np.ndarray  # (nk - nd, width) uint64
     cum: np.ndarray  # (nk - nd, width) int64
 
@@ -194,50 +204,61 @@ def _cell_table(m: int, a: int, b: int) -> _CellTable:
     cum = np.zeros(shape, dtype=np.int64)
     thr[r - nd, col] = flat[pos]
     cum[r - nd, col] = pos - starts[r] + 1
+    # clipped, as the pad 2^53 of a cell that is never hit would wrap to 0
+    screen = (np.minimum(thr[:, 0], _U53_END - np.uint64(1)) >> np.uint64(22)) << np.uint64(33)
     keys = prf.tuple_key(j=_COLUMNS.T, k=np.arange(a, b, dtype=np.int64)[:, None])
-    for arr in (keys, thr, cum, *dense):
+    prf._mix64_head(keys)
+    for arr in (keys, screen, thr, cum, *dense):
         arr.setflags(write=False)
-    return _CellTable(keys, dense, thr, cum)
+    return _CellTable(keys, dense, screen, thr, cum)
 
 
 def _cell_words(state: np.ndarray, keys: np.ndarray, buf: np.ndarray) -> np.ndarray:
-    """53-bit PRF words of (cell, column, update): keys (B, 3), state (n,) -> (B, 3, n).
+    """PRF words of (cell, column, update) before the tail: keys (B, 3), state (n,) -> (B, 3, n).
 
-    The words are written into ``buf[0]`` and ``buf[1]`` is scratch; both have
+    The tail is ``prf._mix64_tail``.  ``keys`` and ``state`` are folded
+    through ``prf._mix64_head``, so their XOR is the head of their draw.  The
+    words are written into ``buf[0]`` and ``buf[1]`` is scratch; both have
     room for at least B cells.
     """
     z = buf[0, : len(keys)]
     np.bitwise_xor(keys[:, :, None], state[None, None, :], out=z)
-    prf._mix64_inplace(z, buf[1, : len(keys)])
-    z >>= np.uint64(11)
+    prf._mix64_core(z, buf[1, : len(keys)])
     return z
 
 
 def _dense_counts(u: np.ndarray, rows: tuple[np.ndarray, ...]) -> np.ndarray:
-    """Counts of a block of dense cells: (B, 3, n) words against their full threshold rows."""
+    """Counts of a block of dense cells: (B, 3, n) 53-bit words against their threshold rows."""
     return np.stack([np.searchsorted(t, w, side="right") for t, w in zip(rows, u)])
 
 
-def _sparse_hits(u: np.ndarray, thr: np.ndarray, cum: np.ndarray):
-    """Nonzero counts of a block of sparse cells.
+def _sparse_hits(z: np.ndarray, screen: np.ndarray, thr: np.ndarray, cum: np.ndarray):
+    """Counts of the words of a block of sparse cells that pass the screen.
 
-    ``u`` holds the block's (B, 3, n) words and ``thr``/``cum`` its (B, width)
-    table rows.  Returns each hit's row in the block's (B * 3) registers, its
-    count and its update index.
+    ``z`` holds the block's (B, 3, n) words before ``prf._mix64_tail``,
+    ``screen`` its (B,) screens and ``thr``/``cum`` its (B, width) table rows.
+    Only the words that pass the screen are finished and resolved.  Returns
+    each one's row in the block's (B * 3) registers, its count and its update
+    index.  A word that passes the screen but stays below its cell's first
+    threshold counts 0 (its u53 lies within 2^22 below the threshold), so
+    nearly every word returned is a hit, and a zero count adds nothing.
     """
-    n = u.shape[2]
-    hit = np.flatnonzero(u >= thr[:, :1, None])
-    uh = u.ravel()[hit]
-    cell = hit // (3 * n)
-    cnt = cum[cell, 0]
-    live = np.arange(hit.size)
+    n = z.shape[2]
+    cand = np.flatnonzero(z >= screen[:, None, None])
+    uh = z.ravel()[cand]
+    prf._mix64_tail(uh)
+    uh = prf.u53(uh)
+    row, v = np.divmod(cand, n)
+    cell = row // 3
+    # 1-D takes from the table's columns: a 2-D fancy index costs several times more
+    cnt = np.where(uh >= thr[:, 0].take(cell), cum[:, 0].take(cell), 0)
+    live = np.arange(cand.size)
     for c in range(1, thr.shape[1]):
-        keep = uh >= thr[cell, c]
-        if not keep.any():
+        keep = np.flatnonzero(uh >= thr[:, c].take(cell))
+        if not keep.size:
             break
         uh, cell, live = uh[keep], cell[keep], live[keep]
-        cnt[live] = cum[cell, c]
-    row, v = np.divmod(hit, n)
+        cnt[live] = cum[:, c].take(cell)
     return row, cnt, v
 
 
@@ -346,6 +367,7 @@ class _TowerBase:
         cfg = self.config
         tab = _cell_table(cfg.m, cfg.a, cfg.b)
         state = prf.stream_state(cfg.seed, prf.DOMAIN_CELL, vs)  # (n,)
+        prf._mix64_head(state)
         n, nd = len(vs), len(tab.dense)
         per = min(max(1, _BLOCK_WORDS // (3 * n)), cfg.num_cells)
         # one word buffer for every block of the call: a fresh block-sized
@@ -354,6 +376,8 @@ class _TowerBase:
         for lo in range(0, nd, per):
             hi = min(lo + per, nd)
             words = _cell_words(state, tab.keys[lo:hi], buf)
+            prf._mix64_tail(words, buf[1, : hi - lo])
+            words >>= np.uint64(11)
             self.registers[lo:hi] += _dense_counts(words, tab.dense[lo:hi]) @ ys
         for lo in range(nd, cfg.num_cells, per):
             self._add_sparse(_cell_words(state, tab.keys[lo : lo + per], buf), ys, tab, lo)
@@ -366,7 +390,8 @@ class _TowerBase:
         """
         nd = len(tab.dense)
         hi = lo + len(words)
-        row, cnt, v = _sparse_hits(words, tab.thr[lo - nd : hi - nd], tab.cum[lo - nd : hi - nd])
+        s = slice(lo - nd, hi - nd)
+        row, cnt, v = _sparse_hits(words, tab.screen[s], tab.thr[s], tab.cum[s])
         terms = cnt.reshape((-1,) + (1,) * (ys.ndim - 1)) * ys[v]
         _scatter_add(self.registers, 3 * lo + row, terms)
 

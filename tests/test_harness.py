@@ -290,6 +290,28 @@ def test_cli_scheme_filter_matching_nothing_exits_2(command, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["modulo7", "--trials", "0"], "trials must be >= 1"),
+        (["l2", "--m", "1"], "m=1 must be >= 2"),
+        (["modulo7", "--config", "/nonexistent.cfg"], "No such file"),
+        (["modulo7", "--config", "BAD_CFG"], "is not key=value"),
+    ],
+)
+def test_cli_reports_errors_in_one_line_with_exit_2(argv, message, tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("m=16\nbogus line\n")
+    out = tmp_path / "rows.csv"
+    argv = [str(bad) if arg == "BAD_CFG" else arg for arg in argv] + ["--out", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        cli_main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err and err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_modulo7_counts_constant():
     assert MODULO7_COUNTS == {1: 300, 2: 500, 3: 100, 4: 50, 5: 25, 6: 25}
     assert sum(MODULO7_COUNTS.values()) == 1000

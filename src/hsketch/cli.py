@@ -11,6 +11,7 @@ import numpy as np
 
 from .errors import HSketchError, InvalidConfigError
 from .estimator import (
+    _support_spectrum,
     estimate_modulo,
     estimate_support,
     predict_variance,
@@ -26,7 +27,7 @@ from .experiments import (
     run_union_experiment,
     summarize,
 )
-from .groups import SpectrumTable, make_group
+from .groups import make_group
 from .tower import IntegerTowerSketch, SketchConfig, default_window
 from .workloads import WorkloadSpec, gen_stream, uniform_mod_workload
 
@@ -151,10 +152,7 @@ def cmd_variance_check(args) -> int:
     group = make_group([p])
     pmf = {j: c / lam for j, c in truth.residue_counts(p).items() if j != 0 and c}
     rhat = rhat_from_pmf(group, pmf)
-    support_spectrum = SpectrumTable(
-        group, np.array([p - 1.0] + [-1.0] * (p - 1), dtype=complex)
-    )
-    predicted = predict_variance(support_spectrum, rhat, lam, args.m)
+    predicted = predict_variance(_support_spectrum(group), rhat, lam, args.m)
     a, b = default_window(args.m)
     ests = []
     for t in range(args.trials):

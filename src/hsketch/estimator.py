@@ -12,31 +12,35 @@ transform-weighted average over the dual group assembles the moment itself:
     estimate(f) = (1/|dual|) * sum_gamma hat(f)(gamma) * prod_j agg(j, gamma)
                   / (m^3 |Gamma(-1/3)|^3).
 
+Every estimate is one :func:`estimate_f` call with a spectrum: residue j mod
+p is :func:`modulo_spectrum`, and the support of one sketch, or of the union
+of two over their product group, is the constant -1 (the transform of
+-1{x = 0}).  An integer sketch is read mod the order of the spectrum's group,
+which must be cyclic; a sketch over another group raises before anything is
+aggregated.
+
 At the trivial character the infinite-tower aggregate is identically zero,
 while the truncated formula above yields -tau2, an O(1) absolute artifact
 when a = 0.  The default zeroes the trivial character; ``literal=True``
 keeps the verbatim formula (useful for studying truncation error, and it is
 the variant whose subgroup cancellations are exact).
 
-Aggregates depend only on the sketch, so they are computed once and reused
-across any number of transforms at query time.  The characters chi(x, gamma) - 1
-are evaluated once per distinct register value x (u <= |G| of them) and gathered
-back to every register: O(3 nk d + u |G|) plus one contraction with the weights,
-which sees the same array as a per-register evaluation and returns the same bits.
-``column_aggregates`` also keeps a memo of the last 8 aggregations, each under a
-snapshot of the registers it read; a query whose config, ``literal`` flag and
-registers equal an entry's gets a copy of the stored values.  A query of an
-integer sketch mod p is keyed on the sketch's config over Z_p and a snapshot of
-its int64 registers, so a hit reduces nothing; the (nk, 3) integer snapshot never
-equals the (nk, 3, 1) registers of a Z_p sketch.  Any change to the registers
-misses, and entries leave only by least-recently-used eviction.
+Aggregates depend only on the sketch, so one aggregation serves any number of
+spectra.  The characters chi(x, gamma) - 1 are evaluated once per distinct
+register value x (u <= |G| of them) and gathered back to every register:
+O(3 nk d + u |G|) plus one contraction with the weights, the same bits as a
+per-register evaluation.  A memo keeps the last 8 aggregations, each under its
+config (an integer sketch's over Z_p), ``literal`` flag and a snapshot of the
+registers it read (int64 for an integer sketch, so a hit reduces nothing); an
+equal query gets a copy of the stored values, and entries leave only by
+least-recently-used eviction.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -62,9 +66,11 @@ def truncation_tail(m: int, a: int) -> float:
 
 @dataclass(frozen=True)
 class EstimateReport:
+    """An estimate, its imaginary residual and its per-character terms (not compared)."""
+
     estimate: float
     imag_residual: float
-    gamma_terms: np.ndarray | None = None
+    gamma_terms: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -91,19 +97,15 @@ def column_aggregates(sketch: TowerSketch, literal: bool = False) -> ColumnAggre
     return _memoized_aggregates(sketch.config, sketch.registers, literal)
 
 
-def _memoized_aggregates(
-    cfg: SketchConfig, registers: np.ndarray, literal: bool, p: int | None = None
-) -> ColumnAggregates:
-    """Aggregates of ``registers``, first reduced mod ``p`` if it is given (integer sketches)."""
-    if p is not None:
-        cfg = replace(cfg, group=make_group([p]))
+def _memoized_aggregates(cfg: SketchConfig, registers: np.ndarray, literal: bool) -> ColumnAggregates:
+    """Aggregates of ``registers`` over ``cfg.group``; (nk, 3) integer registers are read mod its order."""
     with _MEMO_LOCK:
         for i, (c, lit, snap, values) in enumerate(_MEMO):
             if c == cfg and lit == literal and np.array_equal(snap, registers):
                 _MEMO.append(_MEMO.pop(i))
                 return ColumnAggregates(cfg.group, cfg, values.copy(), literal)
     snap = registers.copy()  # computed from the snapshot, so the entry matches it
-    reduced = snap if p is None else np.mod(snap, p)[:, :, None]
+    reduced = snap if snap.ndim == 3 else np.mod(snap, cfg.group.orders[0])[:, :, None]
     agg = _column_aggregates(cfg, reduced, literal)
     with _MEMO_LOCK:
         _MEMO.append((cfg, literal, snap, agg.values.copy()))
@@ -127,55 +129,59 @@ def _column_aggregates(cfg: SketchConfig, registers: np.ndarray, literal: bool) 
     return ColumnAggregates(group, cfg, agg, literal)
 
 
-def _resolve_aggregates(
-    sketch, literal: bool, p: int | None = None
-) -> ColumnAggregates:
-    if isinstance(sketch, ColumnAggregates):
-        if sketch.literal != literal:
-            raise InvalidConfigError(
-                f"aggregates were computed with literal={sketch.literal}, "
-                f"the query asks for literal={literal}"
-            )
-        return sketch
+def _resolve_aggregates(sketch, group: GroupDescriptor, literal: bool) -> ColumnAggregates:
+    """The aggregates of ``sketch`` over ``group``; every check comes before any aggregation."""
     if isinstance(sketch, IntegerTowerSketch):
-        if p is None:
-            raise GroupMismatchError("integer sketch needs a modulus at query time")
-        return _memoized_aggregates(sketch.config, sketch.registers, literal, p)
-    if isinstance(sketch, TowerSketch):
-        return column_aggregates(sketch, literal)
-    raise TypeError(f"cannot aggregate {type(sketch).__name__}")
+        if group.degree != 1:
+            raise GroupMismatchError(f"an integer sketch is read mod a cyclic order, not {group.orders}")
+        return _memoized_aggregates(replace(sketch.config, group=group), sketch.registers, literal)
+    if not isinstance(sketch, (TowerSketch, ColumnAggregates)):
+        raise TypeError(f"cannot aggregate {type(sketch).__name__}")
+    if isinstance(sketch, ColumnAggregates) and sketch.literal != literal:
+        raise InvalidConfigError(
+            f"aggregates were computed with literal={sketch.literal}, the query asks for literal={literal}"
+        )
+    if sketch.group != group:
+        raise GroupMismatchError(f"sketch group {sketch.group.orders} is not the spectrum's {group.orders}")
+    return sketch if isinstance(sketch, ColumnAggregates) else column_aggregates(sketch, literal)
 
 
 def estimate_f(
-    sketch: TowerSketch | ColumnAggregates,
+    sketch: TowerSketch | IntegerTowerSketch | ColumnAggregates,
     s: SpectrumTable,
     *,
     clamp_nonnegative: bool = False,
     literal: bool = False,
-    want_gamma_terms: bool = False,
 ) -> EstimateReport:
-    """Moment estimate for the function whose transform table is ``s``."""
-    agg = _resolve_aggregates(sketch, literal)
-    if s.group != agg.group:
-        raise GroupMismatchError("transform table is over a different dual group")
-    cfg = agg.config
-    scale = cfg.m**3 * _scale_constant()
+    """Moment estimate for the function whose transform table is ``s``.
+
+    An integer sketch is read mod the order of ``s``'s group, which must be cyclic.
+    """
+    agg = _resolve_aggregates(sketch, s.group, literal)
+    scale = agg.config.m**3 * _scale_constant()
     terms = s.values * agg.values.prod(axis=0) / scale / agg.num_chars
     total = terms.sum()
     est = float(total.real)
     if clamp_nonnegative:
         est = max(0.0, est)
-    return EstimateReport(
-        estimate=est,
-        imag_residual=abs(float(total.imag)),
-        gamma_terms=terms if want_gamma_terms else None,
-    )
+    return EstimateReport(estimate=est, imag_residual=abs(float(total.imag)), gamma_terms=terms)
 
 
 def modulo_spectrum(p: int, j: int) -> SpectrumTable:
     """Transform of the indicator of residue j in Z_p: gamma -> e^{-2 pi i j gamma / p}."""
     group = make_group([p])
     return SpectrumTable(group, group.roots[(-j * np.arange(p)) % p])
+
+
+def _support_spectrum(group: GroupDescriptor) -> SpectrumTable:
+    """The constant -1: the transform of -1{x = 0}, whose moment is the support size.
+
+    The support's own function 1{x != 0} = 1 - 1{x = 0} has transform
+    |G| 1{gamma = 0} - 1.  A constant added to a function moves only the
+    trivial character's entry, which the default aggregates multiply by zero;
+    -1 there keeps the ``literal=True`` estimates what they have always been.
+    """
+    return SpectrumTable(group, np.full(group.total_size, -1.0 + 0.0j))
 
 
 def estimate_modulo(
@@ -185,21 +191,13 @@ def estimate_modulo(
     *,
     clamp_nonnegative: bool = False,
     literal: bool = False,
-    want_gamma_terms: bool = False,
 ) -> EstimateReport:
     """Estimate of |{v : x(v) = j (mod p)}| for j != 0; for j = 0 the negated
     estimate is the support size mod p (see :func:`estimate_support`)."""
     if not 0 <= j < p:
         raise InvalidConfigError(f"residue {j} outside [0, {p})")
-    agg = _resolve_aggregates(sketch, literal, p=p)
-    if agg.group.orders != (p,):
-        raise GroupMismatchError(f"sketch group {agg.group.orders} is not Z_{p}")
     return estimate_f(
-        agg,
-        modulo_spectrum(p, j),
-        clamp_nonnegative=clamp_nonnegative,
-        literal=literal,
-        want_gamma_terms=want_gamma_terms,
+        sketch, modulo_spectrum(p, j), clamp_nonnegative=clamp_nonnegative, literal=literal
     )
 
 
@@ -210,12 +208,11 @@ def estimate_support(
     clamp_nonnegative: bool = False,
     literal: bool = False,
 ) -> EstimateReport:
-    """Support size mod p: the sign-flipped residue-0 estimate."""
-    rep = estimate_modulo(sketch, p, 0, literal=literal)
-    est = -rep.estimate
-    if clamp_nonnegative:
-        est = max(0.0, est)
-    return EstimateReport(estimate=est, imag_residual=rep.imag_residual)
+    """Support size mod p: the negated residue-0 estimate, term for term."""
+    return estimate_f(
+        sketch, _support_spectrum(make_group([p])),
+        clamp_nonnegative=clamp_nonnegative, literal=literal,
+    )
 
 
 def estimate_union(
@@ -225,16 +222,11 @@ def estimate_union(
     clamp_nonnegative: bool = False,
     literal: bool = False,
 ) -> EstimateReport:
-    """Size of the union of two supports, from the cellwise product sketch.
-
-    Uses the constant -1 transform over the product dual: the underlying
-    function is -1{both coordinates zero}, whose moment is the union size.
-    """
+    """Size of the union of two supports: the support of the cellwise product sketch."""
     product = combine_product(s1, s2)
-    group = product.group
-    spec = SpectrumTable(group, np.full(group.total_size, -1.0 + 0.0j))
     return estimate_f(
-        product, spec, clamp_nonnegative=clamp_nonnegative, literal=literal
+        product, _support_spectrum(product.group),
+        clamp_nonnegative=clamp_nonnegative, literal=literal,
     )
 
 
@@ -280,27 +272,31 @@ def variance_factor(s: SpectrumTable, rhat: RHatTable) -> complex:
     """The double sum over character pairs that controls the leading variance.
 
     All fractional powers are principal-branch; Re(1 - mu) >= 0 keeps them
-    off the branch cut.
+    off the branch cut.  The (gamma, gamma') table is summed in blocks of
+    gamma rows of at most 2^16 entries, so a group of up to 256 elements is
+    one block and memory stays bounded for any group.
     """
     group = s.group
     if rhat.group != group:
         raise InvalidRHatError("distribution transform is over a different dual group")
     n = group.total_size
     res = group.residue_matrix
-    orders = np.array(group.orders, dtype=np.int64)
-    weights = np.array(group.index_weights, dtype=np.int64)
-    neg_idx = (np.mod(-res, orders) @ weights).astype(np.int64)
-    # index of (-gamma + gamma') for every pair
-    sum_res = np.mod(res[neg_idx][:, None, :] + res[None, :, :], orders)
-    pair_idx = sum_res @ weights
+    neg_idx = np.mod(-res, group.orders) @ np.array(group.index_weights, dtype=np.int64)
     mu = rhat.values
     two_thirds = 2.0 / 3.0
-    t_cross = np.power(1.0 - mu[pair_idx], two_thirds)
-    t_split = np.power(2.0 - mu[neg_idx][:, None] - mu[None, :], two_thirds)
-    b_row = np.power(1.0 - mu[neg_idx], two_thirds)[:, None]
+    b_row = np.power(1.0 - mu[neg_idx], two_thirds)
     c_col = np.power(1.0 - mu, two_thirds)[None, :]
-    fmat = s.values[:, None] * s.values.conj()[None, :]
-    total = (fmat * (t_cross - t_split) * b_row * c_col).sum()
+    step = max(1, (1 << 16) // n)
+    total = 0.0
+    for lo in range(0, n, step):
+        rows = neg_idx[lo : lo + step]
+        pair_idx = np.zeros((len(rows), n), dtype=np.int64)  # index of -gamma + gamma'
+        for r, col, p, w in zip(res[rows].T, res.T, group.orders, group.index_weights):
+            pair_idx += (r[:, None] + col[None, :]) % p * w
+        t_cross = np.power(1.0 - mu[pair_idx], two_thirds)
+        t_split = np.power(2.0 - mu[rows][:, None] - mu[None, :], two_thirds)
+        fmat = s.values[lo : lo + step, None] * s.values.conj()[None, :]
+        total += (fmat * (t_cross - t_split) * b_row[lo : lo + step, None] * c_col).sum()
     return complex(-total / (n * n))
 
 

@@ -16,6 +16,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from . import prf
 from .errors import InvalidConfigError, NoSamplesError, SaturatedError, SchemaError
 from .estimator import (
     estimate_f,
@@ -243,13 +244,9 @@ class UnionWorkload:
         n1 = self.only_first + self.overlap
         ids1 = np.arange(n1, dtype=np.int64)
         ids2 = np.arange(self.only_first, self.union_size, dtype=np.int64)
-        from . import prf as _prf
 
         def values(ids, salt):
-            u = _prf.draw(
-                _prf.stream_state(self.shuffle_seed, _prf.DOMAIN_VALUE, ids),
-                _prf.tuple_key(j=salt),
-            )
+            u = prf.draw(prf.stream_state(self.shuffle_seed, prf.DOMAIN_VALUE, ids), prf.tuple_key(j=salt))
             return 1 + (u % np.uint64(self.p - 1)).astype(np.int64)
 
         return ids1, values(ids1, 11), ids2, values(ids2, 12)

@@ -14,8 +14,10 @@ Conventions, fixed so serialized tables are portable:
   ``repr`` floats, and is read back only if its index column is exactly
   0, 1, ..., n-1, so a table round-trips bit for bit.
 
-Characters are evaluated only in bulk, as integer phase rows
-(``_phase_rows``) into the table :attr:`GroupDescriptor.roots`.
+A descriptor validates itself (at least one factor, integer orders >= 2, at
+most ``MAX_TOTAL_SIZE`` elements), so a product of two groups has the same
+bound as any other.  Characters are evaluated only in bulk, as integer phase
+rows (``_phase_rows``) into the table :attr:`GroupDescriptor.roots`.
 """
 
 from __future__ import annotations
@@ -39,9 +41,27 @@ GroupElement = tuple[int, ...]
 
 @dataclass(frozen=True)
 class GroupDescriptor:
-    """Direct product of cyclic groups, given by the factor orders."""
+    """Direct product of cyclic groups, given by the factor orders (validated on construction)."""
 
     orders: tuple[int, ...]
+
+    def __post_init__(self):
+        if len(self.orders) == 0:
+            raise InvalidGroupError("a group needs at least one cyclic factor")
+        clean = []
+        total = 1
+        for p in self.orders:
+            try:
+                p = operator.index(p)  # int() would truncate 2.9 to 2
+            except TypeError:
+                raise InvalidGroupError(f"cyclic factor order {p!r} is not an integer") from None
+            if p < 2:
+                raise InvalidGroupError(f"cyclic factor order {p} < 2 is invalid")
+            clean.append(p)
+            total *= p
+            if total > MAX_TOTAL_SIZE:
+                raise InvalidGroupError(f"group size {total} too large (limit {MAX_TOTAL_SIZE})")
+        object.__setattr__(self, "orders", tuple(clean))
 
     @property
     def degree(self) -> int:
@@ -133,23 +153,8 @@ class GroupDescriptor:
 
 
 def make_group(orders: Sequence[int]) -> GroupDescriptor:
-    """Validated descriptor for Z_{orders[0]} x ... x Z_{orders[-1]}."""
-    if len(orders) == 0:
-        raise InvalidGroupError("a group needs at least one cyclic factor")
-    clean = []
-    total = 1
-    for p in orders:
-        try:
-            p = operator.index(p)  # int() would truncate 2.9 to 2
-        except TypeError:
-            raise InvalidGroupError(f"cyclic factor order {p!r} is not an integer") from None
-        if p < 2:
-            raise InvalidGroupError(f"cyclic factor order {p} < 2 is invalid")
-        clean.append(p)
-        total *= p
-        if total > MAX_TOTAL_SIZE:
-            raise InvalidGroupError(f"group size {total} too large (limit {MAX_TOTAL_SIZE})")
-    return GroupDescriptor(tuple(clean))
+    """Descriptor for Z_{orders[0]} x ... x Z_{orders[-1]}; the descriptor validates itself."""
+    return GroupDescriptor(tuple(orders))
 
 
 # -- tabulated functions and spectra ----------------------------------------

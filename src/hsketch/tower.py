@@ -37,6 +37,7 @@ updated by one flat scatter-add, :func:`_scatter_add`.
 from __future__ import annotations
 
 import math
+import operator
 import struct
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -80,6 +81,11 @@ _MODE_BYTE = {
 _MODE_FROM_BYTE = {v: k for k, v in _MODE_BYTE.items()}
 
 
+# [lo, hi) of each integer field: the wire header's widths (``_FIXED``), and m >= 2
+_INT32 = (-(1 << 31), 1 << 31)
+_FIELD_RANGES = {"m": (2, 1 << 32), "a": _INT32, "b": _INT32, "seed": (0, 1 << 64)}
+
+
 @dataclass(frozen=True)
 class SketchConfig:
     group: GroupDescriptor | None
@@ -92,8 +98,15 @@ class SketchConfig:
     def __post_init__(self):
         if self.mode not in ("poisson", "binomial"):
             raise InvalidConfigError(f"unknown mode {self.mode!r}")
-        if self.m < 2:
-            raise InvalidConfigError(f"accuracy parameter m={self.m} must be >= 2")
+        for name, (lo, hi) in _FIELD_RANGES.items():
+            value = getattr(self, name)
+            try:
+                value = operator.index(value)  # int() would truncate 4.5 to 4
+            except TypeError:
+                raise InvalidConfigError(f"{name}={value!r} is not an integer") from None
+            if not lo <= value < hi:
+                raise InvalidConfigError(f"{name}={value} must be >= {lo} and < {hi}")
+            object.__setattr__(self, name, value)
         if self.b <= self.a:
             raise InvalidConfigError(f"need b > a, got a={self.a}, b={self.b}")
         if self.mode == "binomial" and self.a <= 0:  # the first cell alone has mass e^{-a/m} >= 1
@@ -107,8 +120,6 @@ class SketchConfig:
             raise InvalidConfigError(
                 f"cell mean e^{{-a/m}} exceeds {_MAX_POISSON_MEAN}; raise a"
             )
-        if not 0 <= self.seed < 2**64:
-            raise InvalidConfigError("seed must be an unsigned 64-bit value")
 
     @property
     def num_cells(self) -> int:
@@ -287,44 +298,44 @@ def _scatter_add(regs: np.ndarray, rows: np.ndarray, terms: np.ndarray) -> None:
     np.add.at(regs.reshape(-1), idx, terms.ravel())
 
 
-def _as_int64(arr: np.ndarray) -> np.ndarray:
-    """Update values as int64; any other entry must convert to int64 exactly.
+def _as_int64(values, what: str) -> np.ndarray:
+    """``values`` as int64; an entry that is not an integer in the int64 range raises.
 
-    Arrays whose dtype always fits int64 pass without a per-element test;
-    non-integral, NaN, inf and out-of-range entries raise.
+    Dtypes that always fit int64 skip the per-element test, and int64 is not copied.
     """
-    kind, size = arr.dtype.kind, arr.dtype.itemsize
-    if kind in "bi" or (kind == "u" and size < 8):
-        return arr.astype(np.int64, copy=False)
-    with np.errstate(invalid="ignore"):
-        out = arr.astype(np.int64)
-    if not np.array_equal(out, arr):
-        raise GroupMismatchError("update values must be integers")
-    return out
+    try:
+        arr = np.asarray(values)
+        kind, size = arr.dtype.kind, arr.dtype.itemsize
+        if kind in "bi" or (kind == "u" and size < 8):
+            return arr.astype(np.int64, copy=False)
+        if kind in "ufO":
+            with np.errstate(invalid="ignore"):
+                out = arr.astype(np.int64)
+            if np.array_equal(out, arr):
+                return out
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise GroupMismatchError(f"{what} must be integers in the int64 range")
 
 
 def _update_arrays(group: GroupDescriptor | None, vs, ys) -> tuple[np.ndarray, np.ndarray]:
-    """A batch's element ids as int64 and its canonical values, checked to match in length."""
-    vs = np.asarray(vs, dtype=np.int64)
+    """A batch's (n,) element ids as int64 and its canonical values, checked to match."""
+    vs = _as_int64(vs, "element ids")
     yr = _canonical_values(group, ys)
-    if len(vs) != len(yr):
-        raise GroupMismatchError("element ids and values have different lengths")
+    if vs.ndim != 1 or len(vs) != len(yr):
+        raise GroupMismatchError(f"element ids of shape {vs.shape} do not match {len(yr)} values")
     return vs, yr
 
 
 def _canonical_values(group: GroupDescriptor | None, ys) -> np.ndarray:
     """Update values as int64: (n,) integers, or (n, d) canonical residues of ``group``."""
-    arr = np.asarray(ys)
-    if group is None:
-        return _as_int64(arr)
-    if arr.ndim == 1 and group.degree == 1:
+    arr = _as_int64(ys, "update values")
+    row = () if group is None else (group.degree,)
+    if arr.ndim == 1 and row == (1,):
         arr = arr[:, None]
-    if arr.ndim != 2 or arr.shape[1] != group.degree:
-        raise GroupMismatchError(
-            f"values of shape {arr.shape} do not match a degree-{group.degree} group"
-        )
-    orders = np.array(group.orders, dtype=np.int64)
-    return np.mod(_as_int64(arr), orders)
+    if arr.ndim != 1 + len(row) or arr.shape[1:] != row:
+        raise GroupMismatchError(f"values of shape {arr.shape} are not rows of shape {row}")
+    return arr if group is None else np.mod(arr, np.array(group.orders, dtype=np.int64))
 
 
 class _TowerBase:

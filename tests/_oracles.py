@@ -7,7 +7,9 @@ character) aggregate the slow way, and ``column_aggregates_oracle`` evaluates
 every character of every register, both for comparison with
 ``hsketch.estimator.column_aggregates``.  ``dft_oracle`` and ``idft_oracle``
 build one phase column per output, for comparison with ``hsketch.groups.dft``
-and ``idft``.  The bucket
+and ``idft``.  ``variance_factor_oracle`` is ``variance_factor`` as first
+written, with all six (|G|, |G|) pair tables at once, for comparison with
+its sum over blocks of rows.  The bucket
 helpers model a single fingerprint level, one element at a time, for
 comparison with ``hsketch.sampler.classify_many`` and ``SamplerSketch``.
 ``ideal_levels_oracle`` classifies the levels of an ideal-mode sampler from
@@ -49,7 +51,7 @@ import numpy as np
 
 from hsketch import prf
 from hsketch.errors import DomainError, InvalidConfigError
-from hsketch.estimator import ColumnAggregates, truncation_tail
+from hsketch.estimator import ColumnAggregates, RHatTable, truncation_tail
 from hsketch.groups import FunctionTable, GroupDescriptor, GroupElement, SpectrumTable
 from hsketch.sampler import SamplerSketch, classify_many, splitter_width
 from hsketch.special import gamma_cached
@@ -218,6 +220,27 @@ def idft_oracle(g: GroupDescriptor, s: SpectrumTable) -> FunctionTable:
         phases = _phase_matrix_column(g, res[xi])
         out[xi] = s.values @ g.roots[phases]
     return FunctionTable(g, out / g.total_size)
+
+
+def variance_factor_oracle(s: SpectrumTable, rhat: RHatTable) -> complex:
+    """The variance double sum over every (gamma, gamma') pair at once: O(|G|^2) memory."""
+    group = s.group
+    n = group.total_size
+    res = group.residue_matrix
+    orders = np.array(group.orders, dtype=np.int64)
+    weights = np.array(group.index_weights, dtype=np.int64)
+    neg_idx = (np.mod(-res, orders) @ weights).astype(np.int64)
+    # index of (-gamma + gamma') for every pair
+    pair_idx = np.mod(res[neg_idx][:, None, :] + res[None, :, :], orders) @ weights
+    mu = rhat.values
+    two_thirds = 2.0 / 3.0
+    t_cross = np.power(1.0 - mu[pair_idx], two_thirds)
+    t_split = np.power(2.0 - mu[neg_idx][:, None] - mu[None, :], two_thirds)
+    b_row = np.power(1.0 - mu[neg_idx], two_thirds)[:, None]
+    c_col = np.power(1.0 - mu, two_thirds)[None, :]
+    fmat = s.values[:, None] * s.values.conj()[None, :]
+    total = (fmat * (t_cross - t_split) * b_row * c_col).sum()
+    return complex(-total / (n * n))
 
 
 def _unxorshift(z: np.ndarray, shift: int) -> np.ndarray:

@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import aggregate_column, char_eval, column_aggregates_oracle
+from _oracles import aggregate_column, char_eval, column_aggregates_oracle, variance_factor_oracle
 from hsketch import estimator
 from hsketch.errors import GroupMismatchError, InvalidConfigError, InvalidRHatError
 from hsketch.estimator import (
@@ -344,6 +345,26 @@ def test_variance_factor_against_brute_force():
     assert fast == pytest.approx(slow, rel=1e-10)
 
 
+@pytest.mark.parametrize("spectrum_kind", ["support", "random"])
+def test_variance_factor_sums_blocks_in_bounded_memory(spectrum_kind):
+    group = make_group([2] * 10)
+    rng = np.random.default_rng(10)
+    pmf = rng.random(group.total_size)
+    pmf[0] = 0.0
+    rhat = rhat_from_pmf(group, FunctionTable(group, pmf / pmf.sum()))
+    values = np.array([1.0, 1j]) @ rng.normal(size=(2, group.total_size))
+    spectrum = SpectrumTable(group, -np.ones(group.total_size) if spectrum_kind == "support" else values)
+    tracemalloc.start()
+    try:
+        got = variance_factor(spectrum, rhat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    want = variance_factor_oracle(spectrum, rhat)
+    assert abs(got - want) <= 1e-12 * abs(want)
+
+
 def test_variance_factor_bound():
     rng = np.random.default_rng(8)
     bound = 8 * (1 + 2 ** (2 / 3))
@@ -410,10 +431,10 @@ def test_gamma_terms_table():
     sk = sketch_new(_cfg(seed=13))
     sk.update_batch(np.arange(25), 1 + (np.arange(25) % 6))
     spectrum = modulo_spectrum(7, 2)
-    rep = estimate_f(sk, spectrum, want_gamma_terms=True)
+    rep = estimate_f(sk, spectrum)
     assert rep.gamma_terms is not None and rep.gamma_terms.shape == (7,)
     assert rep.gamma_terms.sum().real == pytest.approx(rep.estimate, abs=1e-12)
-    assert estimate_f(sk, spectrum).gamma_terms is None
+    assert estimate_support(sk, 7).gamma_terms.shape == (7,)
 
 
 # -- distinct-value aggregation against the per-register oracle -----------------
@@ -588,7 +609,7 @@ def test_memo_integer_queries_reduce_only_on_a_miss(fresh_memo, monkeypatch, how
         raise AssertionError("an integer query built a reduced copy")
 
     def query(literal=False):
-        return estimator._resolve_aggregates(ski, literal, p=7).values
+        return estimator._resolve_aggregates(ski, Z7, literal).values
 
     monkeypatch.setattr(IntegerTowerSketch, "reduce_values_mod", refuse)
     first = query()
@@ -605,6 +626,45 @@ def test_memo_integer_queries_reduce_only_on_a_miss(fresh_memo, monkeypatch, how
     assert np.array_equal(query(literal=True), _uncached(reduce(ski, 7), literal=True))
     assert np.array_equal(got, column_aggregates(reduce(ski, 7)).values)
     assert np.array_equal(got, first) == (how == "add-modulus")
+
+
+@pytest.mark.parametrize(
+    "query",
+    [
+        lambda z5, agg5, ski: estimate_modulo(z5, 7, 1),
+        lambda z5, agg5, ski: estimate_support(z5, 7),
+        lambda z5, agg5, ski: estimate_f(z5, modulo_spectrum(7, 1)),
+        lambda z5, agg5, ski: estimate_f(agg5, modulo_spectrum(7, 1)),
+        lambda z5, agg5, ski: estimate_f(ski, SpectrumTable(make_group([7, 7]), np.ones(49))),
+    ],
+    ids=["modulo", "support", "estimate_f", "aggregates", "integer-over-Z7xZ7"],
+)
+def test_group_mismatch_raises_before_aggregating(fresh_memo, query):
+    z5 = sketch_new(_cfg(group=make_group([5]), seed=8))
+    z5.update_batch(np.arange(40), np.arange(40) % 5)
+    agg5 = column_aggregates(z5)
+    ski = sketch_new(_cfg(group=None, seed=8))
+    ski.update_batch(np.arange(40), np.arange(40))
+    fresh_memo.clear()
+    estimate_support(ski, 7)
+    before = list(fresh_memo)
+    with pytest.raises(GroupMismatchError):
+        query(z5, agg5, ski)
+    assert len(fresh_memo) == len(before) and all(e is b for e, b in zip(fresh_memo, before))
+
+
+@pytest.mark.parametrize("p", [2, 7, 128])
+def test_integer_sketch_is_read_mod_the_spectrum_order(fresh_memo, p):
+    ski = sketch_new(_cfg(group=None, m=8, b=64, seed=9))
+    rng = np.random.default_rng(p)
+    ski.update_batch(rng.integers(0, 1 << 40, 500), rng.integers(-1000, 1000, 500))
+    spectrum = SpectrumTable(make_group([p]), rng.normal(size=p) + 1j * rng.normal(size=p))
+    for literal in (False, True):
+        got = estimate_f(ski, spectrum, literal=literal)
+        want = estimate_f(ski.reduce_values_mod(p), spectrum, literal=literal)
+        assert got == want and np.array_equal(got.gamma_terms, want.gamma_terms)
+    with pytest.raises(GroupMismatchError):
+        estimate_f(ski, SpectrumTable(make_group([7, 7]), np.ones(49)))
 
 
 def test_memo_is_safe_across_threads(fresh_memo):

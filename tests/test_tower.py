@@ -14,10 +14,11 @@ from hsketch.errors import (
     CorruptSketchError,
     GroupMismatchError,
     InvalidConfigError,
+    InvalidGroupError,
     RegisterOverflowError,
 )
 from hsketch.estimator import estimate_union
-from hsketch.groups import make_group
+from hsketch.groups import GroupDescriptor, make_group
 from hsketch.sampler import SamplerSketch
 from hsketch.tower import (
     SketchConfig,
@@ -229,6 +230,35 @@ def test_update_batch_rejects_non_integral_values(kind, bad):
     assert np.array_equal(_ingest_state(as_float), _ingest_state(as_int))
 
 
+@pytest.mark.parametrize(
+    "vs,ys",
+    [
+        ([1.5, 2], [3, 4]),  # non-integral id
+        ([2**70, 2], [3, 4]),  # id past int64
+        ([1, 2], [3, 2**70]),  # value past int64
+        ([1, 2], np.array([3, 2**63], dtype=np.uint64)),
+        (["a", "b"], [3, 4]),
+        ([1, 2], ["3", "4"]),
+        ([1, 2], [3, None]),
+        ([[1], [2]], [3, 4]),  # ids must be 1-D
+        (7, [3]),
+        ([1, 2], [[3, 1], [4, 1]]),  # (n, 2) values: not a degree-1 group, not integers
+        ([1, 2, 3], [3, 4]),
+    ],
+)
+@pytest.mark.parametrize("kind", sorted(_INGESTORS))
+def test_update_batch_rejects_malformed_batches(kind, vs, ys):
+    obj = _INGESTORS[kind]()
+    with pytest.raises(GroupMismatchError):
+        obj.update_batch(vs, ys)
+    assert not _ingest_state(obj).any()
+    # whole-number float ids are the integers they spell
+    as_float, as_int = _INGESTORS[kind](), _INGESTORS[kind]()
+    as_float.update_batch([1.0, 2.0, 3e9], [3, -2, 5])
+    as_int.update_batch([1, 2, 3_000_000_000], [3, -2, 5])
+    assert np.array_equal(_ingest_state(as_float), _ingest_state(as_int))
+
+
 def test_batch_equals_sequential():
     vs = np.arange(40)
     ys = (np.arange(40) % 6) + 1
@@ -359,6 +389,17 @@ def test_combine_product_examples():
             combine_product(*pair)
     with pytest.raises(CannotCombineError):
         estimate_union(ints, ints)
+
+
+def test_combine_product_groups_are_validated_like_any_other():
+    z2_16 = make_group([2] * 16)
+    s1, s2 = sketch_new(_cfg(group=z2_16)), sketch_new(_cfg(group=z2_16))
+    with pytest.raises(InvalidGroupError):  # 2^32 elements, past MAX_TOTAL_SIZE
+        combine_product(s1, s2)
+    for orders in [(1,), (), (7.0,), (2**16, 2**16)]:
+        with pytest.raises(InvalidGroupError):
+            GroupDescriptor(orders)
+    assert GroupDescriptor([np.int64(7)]) == make_group([7]) == GroupDescriptor((7,))
 
 
 def test_window_shares_cells():

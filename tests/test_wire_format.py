@@ -12,7 +12,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hsketch.errors import CorruptSketchError
+from hsketch.errors import CorruptSketchError, InvalidConfigError
 from hsketch.groups import make_group
 from hsketch.tower import (
     MAGIC,
@@ -118,3 +118,37 @@ def test_forged_header_decodes_or_is_corrupt(orders, m, a, nk, mode_byte, junk):
     header += struct.pack("<IiiQB", m, a, b, 0, mode_byte)
     _decodes_or_is_corrupt(header + payload)
     _decodes_or_is_corrupt(header + payload + junk)
+
+
+def _around(*edges: int) -> st.SearchStrategy:
+    """Integers within 3 of any of ``edges``."""
+    return st.one_of(*(st.integers(e - 3, e + 3) for e in edges))
+
+
+@settings(max_examples=300)
+@given(
+    st.sampled_from(GROUPS),
+    st.sampled_from(["poisson", "binomial"]),
+    _around(0, 2, 64, 2**32) | st.integers(-(2**40), 2**40) | st.sampled_from([4.5, 8.0, "8", None]),
+    _around(-(2**31), 0, 2**31) | st.integers(-(2**40), 2**40) | st.sampled_from([0.5, 10.0]),
+    st.integers(-2, 64),
+    _around(0, 2**64) | st.integers(0, 2**64 - 1),
+)
+@example(None, "poisson", 4.5, 0, 8, 1)
+@example((7,), "poisson", 8, 0.5, 8, 1)
+@example(None, "poisson", 2**40, 0, 8, 1)
+@example((7,), "binomial", 2**32 - 1, 2**31 - 64, 63, 2**64 - 1)
+def test_every_accepted_config_round_trips(orders, mode, m, a, width, seed):
+    """A config either raises InvalidConfigError or its empty sketch survives the wire format.
+
+    b - a stays at most 64: registers are (b - a, 3[, d]) int64.
+    """
+    b = a + width
+    group = None if orders is None else make_group(orders)
+    try:
+        cfg = SketchConfig(group, m, a, b, seed, mode)
+    except InvalidConfigError:
+        return
+    sk = IntegerTowerSketch(cfg) if group is None else TowerSketch(cfg)
+    back = deserialize(sk.serialize())
+    assert back == sk and back.config == cfg

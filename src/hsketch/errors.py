@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check that raises them."""
+
+import operator
 
 
 class HSketchError(Exception):
@@ -51,3 +53,14 @@ class InvalidWorkloadError(HSketchError):
 
 class SchemaError(HSketchError):
     """CSV rows do not match the expected schema."""
+
+
+def _checked_int(name: str, value, lo: int, hi: int | None = None, error=InvalidConfigError) -> int:
+    """``value`` as an int in [lo, hi), or >= lo if ``hi`` is None; anything else raises ``error``."""
+    try:
+        value = operator.index(value)  # int() would truncate 4.5 to 4
+    except TypeError:
+        raise error(f"{name}={value!r} is not an integer") from None
+    if value < lo or (hi is not None and value >= hi):
+        raise error(f"{name}={value} must be >= {lo}" + ("" if hi is None else f" and < {hi}"))
+    return value

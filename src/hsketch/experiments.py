@@ -17,7 +17,14 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import prf
-from .errors import InvalidConfigError, NoSamplesError, SaturatedError, SchemaError
+from .errors import (
+    InvalidConfigError,
+    InvalidWorkloadError,
+    NoSamplesError,
+    SaturatedError,
+    SchemaError,
+    _checked_int,
+)
 from .estimator import (
     estimate_f,
     estimate_modulo,
@@ -234,6 +241,11 @@ class UnionWorkload:
     overlap: int
     p: int = 7
     shuffle_seed: int = 0
+
+    def __post_init__(self):
+        for name, lo in (("only_first", 0), ("only_second", 0), ("overlap", 0), ("p", 2)):
+            value = _checked_int(name, getattr(self, name), lo, error=InvalidWorkloadError)
+            object.__setattr__(self, name, value)
 
     @property
     def union_size(self) -> int:

@@ -31,6 +31,7 @@ from .errors import (
     InvalidConfigError,
     NoSamplesError,
     SaturatedError,
+    _checked_int,
 )
 from .groups import FunctionTable, GroupDescriptor
 from .special import gamma_cached
@@ -116,20 +117,18 @@ class SamplerSketch:
     ):
         if mode not in ("fingerprint", "ideal"):
             raise InvalidConfigError(f"unknown sampler mode {mode!r}")
-        if m_prime < 1 or r < 1:
-            raise InvalidConfigError("m' and r must be positive")
         self.group = group
-        self.m_prime = m_prime
-        self.seed = seed
-        self.r = r
+        self.m_prime = _checked_int("m_prime", m_prime, 1)
+        self.seed = _checked_int("seed", seed, 0, 1 << 64)
+        self.r = _checked_int("r", r, 1)
         self.mode = mode
-        self.num_levels = LEVEL_SPAN * m_prime
+        self.num_levels = LEVEL_SPAN * self.m_prime
         # integer thresholds of the ascending level boundaries e^{-L/m'} .. e^{-1/m'}
-        self._thresholds = _u53_thresholds(np.exp(-np.arange(self.num_levels, 0, -1) / m_prime))
+        self._thresholds = _u53_thresholds(np.exp(-np.arange(self.num_levels, 0, -1) / self.m_prime))
         width = splitter_width(group)
         if mode == "fingerprint":
             self.slots = np.zeros(
-                (self.num_levels, r, width, group.degree), dtype=np.int64
+                (self.num_levels, self.r, width, group.degree), dtype=np.int64
             )
         else:
             # sorted ids of the elements with a nonzero net value, and those values

@@ -26,9 +26,9 @@ chunk passes its states through it once, and a block starts at the core.
 Dense cells (P(count = 0) < 0.5, a prefix of the window) finish every word
 and search their threshold rows.  Sparse cells screen the words before the
 tail, which keeps bits 63..33: a word that reaches the first threshold t0
-reaches (t0 >> 22) << 33 first.  Only the few words that pass (about 3% at
-m=64) are finished and resolved against the thresholds, and the hits go to
-the registers with one scatter-add per block.
+reaches (t0 >> 22) << 33 first.  Only the words that pass (about 3% at m=64)
+are finished; sparse rows rise strictly, so a word that reaches column c has
+c + 1 copies, and the hits go to the registers with one scatter-add per block.
 
 Every register array, towers of both modes and both sampler modes, is
 updated by one flat scatter-add, :func:`_scatter_add`.
@@ -37,7 +37,6 @@ updated by one flat scatter-add, :func:`_scatter_add`.
 from __future__ import annotations
 
 import math
-import operator
 import struct
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -53,6 +52,7 @@ from .errors import (
     InvalidConfigError,
     InvalidGroupError,
     RegisterOverflowError,
+    _checked_int,
 )
 from .groups import GroupDescriptor, make_group
 
@@ -84,6 +84,9 @@ _MODE_FROM_BYTE = {v: k for k, v in _MODE_BYTE.items()}
 # [lo, hi) of each integer field: the wire header's widths (``_FIXED``), and m >= 2
 _INT32 = (-(1 << 31), 1 << 31)
 _FIELD_RANGES = {"m": (2, 1 << 32), "a": _INT32, "b": _INT32, "seed": (0, 1 << 64)}
+# A cumsum of n < 2^32 positive terms errs by under n * 2^-53 < 2^-21 relative,
+# and the closed form by a few ulps: a closed form past 1 + this is past 1 summed too.
+_SIGMA_ROUNDING = 1e-6
 
 
 @dataclass(frozen=True)
@@ -99,22 +102,23 @@ class SketchConfig:
         if self.mode not in ("poisson", "binomial"):
             raise InvalidConfigError(f"unknown mode {self.mode!r}")
         for name, (lo, hi) in _FIELD_RANGES.items():
-            value = getattr(self, name)
-            try:
-                value = operator.index(value)  # int() would truncate 4.5 to 4
-            except TypeError:
-                raise InvalidConfigError(f"{name}={value!r} is not an integer") from None
-            if not lo <= value < hi:
-                raise InvalidConfigError(f"{name}={value} must be >= {lo} and < {hi}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, _checked_int(name, getattr(self, name), lo, hi))
         if self.b <= self.a:
             raise InvalidConfigError(f"need b > a, got a={self.a}, b={self.b}")
-        if self.mode == "binomial" and self.a <= 0:  # the first cell alone has mass e^{-a/m} >= 1
-            raise InvalidConfigError(f"binomial tower needs sigma < 1, so a > 0; got a={self.a}")
-        if self.mode == "binomial" and self.sigma >= 1.0:
-            raise InvalidConfigError(
-                f"binomial tower needs sigma < 1, got sigma={self.sigma:.4g}; raise a"
-            )
+        if self.mode == "binomial":
+            if self.a <= 0:  # the first cell alone has mass e^{-a/m} >= 1
+                raise InvalidConfigError(f"binomial tower needs sigma < 1, so a > 0; got a={self.a}")
+            # the geometric closed form rejects a window well past mass 1
+            # without summing its b - a cells; any other window is summed as
+            # the level draw sums it, so the verdict is always the cumsum's
+            m, n = self.m, self.num_cells
+            sigma = math.exp(-self.a / m) * math.expm1(-n / m) / math.expm1(-1 / m)
+            if sigma <= 1.0 + _SIGMA_ROUNDING:
+                sigma = self.sigma
+            if sigma >= 1.0:
+                raise InvalidConfigError(
+                    f"binomial tower needs sigma < 1, got sigma={sigma:.4g}; raise a"
+                )
         # the exponent is capped where math.exp would overflow; any such mean is rejected
         if self.mode == "poisson" and math.exp(min(-self.a / self.m, 709.0)) > _MAX_POISSON_MEAN:
             raise InvalidConfigError(
@@ -178,20 +182,20 @@ class _CellTable:
 
     ``keys[i]`` holds the PRF keys of cell a+i in columns 1..3, folded
     through ``prf._mix64_head``.  The first ``len(dense)`` cells are dense and
-    ``dense[i]`` is cell i's full integer threshold row.  Row s of ``thr`` and
-    ``cum`` describes sparse cell ``len(dense) + s``: its distinct thresholds,
-    ascending and padded with 2^53 (which no 53-bit word reaches), and the
-    count once the word reaches each of them.  ``screen[s]`` is
-    (t0 >> 22) << 33 for its first threshold t0, clipped to 2^53 - 1: a word
-    whose u53 reaches t0 reaches ``screen[s]`` before ``prf._mix64_tail``,
-    which keeps bits 63..33.
+    ``dense[i]`` is cell i's full integer threshold row.  Row s of ``thr`` is
+    the row of sparse cell ``len(dense) + s``, padded with 2^53 (above every
+    53-bit word).  Its cdf[0] >= 0.5, so its CDF values are multiples of 2^-53
+    in [0.5, 1]: ceil(cdf * 2^53) is exact, the row rises strictly as
+    ``_poisson_cdf`` appends only rising values, and a word that reaches
+    column c has exactly c + 1 copies.  ``screen[s]`` is (t0 >> 22) << 33 for
+    t0 = thr[s, 0], clipped to 2^53 - 1; ``prf._mix64_tail`` keeps bits 63..33,
+    so a word whose u53 reaches t0 reaches ``screen[s]`` before the tail.
     """
 
     keys: np.ndarray  # (nk, 3) uint64
     dense: tuple[np.ndarray, ...]
     screen: np.ndarray  # (nk - nd,) uint64
     thr: np.ndarray  # (nk - nd, width) uint64
-    cum: np.ndarray  # (nk - nd, width) int64
 
 
 @lru_cache(maxsize=16)
@@ -200,28 +204,18 @@ def _cell_table(m: int, a: int, b: int) -> _CellTable:
     # P(count = 0) grows with k, so the dense cells are a prefix of the window
     nd = sum(1 for cdf in cdfs if cdf[0] < 0.5)
     dense = tuple(_u53_thresholds(cdf) for cdf in cdfs[:nd])
-    # sparse rows keep the last copy of each threshold: its offset in the row
-    # plus one is the count once the word reaches it
-    lens = np.array([len(cdf) for cdf in cdfs])
-    starts = np.cumsum(lens) - lens
-    row = np.repeat(np.arange(len(cdfs)), lens)
-    flat = _u53_thresholds(np.concatenate(cdfs))
-    last = np.append((flat[1:] != flat[:-1]) | (row[1:] != row[:-1]), True)
-    pos = np.flatnonzero(last & (row >= nd))
-    r = row[pos]
-    col = np.arange(len(pos)) - np.searchsorted(r, r)
-    shape = (len(cdfs) - nd, int(col.max(initial=0)) + 1)
-    thr = np.full(shape, _U53_END)
-    cum = np.zeros(shape, dtype=np.int64)
-    thr[r - nd, col] = flat[pos]
-    cum[r - nd, col] = pos - starts[r] + 1
+    sparse = cdfs[nd:]
+    lens = np.array([len(cdf) for cdf in sparse], dtype=np.int64)
+    thr = np.full((len(sparse), lens.max(initial=1)), _U53_END)
+    if sparse:  # np.concatenate needs at least one row
+        thr[np.arange(thr.shape[1]) < lens[:, None]] = _u53_thresholds(np.concatenate(sparse))
     # clipped, as the pad 2^53 of a cell that is never hit would wrap to 0
     screen = (np.minimum(thr[:, 0], _U53_END - np.uint64(1)) >> np.uint64(22)) << np.uint64(33)
     keys = prf.tuple_key(j=_COLUMNS.T, k=np.arange(a, b, dtype=np.int64)[:, None])
     prf._mix64_head(keys)
-    for arr in (keys, screen, thr, cum, *dense):
+    for arr in (keys, screen, thr, *dense):
         arr.setflags(write=False)
-    return _CellTable(keys, dense, screen, thr, cum)
+    return _CellTable(keys, dense, screen, thr)
 
 
 def _cell_words(state: np.ndarray, keys: np.ndarray, buf: np.ndarray) -> np.ndarray:
@@ -243,11 +237,11 @@ def _dense_counts(u: np.ndarray, rows: tuple[np.ndarray, ...]) -> np.ndarray:
     return np.stack([np.searchsorted(t, w, side="right") for t, w in zip(rows, u)])
 
 
-def _sparse_hits(z: np.ndarray, screen: np.ndarray, thr: np.ndarray, cum: np.ndarray):
+def _sparse_hits(z: np.ndarray, screen: np.ndarray, thr: np.ndarray):
     """Counts of the words of a block of sparse cells that pass the screen.
 
     ``z`` holds the block's (B, 3, n) words before ``prf._mix64_tail``,
-    ``screen`` its (B,) screens and ``thr``/``cum`` its (B, width) table rows.
+    ``screen`` its (B,) screens and ``thr`` its (B, width) threshold rows.
     Only the words that pass the screen are finished and resolved.  Returns
     each one's row in the block's (B * 3) registers, its count and its update
     index.  A word that passes the screen but stays below its cell's first
@@ -262,14 +256,14 @@ def _sparse_hits(z: np.ndarray, screen: np.ndarray, thr: np.ndarray, cum: np.nda
     row, v = np.divmod(cand, n)
     cell = row // 3
     # 1-D takes from the table's columns: a 2-D fancy index costs several times more
-    cnt = np.where(uh >= thr[:, 0].take(cell), cum[:, 0].take(cell), 0)
+    cnt = (uh >= thr[:, 0].take(cell)).astype(np.int64)
     live = np.arange(cand.size)
-    for c in range(1, thr.shape[1]):
+    for c in range(1, thr.shape[1]):  # rows rise strictly: column c reached is c + 1 copies
         keep = np.flatnonzero(uh >= thr[:, c].take(cell))
         if not keep.size:
             break
         uh, cell, live = uh[keep], cell[keep], live[keep]
-        cnt[live] = cum[:, c].take(cell)
+        cnt[live] = c + 1
     return row, cnt, v
 
 
@@ -402,7 +396,7 @@ class _TowerBase:
         nd = len(tab.dense)
         hi = lo + len(words)
         s = slice(lo - nd, hi - nd)
-        row, cnt, v = _sparse_hits(words, tab.screen[s], tab.thr[s], tab.cum[s])
+        row, cnt, v = _sparse_hits(words, tab.screen[s], tab.thr[s])
         terms = cnt.reshape((-1,) + (1,) * (ys.ndim - 1)) * ys[v]
         _scatter_add(self.registers, 3 * lo + row, terms)
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import prf
-from .errors import InvalidWorkloadError
+from .errors import InvalidWorkloadError, _checked_int
 from .groups import FunctionTable
 
 SIGNED_REP_DEFAULT = 128
@@ -30,11 +30,16 @@ class WorkloadSpec:
     cancel_pairs: int = 0
 
     def __post_init__(self):
+        counts = {}
         for value, count in self.value_counts.items():
+            # 1.5 would stream as 1 but stay 1.5 in the truth table
+            value = _checked_int("value", value, -(1 << 63), 1 << 63, InvalidWorkloadError)
             if value == 0:
                 raise InvalidWorkloadError("value 0 cannot appear in the support")
-            if count < 0:
-                raise InvalidWorkloadError(f"negative count for value {value}")
+            counts[value] = _checked_int(f"count[{value}]", count, 0, error=InvalidWorkloadError)
+        object.__setattr__(self, "value_counts", counts)
+        cancel = _checked_int("cancel_pairs", self.cancel_pairs, 0, error=InvalidWorkloadError)
+        object.__setattr__(self, "cancel_pairs", cancel)
         if self.support_size + self.cancel_pairs > self.universe:
             raise InvalidWorkloadError(
                 f"{self.support_size} support + {self.cancel_pairs} cancel elements "
@@ -136,7 +141,10 @@ def uniform_mod_workload(
     residues: tuple[int, ...] | None = None,
 ) -> WorkloadSpec:
     """Support spread as evenly as integer counts allow over given residues."""
+    p = _checked_int("p", p, 2, error=InvalidWorkloadError)
     residues = residues if residues is not None else tuple(range(1, p))
+    if not residues:
+        raise InvalidWorkloadError("the support needs at least one residue")
     base, extra = divmod(support, len(residues))
     counts = {}
     for i, r in enumerate(residues):

@@ -71,6 +71,36 @@ def test_workload_validation():
         WorkloadSpec("bad", {1: 5}, universe=5, cancel_pairs=1)
 
 
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        # 1.5 streamed as 1 while the truth table held 1.5
+        (lambda: WorkloadSpec("w", {1.5: 2}, 100), "value=1.5 is not an integer"),
+        (lambda: WorkloadSpec("w", {1: 2.5}, 100), "count[1]=2.5 is not an integer"),
+        (lambda: WorkloadSpec("w", {1: -1}, 100), "count[1]=-1 must be >= 0"),
+        (lambda: WorkloadSpec("w", {1: 2}, 100, cancel_pairs=-1), "cancel_pairs=-1 must be >= 0"),
+        (lambda: WorkloadSpec("w", {1: 2}, 100, cancel_pairs=0.5), "cancel_pairs=0.5 is not"),
+        (lambda: uniform_mod_workload("u", 10, 1), "p=1 must be >= 2"),
+        (lambda: uniform_mod_workload("u", 10, 7, residues=()), "at least one residue"),
+        (lambda: UnionWorkload("u", -1, 3, 2), "only_first=-1 must be >= 0"),
+        (lambda: UnionWorkload("u", 4, 3.0, 2), "only_second=3.0 is not an integer"),
+        (lambda: UnionWorkload("u", 4, 3, -2), "overlap=-2 must be >= 0"),
+        (lambda: UnionWorkload("u", 4, 3, 2, p=1), "p=1 must be >= 2"),
+    ],
+)
+def test_workloads_reject_values_that_break_the_truth_table(build, message):
+    with pytest.raises(InvalidWorkloadError) as exc:
+        build()
+    assert message in str(exc.value)
+
+
+def test_workload_values_become_ints():
+    spec = WorkloadSpec("w", {np.int64(3): np.int32(2)}, 100, cancel_pairs=np.int64(1))
+    ((value, count),) = spec.value_counts.items()
+    assert (value, count, spec.cancel_pairs) == (3, 2, 1)
+    assert all(type(x) is int for x in (value, count, spec.cancel_pairs))
+
+
 def test_stream_is_deterministic_and_shuffled():
     spec = WorkloadSpec("w", {1: 50, 2: 50}, universe=200, shuffle_seed=9)
     v1, y1, _ = gen_stream(spec)
@@ -297,6 +327,8 @@ def test_cli_scheme_filter_matching_nothing_exits_2(command, tmp_path, capsys):
         (["l2", "--m", "1"], "m=1 must be >= 2"),
         (["modulo7", "--config", "/nonexistent.cfg"], "No such file"),
         (["modulo7", "--config", "BAD_CFG"], "is not key=value"),
+        # its streams covered ids -1..598 under a truth of 599
+        (["union", "--only-first", "-1", "--trials", "1", "--m", "8"], "only_first=-1 must be >= 0"),
     ],
 )
 def test_cli_reports_errors_in_one_line_with_exit_2(argv, message, tmp_path, capsys):

@@ -20,6 +20,7 @@ from hsketch.tower import (
     _dense_counts,
     _poisson_cdf,
     _sparse_hits,
+    _u53_thresholds,
     default_window,
     sketch_new,
 )
@@ -130,11 +131,30 @@ def test_threshold_table_counts_match_float_cdf(m, a, b):
             screen = tab.screen[i - nd]
             z = np.concatenate([_unxorshift(full, 31), [screen - np.uint64(1), screen]])
             u = (z ^ (z >> np.uint64(31))) >> np.uint64(11)
-            _, cnt, v = _sparse_hits(z[None, None, :], tab.screen[s], tab.thr[s], tab.cum[s])
+            _, cnt, v = _sparse_hits(z[None, None, :], tab.screen[s], tab.thr[s])
             got = np.zeros(len(z), dtype=np.int64)
             got[v] = cnt
         want = np.searchsorted(cdf, u.astype(np.float64) * 2.0**-53, side="right")
         assert np.array_equal(got, want), (m, k)
+
+
+@pytest.mark.parametrize(
+    "m,a,b",
+    [(4, 0, 88), (64, 0, 1408), (4, -26, 3), (2, 60, 90), (32, -192, 800), (16, 0, 3)],
+)
+def test_sparse_rows_rise_strictly_so_column_c_counts_c_plus_1(m, a, b):
+    # the count loop gives a word that reaches column c of a sparse row c + 1
+    # copies; that holds because the row is the cell's whole threshold row,
+    # strictly increasing, and every threshold is at least 2^52 (cdf[0] >= 0.5)
+    tab = _cell_table(m, a, b)
+    nd = len(tab.dense)
+    assert len(tab.thr) == b - a - nd
+    for s, k in enumerate(range(a + nd, b)):
+        want = _u53_thresholds(_poisson_cdf(m, k))
+        row = tab.thr[s]
+        real = row[row < np.uint64(1 << 53)]
+        assert np.array_equal(row[: len(want)], want) and np.all(row[len(want) :] == 1 << 53), k
+        assert np.all(np.diff(real.astype(np.int64)) > 0) and np.all(real >= np.uint64(1 << 52)), k
 
 
 @pytest.mark.parametrize("m,a,b", [(64, 0, 1408), (2, 60, 90)])

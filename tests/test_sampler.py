@@ -10,7 +10,7 @@ from _oracles import (
     ideal_levels_oracle,
     splitter_update,
 )
-from hsketch.errors import NoSamplesError, SaturatedError
+from hsketch.errors import InvalidConfigError, NoSamplesError, SaturatedError
 from hsketch.experiments import SchemeSpec, _modulo_trial
 from hsketch.groups import FunctionTable, make_group
 from hsketch.sampler import (
@@ -151,6 +151,31 @@ def test_equal_memory_parameterization():
     assert [equal_memory_m_prime(128, r, Z7) for r in range(2, 7)] == [96, 64, 48, 39, 32]
     # even groups: tri-splitter, 3r cells per level
     assert equal_memory_m_prime(64, 2, Z8) == 32
+
+
+@pytest.mark.parametrize(
+    "kwargs,message",
+    [
+        ({"m_prime": 2.5}, "m_prime=2.5 is not an integer"),
+        ({"m_prime": 0}, "m_prime=0 must be >= 1"),
+        ({"r": 2.5}, "r=2.5 is not an integer"),
+        ({"r": 0}, "r=0 must be >= 1"),
+        # each of these once built another seed's sampler without an error
+        ({"seed": 1.5}, "seed=1.5 is not an integer"),
+        ({"seed": 2**64}, "must be >= 0 and < 18446744073709551616"),
+        ({"seed": -1}, "seed=-1 must be >= 0"),
+    ],
+)
+def test_sampler_rejects_bad_integers(kwargs, message):
+    args = {"group": Z7, "m_prime": 8, "seed": 1, "r": 3, **kwargs}
+    with pytest.raises(InvalidConfigError, match=message):
+        SamplerSketch(**args)
+
+
+def test_sampler_takes_integer_likes_as_ints():
+    sampler = SamplerSketch(Z7, np.int64(8), np.uint64(2**64 - 1), r=np.int32(2))
+    assert (sampler.m_prime, sampler.seed, sampler.r) == (8, 2**64 - 1, 2)
+    assert all(type(x) is int for x in (sampler.m_prime, sampler.seed, sampler.r))
 
 
 # -- moment sampling ---------------------------------------------------------------

@@ -1,5 +1,6 @@
 import math
 import struct
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -60,6 +61,44 @@ def test_binomial_sigma_validation():
     assert sigma < 1
     cfg = SketchConfig(Z7, m=8, a=30, b=200, seed=0, mode="binomial")
     assert cfg.sigma == pytest.approx(sigma)
+
+
+def test_too_wide_binomial_window_is_rejected_without_summing():
+    # a million cells past mass 1: summing them took seconds and 48 MB, and
+    # cached an 8 MB level CDF
+    before = _level_cdf.cache_info().currsize
+    t0 = time.perf_counter()
+    with pytest.raises(InvalidConfigError, match="sigma < 1"):
+        SketchConfig(Z7, 2, 1, 1 + 10**6, 0, "binomial")
+    assert time.perf_counter() - t0 < 0.05
+    assert _level_cdf.cache_info().currsize == before
+
+
+@st.composite
+def binomial_windows(draw):
+    """(m, a, b) with b - a <= 4096; half of them end within 2 cells of where their sum crosses 1."""
+    m = draw(st.integers(2, 512))
+    a = draw(st.integers(1, 30 * m))
+    n = draw(st.integers(1, 4096))
+    if draw(st.booleans()):
+        # the tail from a passes mass 1 while e^{-a/m} > 1 - e^{-1/m}, that is
+        # a < edge; its sum reaches 1 at n = -m ln(1 - (1 - e^{-1/m}) e^{a/m})
+        edge = -m * math.log(-math.expm1(-1 / m))
+        a = max(1, math.ceil(edge) - 1 - draw(st.integers(0, 3 * m)))
+        n = -m * math.log1p(math.expm1(-1 / m) * math.exp(a / m))
+        n = min(max(1, round(n) + draw(st.integers(-2, 2))), 4096)
+    return m, a, a + n
+
+
+@given(binomial_windows())
+def test_binomial_verdict_is_the_cumsums(window):
+    m, a, b = window
+    summed = np.cumsum([math.exp(-k / m) for k in range(a, b)])[-1]
+    if summed >= 1.0:
+        with pytest.raises(InvalidConfigError):
+            SketchConfig(Z7, m, a, b, 0, "binomial")
+    else:
+        assert SketchConfig(Z7, m, a, b, 0, "binomial").sigma == summed
 
 
 def test_config_invariants():

@@ -26,7 +26,6 @@ from .estimator import (
     estimate_modulo,
     estimate_support,
     estimate_union,
-    export_estimates,
     modulo_spectrum,
     predict_variance,
     rhat_from_pmf,

@@ -47,7 +47,7 @@ import numpy as np
 
 from .errors import GroupMismatchError, InvalidConfigError, InvalidRHatError
 from .groups import (
-    FunctionTable, GroupDescriptor, SpectrumTable, _phase_rows, _write_csv, dft, make_group,
+    FunctionTable, GroupDescriptor, SpectrumTable, _phase_rows, dft, make_group,
 )
 from .special import gamma_cached
 from .tower import IntegerTowerSketch, SketchConfig, TowerSketch, combine_product
@@ -94,6 +94,11 @@ _MEMO_LOCK = threading.Lock()
 
 def column_aggregates(sketch: TowerSketch, literal: bool = False) -> ColumnAggregates:
     """All (column, character) aggregates of a group-valued sketch at once (memoized)."""
+    if isinstance(sketch, IntegerTowerSketch):
+        raise GroupMismatchError(
+            "an integer sketch has no group to aggregate over: query it with estimate_f on a "
+            "cyclic spectrum, or reduce it with reduce_values_mod(p) first"
+        )
     return _memoized_aggregates(sketch.config, sketch.registers, literal)
 
 
@@ -306,21 +311,3 @@ def predict_variance(s: SpectrumTable, rhat: RHatTable, lam: float, m: int) -> f
     g13 = gamma_cached(-1.0 / 3.0)
     g23 = gamma_cached(-2.0 / 3.0)
     return 3.0 / m * lam * lam * (-g23) / (g13 * g13) * alpha.real
-
-
-# -- CSV export ---------------------------------------------------------------
-
-ESTIMATE_CSV_HEADER = ["scheme", "quantity", "seed", "estimate", "imag_residual", "truth"]
-
-
-def export_estimates(path, rows) -> None:
-    """Write (scheme, quantity, seed, report, truth) tuples as estimate rows."""
-    _write_csv(
-        path,
-        ESTIMATE_CSV_HEADER,
-        (
-            [scheme, quantity, seed, repr(float(report.estimate)),
-             repr(float(report.imag_residual)), repr(float(truth))]
-            for scheme, quantity, seed, report, truth in rows
-        ),
-    )

@@ -243,8 +243,11 @@ class UnionWorkload:
     shuffle_seed: int = 0
 
     def __post_init__(self):
-        for name, lo in (("only_first", 0), ("only_second", 0), ("overlap", 0), ("p", 2)):
-            value = _checked_int(name, getattr(self, name), lo, error=InvalidWorkloadError)
+        for name, lo, hi in (
+            ("only_first", 0, None), ("only_second", 0, None), ("overlap", 0, None), ("p", 2, None),
+            ("shuffle_seed", 0, 1 << 64),
+        ):
+            value = _checked_int(name, getattr(self, name), lo, hi, InvalidWorkloadError)
             object.__setattr__(self, name, value)
 
     @property

@@ -37,6 +37,7 @@ updated by one flat scatter-add, :func:`_scatter_add`.
 from __future__ import annotations
 
 import math
+import numbers
 import struct
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -49,6 +50,7 @@ from .errors import (
     CannotCombineError,
     CorruptSketchError,
     GroupMismatchError,
+    HSketchError,
     InvalidConfigError,
     InvalidGroupError,
     RegisterOverflowError,
@@ -142,8 +144,9 @@ def default_window(m: int) -> tuple[int, int]:
 
 def theoretical_window(m: int, lam: float) -> tuple[int, int]:
     """Support-size-dependent truncation (m(ln lam - 6 ln m), m(ln lam + 3 ln m))."""
-    if lam <= 0:
-        raise InvalidConfigError("support size must be positive")
+    m = _checked_int("m", m, *_FIELD_RANGES["m"])
+    if not (isinstance(lam, numbers.Real) and 0 < lam < math.inf):
+        raise InvalidConfigError(f"support size must be finite and positive, got {lam!r}")
     lo = math.floor(m * (math.log(lam) - 6.0 * math.log(m)))
     hi = math.ceil(m * (math.log(lam) + 3.0 * math.log(m)))
     return lo, max(hi, lo + 1)
@@ -338,6 +341,28 @@ class _TowerBase:
     config: SketchConfig
     registers: np.ndarray
 
+    def __init__(self, config: SketchConfig, registers=None):
+        """A tower of ``config``'s kind, empty or holding ``registers`` (int64 is held, not copied).
+
+        Integer registers are (nk, 3) and below 2^62 in magnitude (else RegisterOverflowError),
+        group registers (nk, 3, d) residues in [0, p_t); other arrays raise GroupMismatchError.
+        """
+        integer = isinstance(self, IntegerTowerSketch)
+        if integer and config.group is not None:
+            raise InvalidConfigError("integer sketch config must not carry a group")
+        if not integer and config.group is None:
+            raise InvalidConfigError("group-valued sketch needs a group in its config")
+        shape = (config.num_cells, 3) + (() if integer else (config.group.degree,))
+        regs = np.zeros(shape, dtype=np.int64) if registers is None else _as_int64(registers, "registers")
+        if regs.shape != shape:
+            raise GroupMismatchError(f"registers of shape {regs.shape} do not fit shape {shape}")
+        self.config, self.registers = config, np.ascontiguousarray(regs)
+        if integer:
+            self._settle()
+        # one unsigned max per factor: a negative residue reads as >= 2^63
+        elif any(regs[..., t].view(np.uint64).max() >= p for t, p in enumerate(config.group.orders)):
+            raise GroupMismatchError(f"registers must be residues in [0, p) of orders {config.group.orders}")
+
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, type(self))
@@ -426,15 +451,6 @@ class _TowerBase:
 class TowerSketch(_TowerBase):
     """Group-valued triple tower; registers are canonical residue vectors."""
 
-    def __init__(self, config: SketchConfig, registers: np.ndarray | None = None):
-        if config.group is None:
-            raise InvalidConfigError("group-valued sketch needs a group in its config")
-        self.config = config
-        d = config.group.degree
-        if registers is None:
-            registers = np.zeros((config.num_cells, 3, d), dtype=np.int64)
-        self.registers = np.ascontiguousarray(registers, dtype=np.int64)
-
     @property
     def group(self) -> GroupDescriptor:
         return self.config.group
@@ -463,20 +479,11 @@ def combine_product(s1: TowerSketch, s2: TowerSketch) -> TowerSketch:
         raise CannotCombineError("sketches must share m, a, b, seed and mode")
     group = c1.group.product(c2.group)
     cfg = replace(c1, group=group)
-    regs = np.concatenate([s1.registers, s2.registers], axis=2)
-    return TowerSketch(cfg, regs.copy())
+    return TowerSketch(cfg, np.concatenate([s1.registers, s2.registers], axis=2))
 
 
 class IntegerTowerSketch(_TowerBase):
     """Exact signed-integer registers with query-time modulo reduction."""
-
-    def __init__(self, config: SketchConfig, registers: np.ndarray | None = None):
-        if config.group is not None:
-            raise InvalidConfigError("integer sketch config must not carry a group")
-        self.config = config
-        if registers is None:
-            registers = np.zeros((config.num_cells, 3), dtype=np.int64)
-        self.registers = np.ascontiguousarray(registers, dtype=np.int64)
 
     def _ingest(self, vs: np.ndarray, ys: np.ndarray) -> None:
         if np.any((ys > _MAX_UPDATE_MAGNITUDE) | (ys < -_MAX_UPDATE_MAGNITUDE)):
@@ -499,9 +506,7 @@ class IntegerTowerSketch(_TowerBase):
 
 def sketch_new(config: SketchConfig) -> TowerSketch | IntegerTowerSketch:
     """Empty sketch for a validated config (integer-mode iff group is None)."""
-    if config.group is None:
-        return IntegerTowerSketch(config)
-    return TowerSketch(config)
+    return (IntegerTowerSketch if config.group is None else TowerSketch)(config)
 
 
 # -- wire format -------------------------------------------------------------
@@ -565,10 +570,7 @@ def deserialize(data: bytes) -> TowerSketch | IntegerTowerSketch:
     except InvalidConfigError as exc:
         raise CorruptSketchError(f"invalid config in header: {exc}") from exc
     regs = np.frombuffer(data, dtype=dtype, offset=off).reshape(shape).astype(np.int64)
-    if integer:
-        if np.any((regs >= _INT_REGISTER_BOUND) | (regs <= -_INT_REGISTER_BOUND)):
-            raise CorruptSketchError("integer register outside the 2^62 bound")
-        return IntegerTowerSketch(cfg, regs)
-    if np.any(regs >= np.array(group.orders, dtype=np.int64)):
-        raise CorruptSketchError("register residue out of range")
-    return TowerSketch(cfg, regs)
+    try:
+        return (IntegerTowerSketch if integer else TowerSketch)(cfg, regs)
+    except HSketchError as exc:
+        raise CorruptSketchError(f"invalid registers: {exc}") from exc

@@ -38,8 +38,10 @@ class WorkloadSpec:
                 raise InvalidWorkloadError("value 0 cannot appear in the support")
             counts[value] = _checked_int(f"count[{value}]", count, 0, error=InvalidWorkloadError)
         object.__setattr__(self, "value_counts", counts)
-        cancel = _checked_int("cancel_pairs", self.cancel_pairs, 0, error=InvalidWorkloadError)
-        object.__setattr__(self, "cancel_pairs", cancel)
+        # a seed of -1 would stream like 2^64 - 1, and 1.5 like 1
+        for name, hi in (("universe", None), ("shuffle_seed", 1 << 64), ("cancel_pairs", None)):
+            value = _checked_int(name, getattr(self, name), 0, hi, InvalidWorkloadError)
+            object.__setattr__(self, name, value)
         if self.support_size + self.cancel_pairs > self.universe:
             raise InvalidWorkloadError(
                 f"{self.support_size} support + {self.cancel_pairs} cancel elements "

@@ -20,7 +20,6 @@ from hsketch.estimator import (
     estimate_modulo,
     estimate_support,
     estimate_union,
-    export_estimates,
     modulo_spectrum,
     predict_variance,
     rhat_from_pmf,
@@ -414,19 +413,6 @@ def test_precomputed_aggregates_must_match_literal_flag():
             estimate_support(agg, 7, literal=not literal)
 
 
-def test_export_estimates_schema(tmp_path):
-    path = tmp_path / "est.csv"
-    rows = [
-        ("fourier", "lambda0", 3, EstimateReport(12.5, 1e-11), 13.0),
-        ("fingerprint-r3", "lambda2", 3, EstimateReport(4.0, 0.0), 5.0),
-    ]
-    export_estimates(path, rows)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "scheme,quantity,seed,estimate,imag_residual,truth"
-    assert lines[1].startswith("fourier,lambda0,3,12.5,")
-    assert len(lines) == 3
-
-
 def test_gamma_terms_table():
     sk = sketch_new(_cfg(seed=13))
     sk.update_batch(np.arange(25), 1 + (np.arange(25) % 6))
@@ -650,6 +636,18 @@ def test_group_mismatch_raises_before_aggregating(fresh_memo, query):
     before = list(fresh_memo)
     with pytest.raises(GroupMismatchError):
         query(z5, agg5, ski)
+    assert len(fresh_memo) == len(before) and all(e is b for e, b in zip(fresh_memo, before))
+
+
+@pytest.mark.parametrize("literal", [False, True])
+def test_column_aggregates_of_an_integer_sketch_names_both_ways_to_query_it(fresh_memo, literal):
+    ski = sketch_new(_cfg(group=None, seed=8))
+    ski.update_batch(np.arange(40), np.arange(40))
+    estimate_support(ski, 7)
+    before = list(fresh_memo)
+    with pytest.raises(GroupMismatchError, match="estimate_f") as exc:
+        column_aggregates(ski, literal=literal)
+    assert "reduce_values_mod" in str(exc.value)
     assert len(fresh_memo) == len(before) and all(e is b for e, b in zip(fresh_memo, before))
 
 

@@ -86,6 +86,14 @@ def test_workload_validation():
         (lambda: UnionWorkload("u", 4, 3.0, 2), "only_second=3.0 is not an integer"),
         (lambda: UnionWorkload("u", 4, 3, -2), "overlap=-2 must be >= 0"),
         (lambda: UnionWorkload("u", 4, 3, 2, p=1), "p=1 must be >= 2"),
+        # a seed of -1 streamed exactly like 2^64 - 1, and 1.5 like 1
+        (lambda: WorkloadSpec("w", {1: 2}, 100, shuffle_seed=-1), "shuffle_seed=-1 must be >= 0"),
+        (lambda: WorkloadSpec("w", {1: 2}, 100, shuffle_seed=2**64), "shuffle_seed=18446744073709551616"),
+        (lambda: WorkloadSpec("w", {1: 2}, 100, shuffle_seed=1.5), "shuffle_seed=1.5 is not"),
+        (lambda: UnionWorkload("u", 4, 3, 2, shuffle_seed=-1), "shuffle_seed=-1 must be >= 0"),
+        (lambda: UnionWorkload("u", 4, 3, 2, shuffle_seed=1.5), "shuffle_seed=1.5 is not"),
+        (lambda: WorkloadSpec("w", {1: 2}, 1000.5), "universe=1000.5 is not an integer"),
+        (lambda: WorkloadSpec("w", {}, -1), "universe=-1 must be >= 0"),
     ],
 )
 def test_workloads_reject_values_that_break_the_truth_table(build, message):
@@ -95,10 +103,15 @@ def test_workloads_reject_values_that_break_the_truth_table(build, message):
 
 
 def test_workload_values_become_ints():
-    spec = WorkloadSpec("w", {np.int64(3): np.int32(2)}, 100, cancel_pairs=np.int64(1))
+    spec = WorkloadSpec(
+        "w", {np.int64(3): np.int32(2)}, np.int64(100), shuffle_seed=np.uint64(2**64 - 1),
+        cancel_pairs=np.int64(1),
+    )
+    union = UnionWorkload("u", 4, 3, 2, shuffle_seed=np.int32(5))
     ((value, count),) = spec.value_counts.items()
-    assert (value, count, spec.cancel_pairs) == (3, 2, 1)
-    assert all(type(x) is int for x in (value, count, spec.cancel_pairs))
+    ints = (value, count, spec.cancel_pairs, spec.universe, spec.shuffle_seed, union.shuffle_seed)
+    assert ints == (3, 2, 1, 100, 2**64 - 1, 5)
+    assert all(type(x) is int for x in ints)
 
 
 def test_stream_is_deterministic_and_shuffled():
@@ -394,12 +407,12 @@ def test_public_names_are_pinned():
         "SketchConfig", "SpectrumTable", "TowerSketch", "TruthTable", "WorkloadSpec",
         "column_aggregates", "combine_product", "default_window", "deserialize", "dft",
         "equal_memory_m_prime", "errors", "estimate_f", "estimate_modulo",
-        "estimate_support", "estimate_union", "estimator", "export_estimates", "gamma_fn",
+        "estimate_support", "estimate_union", "estimator", "gamma_fn",
         "gen_stream", "groups", "idft", "make_group", "modulo_spectrum", "norms",
         "predict_variance", "prf", "rhat_from_pmf", "sample_f_moment", "sampler",
         "signed_representative", "sketch_new", "special", "tau_gra_density",
         "tau_gra_estimate", "theoretical_window", "tower", "truncation_tail",
         "variance_factor", "workloads",
     ]
-    assert len(expect) == 60
+    assert len(expect) == 59
     assert sorted(names) == expect

@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from _oracles import binomial_assign, binomial_levels_float, cell_count, sampler_levels_float
-from hsketch import prf
+from hsketch import prf, tower
 from hsketch.errors import (
     CannotCombineError,
     CorruptSketchError,
@@ -22,8 +22,10 @@ from hsketch.estimator import estimate_union
 from hsketch.groups import GroupDescriptor, make_group
 from hsketch.sampler import SamplerSketch
 from hsketch.tower import (
+    IntegerTowerSketch,
     SketchConfig,
     TowerSketch,
+    _TowerBase,
     _binomial_levels_batch,
     _level_cdf,
     combine_product,
@@ -118,6 +120,12 @@ def test_windows():
     lo, hi = theoretical_window(32, 10_000)
     assert lo == math.floor(32 * (math.log(10_000) - 6 * math.log(32)))
     assert hi == math.ceil(32 * (math.log(10_000) + 3 * math.log(32)))
+    assert theoretical_window(np.int64(32), np.float64(10_000)) == (lo, hi)
+    # m=2.5 returned (-8, 13); m=0 and lam=nan leaked ValueError, lam=inf OverflowError
+    for m, lam in [(0, 10), (1, 10), (2.5, 10), ("32", 10), (2**32, 10), (32, 0), (32, -1.0),
+                   (32, math.nan), (32, math.inf), (32, -math.inf), (32, "10"), (32, None), (32, 1j)]:
+        with pytest.raises(InvalidConfigError):
+            theoretical_window(m, lam)
 
 
 # -- cell counts ----------------------------------------------------------------
@@ -520,6 +528,163 @@ def test_property_window_is_the_sketch_built_with_that_window(cfg, data, updates
     direct = sketch_new(replace(cfg, a=a, b=b))
     direct.update_batch(vs, ys)
     assert wide.window(a, b) == direct
+
+
+# -- the register contract ------------------------------------------------------------
+
+ZI = SketchConfig(None, m=4, a=0, b=16, seed=3, mode="poisson")
+Z2xZ128 = _cfg(group=make_group([2, 128]))
+
+
+def _filled(shape, at, value):
+    """Zeros of ``value``'s dtype, with ``value`` at index ``at``."""
+    regs = np.zeros(shape, dtype=np.asarray(value).dtype)
+    regs[at] = value
+    return regs
+
+
+@pytest.mark.parametrize(
+    "cls,cfg,registers,error",
+    [
+        # the other kind of config
+        (TowerSketch, ZI, None, InvalidConfigError),
+        (IntegerTowerSketch, _cfg(), None, InvalidConfigError),
+        (TowerSketch, ZI, np.zeros((16, 3)), InvalidConfigError),
+        # one cell too few or too many, an axis missing or extra
+        (TowerSketch, _cfg(), np.zeros((15, 3, 1), dtype=np.int64), GroupMismatchError),
+        (TowerSketch, _cfg(), np.zeros((17, 3, 1), dtype=np.int64), GroupMismatchError),
+        (TowerSketch, _cfg(), np.zeros((16, 3), dtype=np.int64), GroupMismatchError),
+        (TowerSketch, _cfg(), np.zeros((16, 3, 1, 1), dtype=np.int64), GroupMismatchError),
+        (TowerSketch, Z2xZ128, np.zeros((16, 3, 1), dtype=np.int64), GroupMismatchError),
+        (IntegerTowerSketch, ZI, np.zeros((15, 3), dtype=np.int64), GroupMismatchError),
+        (IntegerTowerSketch, ZI, np.zeros((17, 3), dtype=np.int64), GroupMismatchError),
+        (IntegerTowerSketch, ZI, np.zeros(48, dtype=np.int64), GroupMismatchError),
+        (IntegerTowerSketch, ZI, np.zeros((16, 3, 1), dtype=np.int64), GroupMismatchError),
+        # entries that are not integers
+        (TowerSketch, _cfg(), np.full((16, 3, 1), 0.5), GroupMismatchError),
+        (IntegerTowerSketch, ZI, _filled((16, 3), (4, 1), 0.5), GroupMismatchError),
+        (TowerSketch, _cfg(), np.full((16, 3, 1), math.nan), GroupMismatchError),
+        (IntegerTowerSketch, ZI, np.full((16, 3), math.nan), GroupMismatchError),
+        (IntegerTowerSketch, ZI, np.full((16, 3), "1", dtype=object), GroupMismatchError),
+        (TowerSketch, _cfg(), np.full((16, 3, 1), None, dtype=object), GroupMismatchError),
+        (IntegerTowerSketch, ZI, np.full((16, 3), 2**64, dtype=object), GroupMismatchError),
+        # residues at p_t, and negative residues
+        (TowerSketch, _cfg(), _filled((16, 3, 1), (15, 2, 0), 7), GroupMismatchError),
+        (TowerSketch, _cfg(), _filled((16, 3, 1), (3, 1, 0), -1), GroupMismatchError),
+        (TowerSketch, _cfg(), _filled((16, 3, 1), (3, 1, 0), -(2**63)), GroupMismatchError),
+        (TowerSketch, Z2xZ128, _filled((16, 3, 2), (0, 0, 0), 2), GroupMismatchError),
+        (TowerSketch, Z2xZ128, _filled((16, 3, 2), (9, 1, 1), 128), GroupMismatchError),
+        (TowerSketch, Z2xZ128, _filled((16, 3, 2), (9, 1, 1), -1), GroupMismatchError),
+        # integer registers at the 2^62 bound
+        (IntegerTowerSketch, ZI, _filled((16, 3), (5, 2), 2**62), RegisterOverflowError),
+        (IntegerTowerSketch, ZI, _filled((16, 3), (5, 2), -(2**62)), RegisterOverflowError),
+        (IntegerTowerSketch, ZI, _filled((16, 3), (5, 2), 2**63 - 1), RegisterOverflowError),
+        (IntegerTowerSketch, ZI, _filled((16, 3), (5, 2), -(2**63)), RegisterOverflowError),
+    ],
+    ids=[
+        "group-of-integer-config", "integer-of-group-config", "group-of-integer-config-with-registers",
+        "group-cell-short", "group-cell-extra", "group-axis-missing", "group-axis-extra",
+        "product-degree-short", "int-cell-short", "int-cell-extra", "int-axis-missing", "int-axis-extra",
+        "group-half", "int-half", "group-nan", "int-nan", "int-string", "group-none", "int-2^64",
+        "residue-7-in-Z7", "residue-minus-1", "residue-minus-2^63", "residue-2-in-Z2",
+        "residue-128-in-Z128", "residue-minus-1-in-Z128", "int-2^62", "int-minus-2^62",
+        "int-2^63-1", "int-minus-2^63",
+    ],
+)
+def test_constructor_rejects_malformed_registers(cls, cfg, registers, error):
+    kept = None if registers is None else registers.copy()
+    with pytest.raises(error):
+        cls(cfg, registers)
+    if registers is not None:  # the caller's array is left as it was
+        nan = kept.dtype.kind == "f"
+        assert registers.dtype == kept.dtype and np.array_equal(registers, kept, equal_nan=nan)
+
+
+@pytest.mark.parametrize(
+    "cls,cfg,registers",
+    [
+        (TowerSketch, _cfg(), _filled((16, 3, 1), (15, 2, 0), 6)),
+        (TowerSketch, Z2xZ128, _filled((16, 3, 2), (9, 1, 1), 127)),
+        (TowerSketch, _cfg(), np.ones((16, 3, 1), dtype=np.uint8)),
+        (TowerSketch, _cfg(), np.full((16, 3, 1), 3.0)),  # whole-number floats are the integers they spell
+        (IntegerTowerSketch, ZI, _filled((16, 3), (5, 2), 2**62 - 1)),
+        (IntegerTowerSketch, ZI, _filled((16, 3), (5, 2), -(2**62) + 1)),
+        (IntegerTowerSketch, ZI, np.full((16, 3), -5, dtype=object)),
+    ],
+    ids=["residue-6-in-Z7", "residue-127-in-Z128", "uint8", "whole-floats", "int-2^62-1",
+         "int-minus-2^62+1", "int-objects"],
+)
+def test_constructor_takes_registers_in_range(cls, cfg, registers):
+    sk = cls(cfg, registers)
+    assert sk.registers.dtype == np.int64 and sk.registers.flags.c_contiguous
+    assert np.array_equal(sk.registers, registers.astype(np.int64))
+    if registers.dtype == np.int64:  # held, not copied
+        assert sk.registers is registers
+
+
+def test_every_tower_is_built_through_the_constructor(monkeypatch):
+    built = []
+    init = _TowerBase.__init__
+
+    def counting(self, config, registers=None):
+        built.append(type(self).__name__)
+        init(self, config, registers)
+
+    monkeypatch.setattr(_TowerBase, "__init__", counting)
+    sk = sketch_new(_cfg(seed=4))
+    ski = sketch_new(ZI)
+    ski.update_batch(np.arange(20), np.arange(20) - 7)
+    made = [
+        sk.copy(), sk.window(2, 9), combine_product(sk, sk), sk.reduce_values_mod(7),
+        ski.reduce_values_mod(7), ski.copy(), deserialize(sk.serialize()), deserialize(ski.serialize()),
+    ]
+    assert built == ["TowerSketch", "IntegerTowerSketch"] + [type(t).__name__ for t in made]
+
+
+def test_combine_product_owns_its_registers():
+    s1 = sketch_new(_cfg(seed=4))
+    s1.update_batch(np.arange(20), np.arange(20))
+    product = combine_product(s1, s1)
+    assert not np.shares_memory(product.registers, s1.registers)
+
+
+@st.composite
+def wire_registers(draw):
+    """A config and registers of its wire dtype: int64 for integers, uint32 for residues.
+
+    Most arrays are in range; about half carry one entry drawn from around the
+    edges of the range, inside or outside it.
+    """
+    orders = draw(st.sampled_from([None, (2,), (7,), (2, 128)]))
+    nk = draw(st.integers(1, 6))
+    cfg = SketchConfig(orders and make_group(orders), 4, 0, nk, draw(st.integers(0, 2**64 - 1)), "poisson")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if orders is None:
+        regs = rng.integers(-(2**62) + 1, 2**62 - 1, (nk, 3), endpoint=True)
+        edges = [-(2**63), -(2**62), -(2**62) + 1, 0, 2**62 - 1, 2**62, 2**63 - 1]
+        edge = st.sampled_from(edges) | st.integers(-(2**63), 2**63 - 1)
+    else:
+        regs = rng.integers(0, orders, (nk, 3, len(orders))).astype(np.uint32)
+        edges = [0, 1, 2, 6, 7, 127, 128, 2**31, 2**32 - 1]
+        edge = st.sampled_from(edges) | st.integers(0, 2**32 - 1)
+    if draw(st.booleans()):
+        regs.flat[draw(st.integers(0, regs.size - 1))] = draw(edge)
+    return cfg, regs
+
+
+@given(wire_registers())
+def test_constructor_accepts_exactly_what_deserialize_accepts(case):
+    cfg, regs = case
+    blob = tower._serialize(cfg, regs)
+    cls = IntegerTowerSketch if cfg.group is None else TowerSketch
+    try:
+        sk = cls(cfg, regs)
+    except (GroupMismatchError, RegisterOverflowError):
+        with pytest.raises(CorruptSketchError):
+            deserialize(blob)
+        return
+    back = deserialize(blob)
+    assert back == sk and back.serialize() == blob == sk.serialize()
 
 
 # -- serialization -------------------------------------------------------------------

@@ -4,6 +4,11 @@ Trials are embarrassingly parallel (trial t uses seed base_seed + t) and the
 CSV is written in deterministic trial order regardless of completion order,
 so identical configs produce byte-identical output.  ``HSKETCH_THREADS``
 caps worker processes; 1 disables multiprocessing.
+
+A modulo experiment's tasks are its trial seeds, each over every workload.
+Its towers all take the trial's seed, so workloads that stream the same ids
+share one Poisson ingest (``tower._update_shared``): the counts are drawn
+once and only the values differ.  The CSV keeps the workload-major order.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from .estimator import (
 )
 from .groups import FunctionTable, GroupDescriptor, _read_csv, _write_csv, dft, make_group
 from .sampler import SamplerSketch, _tally, equal_memory_m_prime, sample_f_moment
-from .tower import IntegerTowerSketch, SketchConfig, TowerSketch, default_window
+from .tower import IntegerTowerSketch, SketchConfig, TowerSketch, _update_shared, default_window
 from .workloads import WorkloadSpec, gen_stream, signed_representative
 
 CSV_HEADER = [
@@ -125,57 +130,82 @@ def _sampler_for(scheme: SchemeSpec, group: GroupDescriptor, seed: int) -> Sampl
 # -- modulo-distribution experiment -------------------------------------------
 
 
-def _modulo_trial(args) -> list[list]:
-    spec, schemes, p, trial, seed = args
-    vs, ys, truth = gen_stream(spec)
-    support_mod = truth.support_size_mod(p)
-    residue_truth = truth.residue_counts(p)
-    rows: list[list] = []
+def _modulo_towers(streams: list, schemes: Sequence[SchemeSpec], seed: int) -> list[dict]:
+    """One Poisson integer tower per (workload, fourier m), keyed by m.
+
+    Workloads whose id arrays are equal (``gen_stream`` ids are int64, so
+    equal bytes) share one ingest per m: their towers have one config, so
+    they draw the same counts.
+    """
+    groups: dict[bytes, list[int]] = {}  # workload indices by id array
+    for i, (vs, _, _) in enumerate(streams):
+        groups.setdefault(vs.tobytes(), []).append(i)
+    towers: list[dict] = [{} for _ in streams]
+    for m in dict.fromkeys(s.m for s in schemes if s.kind == "fourier"):
+        a, b = default_window(m)
+        cfg = SketchConfig(None, m, a, b, seed, "poisson")
+        for group in groups.values():
+            sketches = [IntegerTowerSketch(cfg) for _ in group]
+            _update_shared(sketches, streams[group[0]][0], [streams[i][1] for i in group])
+            for i, sk in zip(group, sketches):
+                towers[i][m] = sk
+    return towers
+
+
+def _modulo_estimates(scheme: SchemeSpec, tower, vs, ys, group: GroupDescriptor, seed: int) -> list:
+    """(estimate, imaginary residual) of lambda_0 .. lambda_{p-1} under one scheme."""
+    p = group.orders[0]
+    if scheme.kind == "fourier":
+        opts = dict(clamp_nonnegative=scheme.clamp_nonnegative, literal=scheme.literal_truncation)
+        # one aggregation: each query after the first is a memo hit
+        reps = [estimate_support(tower, p, **opts)]
+        reps += [estimate_modulo(tower, p, j, **opts) for j in range(1, p)]
+        return [(rep.estimate, rep.imag_residual) for rep in reps]
+    sampler = _sampler_for(scheme, group, seed)
+    sampler.update_batch(vs, ys)
+    codes, values = sampler.classify_levels()  # one classification per trial
+    try:
+        lam0 = sampler._support(codes)
+    except SaturatedError:
+        lam0 = math.nan
+    tally = _tally(values[codes == 1])
+    total = sum(tally.values())
+    if total == 0 or math.isnan(lam0):
+        return [(lam0, 0.0)] + [(math.nan, 0.0)] * (p - 1)
+    return [(lam0, 0.0)] + [(lam0 * tally.get((j,), 0) / total, 0.0) for j in range(1, p)]
+
+
+def _modulo_trial(args) -> list[list[list]]:
+    """One trial seed over every workload: the rows of each workload, in workload order."""
+    workloads, schemes, p, trial, seed = args
+    labels = [scheme.label() for scheme in schemes]
+    streams = [gen_stream(spec) for spec in workloads]
+    towers = _modulo_towers(streams, schemes, seed)
     group = make_group([p])
-    for scheme in schemes:
-        label = scheme.label()
-        estimates: dict[str, tuple[float, float]] = {}
-        if scheme.kind == "fourier":
-            a, b = default_window(scheme.m)
-            sk = IntegerTowerSketch(SketchConfig(None, scheme.m, a, b, seed, "poisson"))
-            sk.update_batch(vs, ys)
-            opts = dict(clamp_nonnegative=scheme.clamp_nonnegative, literal=scheme.literal_truncation)
-            for j in range(p):  # one aggregation: each query after the first is a memo hit
-                rep = estimate_modulo(sk, p, j, **opts) if j else estimate_support(sk, p, **opts)
-                estimates[f"lambda{j}"] = (rep.estimate, rep.imag_residual)
-        else:
-            sampler = _sampler_for(scheme, group, seed)
-            sampler.update_batch(vs, ys)
-            codes, values = sampler.classify_levels()  # one classification per trial
-            try:
-                lam0 = sampler._support(codes)
-            except SaturatedError:
-                lam0 = math.nan
-            estimates["lambda0"] = (lam0, 0.0)
-            tally = _tally(values[codes == 1])
-            total = sum(tally.values())
-            for j in range(1, p):
-                if total == 0 or math.isnan(lam0):
-                    estimates[f"lambda{j}"] = (math.nan, 0.0)
-                else:
-                    estimates[f"lambda{j}"] = (lam0 * tally.get((j,), 0) / total, 0.0)
-        for j in range(p):
-            quantity = f"lambda{j}"
-            est, imag = estimates[quantity]
-            tr = support_mod if j == 0 else residue_truth[j]
-            rows.append(
-                [spec.name, label, quantity, trial, seed, _fmt(est), _fmt(imag), _fmt(tr)]
-            )
-    return rows
+    out = []
+    for spec, (vs, ys, truth), sketches in zip(workloads, streams, towers):
+        residues = truth.residue_counts(p)
+        truths = [truth.support_size_mod(p)] + [residues[j] for j in range(1, p)]
+        rows: list[list] = []
+        for scheme, label in zip(schemes, labels):
+            tower = sketches[scheme.m] if scheme.kind == "fourier" else None
+            estimates = _modulo_estimates(scheme, tower, vs, ys, group, seed)
+            rows += [
+                [spec.name, label, f"lambda{j}", trial, seed, _fmt(est), _fmt(imag), _fmt(tr)]
+                for j, ((est, imag), tr) in enumerate(zip(estimates, truths))
+            ]
+        out.append(rows)
+    return out
 
 
 def run_modulo_experiment(config: ExperimentConfig, out_path) -> None:
+    """One task per trial seed; the CSV lists workloads in order, each in trial order."""
     args = [
-        (spec, config.schemes, config.p, trial, config.base_seed + trial)
-        for spec in config.workloads
+        (config.workloads, config.schemes, config.p, trial, config.base_seed + trial)
         for trial in range(config.trials)
     ]
-    _run_trials(_modulo_trial, args, out_path)
+    results = _map_trials(_modulo_trial, args)  # per trial, the rows of each workload
+    write_rows(out_path, [row for w in range(len(config.workloads)) for per in results for row in per[w]])
 
 
 # -- L2-style moment experiment ------------------------------------------------

@@ -32,6 +32,12 @@ c + 1 copies, and the hits go to the registers with one scatter-add per block.
 
 Every register array, towers of both modes and both sampler modes, is
 updated by one flat scatter-add, :func:`_scatter_add`.
+
+A count never depends on the value, so K sketches of one config fed the same
+ids draw the same counts.  :func:`_update_shared` ingests them in one pass:
+their registers are stacked to (nk, 3, K * d) and their values to
+(n, K * d), so each dense product and each sparse scatter-add covers all K,
+and ``update_batch`` is its K = 1 case on a view of the registers.
 """
 
 from __future__ import annotations
@@ -335,8 +341,105 @@ def _canonical_values(group: GroupDescriptor | None, ys) -> np.ndarray:
     return arr if group is None else np.mod(arr, np.array(group.orders, dtype=np.int64))
 
 
+def _settle(config: SketchConfig, regs: np.ndarray) -> None:
+    """Restore the register invariant of ``regs``, K stacked sketches of ``config``, after a chunk.
+
+    Integer registers must stay below 2^62 in magnitude; group registers,
+    (nk, 3, K * d), are reduced by the group orders tiled K times.
+    """
+    if config.group is None:
+        if np.any((regs >= _INT_REGISTER_BOUND) | (regs <= -_INT_REGISTER_BOUND)):
+            raise RegisterOverflowError("integer register exceeded the 2^62 workload bound")
+    else:
+        orders = np.array(config.group.orders, dtype=np.int64)
+        regs %= np.tile(orders, regs.shape[-1] // len(orders))
+
+
+def _ingest(config: SketchConfig, regs: np.ndarray, vs: np.ndarray, ys: np.ndarray) -> None:
+    """Add checked updates to ``regs``, (nk, 3, K), for (n, K) values ``ys``, settling every chunk."""
+    add = _ingest_poisson if config.mode == "poisson" else _ingest_binomial
+    for s in range(0, len(vs), _CHUNK_UPDATES):
+        add(config, regs, vs[s : s + _CHUNK_UPDATES], ys[s : s + _CHUNK_UPDATES])
+        _settle(config, regs)
+
+
+def _ingest_poisson(config: SketchConfig, regs: np.ndarray, vs: np.ndarray, ys: np.ndarray) -> None:
+    tab = _cell_table(config.m, config.a, config.b)
+    state = prf.stream_state(config.seed, prf.DOMAIN_CELL, vs)  # (n,)
+    prf._mix64_head(state)
+    n, nd = len(vs), len(tab.dense)
+    per = min(max(1, _BLOCK_WORDS // (3 * n)), config.num_cells)
+    # one word buffer for every block of the call: a fresh block-sized
+    # allocation per block would page-fault it in again each time
+    buf = np.empty((2, per, 3, n), dtype=np.uint64)
+    for lo in range(0, nd, per):
+        hi = min(lo + per, nd)
+        words = _cell_words(state, tab.keys[lo:hi], buf)
+        prf._mix64_tail(words, buf[1, : hi - lo])
+        words >>= np.uint64(11)
+        regs[lo:hi] += _dense_counts(words, tab.dense[lo:hi]) @ ys
+    for lo in range(nd, config.num_cells, per):
+        _add_sparse(regs, _cell_words(state, tab.keys[lo : lo + per], buf), ys, tab, lo)
+
+
+def _add_sparse(regs: np.ndarray, words: np.ndarray, ys: np.ndarray, tab: _CellTable, lo: int) -> None:
+    """Add the counts of sparse cells lo, lo + 1, ... with one scatter-add.
+
+    A function of its own so that a block's hit arrays are freed before the
+    next block.
+    """
+    nd = len(tab.dense)
+    s = slice(lo - nd, lo + len(words) - nd)
+    row, cnt, v = _sparse_hits(words, tab.screen[s], tab.thr[s])
+    _scatter_add(regs, 3 * lo + row, cnt[:, None] * ys.take(v, axis=0))
+
+
+def _ingest_binomial(config: SketchConfig, regs: np.ndarray, vs: np.ndarray, ys: np.ndarray) -> None:
+    levels = _binomial_levels_batch(config.seed, vs, _COLUMNS, config)  # (3, n)
+    live = levels < config.num_cells
+    rows = 3 * levels + (_COLUMNS - 1)
+    _scatter_add(regs, rows[live], np.broadcast_to(ys, (3,) + ys.shape)[live])
+
+
+def _update_shared(sketches: Sequence[_TowerBase], vs, ys_list: Sequence) -> None:
+    """Add the values ``ys_list[i]`` at the ids ``vs`` to ``sketches[i]``, all in one pass.
+
+    A cell's count depends only on (seed, element, column, cell), so K
+    sketches of one config fed the same ids share every PRF draw and differ
+    only in the values multiplied in: their registers are stacked to
+    (nk, 3, K * d) and the values to (n, K * d).  Every check comes before any
+    register changes: one class and one config (else CannotCombineError), one
+    canonical batch per sketch (else GroupMismatchError), and integer values
+    within 2^31 (else RegisterOverflowError).  One sketch is updated in place.
+    """
+    first = sketches[0]
+    cfg = first.config
+    if any(type(sk) is not type(first) or sk.config != cfg for sk in sketches):
+        raise CannotCombineError("a shared ingest needs sketches of one class and one config")
+    if len(ys_list) != len(sketches):
+        raise GroupMismatchError(f"{len(ys_list)} value batches for {len(sketches)} sketches")
+    batches = [_update_arrays(cfg.group, vs, ys) for ys in ys_list]
+    vs = batches[0][0]
+    cols = [yr if yr.ndim == 2 else yr[:, None] for _, yr in batches]
+    ys = cols[0] if len(cols) == 1 else np.concatenate(cols, axis=1)  # one batch is not copied
+    if cfg.group is None and np.any((ys > _MAX_UPDATE_MAGNITUDE) | (ys < -_MAX_UPDATE_MAGNITUDE)):
+        raise RegisterOverflowError(
+            f"update magnitude exceeds the declared bound {_MAX_UPDATE_MAGNITUDE}"
+        )
+    if not len(vs):
+        return
+    nk = cfg.num_cells
+    if len(sketches) == 1:  # a view: the constructor keeps registers C-contiguous
+        _ingest(cfg, first.registers.reshape(nk, 3, -1), vs, ys)
+        return
+    regs = np.concatenate([sk.registers.reshape(nk, 3, -1) for sk in sketches], axis=2)
+    _ingest(cfg, regs, vs, ys)
+    for sk, part in zip(sketches, np.split(regs, len(sketches), axis=2)):
+        sk.registers[...] = part.reshape(sk.registers.shape)
+
+
 class _TowerBase:
-    """Register storage, the shared Poisson/binomial ingestion and the structural operations."""
+    """Register storage, updates through :func:`_update_shared` and the structural operations."""
 
     config: SketchConfig
     registers: np.ndarray
@@ -358,7 +461,7 @@ class _TowerBase:
             raise GroupMismatchError(f"registers of shape {regs.shape} do not fit shape {shape}")
         self.config, self.registers = config, np.ascontiguousarray(regs)
         if integer:
-            self._settle()
+            _settle(config, self.registers)
         # one unsigned max per factor: a negative residue reads as >= 2^63
         elif any(regs[..., t].view(np.uint64).max() >= p for t, p in enumerate(config.group.orders)):
             raise GroupMismatchError(f"registers must be residues in [0, p) of orders {config.group.orders}")
@@ -379,58 +482,7 @@ class _TowerBase:
         self.update_batch([v], [y])
 
     def update_batch(self, vs: Sequence[int], ys) -> None:
-        vs, yr = _update_arrays(self.config.group, vs, ys)
-        if len(vs):
-            self._ingest(vs, yr)
-
-    def _settle(self) -> None:
-        """Restore the register invariant after a chunk of updates."""
-        raise NotImplementedError
-
-    def _ingest(self, vs: np.ndarray, ys: np.ndarray) -> None:
-        add = self._ingest_poisson if self.config.mode == "poisson" else self._ingest_binomial
-        for s in range(0, len(vs), _CHUNK_UPDATES):
-            add(vs[s : s + _CHUNK_UPDATES], ys[s : s + _CHUNK_UPDATES])
-            self._settle()
-
-    def _ingest_poisson(self, vs: np.ndarray, ys: np.ndarray) -> None:
-        cfg = self.config
-        tab = _cell_table(cfg.m, cfg.a, cfg.b)
-        state = prf.stream_state(cfg.seed, prf.DOMAIN_CELL, vs)  # (n,)
-        prf._mix64_head(state)
-        n, nd = len(vs), len(tab.dense)
-        per = min(max(1, _BLOCK_WORDS // (3 * n)), cfg.num_cells)
-        # one word buffer for every block of the call: a fresh block-sized
-        # allocation per block would page-fault it in again each time
-        buf = np.empty((2, per, 3, n), dtype=np.uint64)
-        for lo in range(0, nd, per):
-            hi = min(lo + per, nd)
-            words = _cell_words(state, tab.keys[lo:hi], buf)
-            prf._mix64_tail(words, buf[1, : hi - lo])
-            words >>= np.uint64(11)
-            self.registers[lo:hi] += _dense_counts(words, tab.dense[lo:hi]) @ ys
-        for lo in range(nd, cfg.num_cells, per):
-            self._add_sparse(_cell_words(state, tab.keys[lo : lo + per], buf), ys, tab, lo)
-
-    def _add_sparse(self, words: np.ndarray, ys: np.ndarray, tab: _CellTable, lo: int) -> None:
-        """Add the counts of sparse cells lo, lo + 1, ... with one scatter-add.
-
-        A method of its own so that a block's hit arrays are freed before the
-        next block.
-        """
-        nd = len(tab.dense)
-        hi = lo + len(words)
-        s = slice(lo - nd, hi - nd)
-        row, cnt, v = _sparse_hits(words, tab.screen[s], tab.thr[s])
-        terms = cnt.reshape((-1,) + (1,) * (ys.ndim - 1)) * ys[v]
-        _scatter_add(self.registers, 3 * lo + row, terms)
-
-    def _ingest_binomial(self, vs: np.ndarray, ys: np.ndarray) -> None:
-        cfg = self.config
-        levels = _binomial_levels_batch(cfg.seed, vs, _COLUMNS, cfg)  # (3, n)
-        live = levels < cfg.num_cells
-        rows = 3 * levels + (_COLUMNS - 1)
-        _scatter_add(self.registers, rows[live], np.broadcast_to(ys, (3,) + ys.shape)[live])
+        _update_shared([self], vs, [ys])
 
     # -- structure ---------------------------------------------------------
 
@@ -454,9 +506,6 @@ class TowerSketch(_TowerBase):
     @property
     def group(self) -> GroupDescriptor:
         return self.config.group
-
-    def _settle(self) -> None:
-        self.registers %= np.array(self.group.orders, dtype=np.int64)
 
     def reduce_values_mod(self, p: int) -> "TowerSketch":
         """A copy of this Z_p sketch: its registers are already reduced."""
@@ -484,18 +533,6 @@ def combine_product(s1: TowerSketch, s2: TowerSketch) -> TowerSketch:
 
 class IntegerTowerSketch(_TowerBase):
     """Exact signed-integer registers with query-time modulo reduction."""
-
-    def _ingest(self, vs: np.ndarray, ys: np.ndarray) -> None:
-        if np.any((ys > _MAX_UPDATE_MAGNITUDE) | (ys < -_MAX_UPDATE_MAGNITUDE)):
-            raise RegisterOverflowError(
-                f"update magnitude exceeds the declared bound {_MAX_UPDATE_MAGNITUDE}"
-            )
-        super()._ingest(vs, ys)
-
-    def _settle(self) -> None:
-        regs = self.registers
-        if np.any((regs >= _INT_REGISTER_BOUND) | (regs <= -_INT_REGISTER_BOUND)):
-            raise RegisterOverflowError("integer register exceeded the 2^62 workload bound")
 
     def reduce_values_mod(self, p: int) -> TowerSketch:
         """Group-valued view of the registers mod p (query-time reduction)."""

@@ -416,3 +416,23 @@ def test_public_names_are_pinned():
     ]
     assert len(expect) == 59
     assert sorted(names) == expect
+
+
+def test_a_failing_property_test_fails_without_an_internal_error(tmp_path):
+    # on a failure hypothesis imports its example patcher, which warns on
+    # import; under the suite's warning filters that must not crash pytest
+    pyproject = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "pyproject.toml")
+    (tmp_path / "test_fails.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_fails(x):\n"
+        "    assert x < 5\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", pyproject,
+         "--rootdir", str(tmp_path), "test_fails.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    out = proc.stdout + proc.stderr
+    assert proc.returncode == 1, out
+    assert "INTERNALERROR" not in out and "1 failed" in out, out

@@ -204,7 +204,7 @@ def test_each_sampler_is_classified_once(monkeypatch):
     calls.clear()
     spec = WorkloadSpec("w", {3: 200, 7: 50}, 1 << 16, shuffle_seed=4)
     schemes = (SchemeSpec("fingerprint", 16, r=2), SchemeSpec("ideal-oracle", 16))
-    rows = _modulo_trial((spec, schemes, 7, 0, 11))
+    (rows,) = _modulo_trial(((spec,), schemes, 7, 0, 11))
     assert len(rows) == 14 and len(calls) == 2 and calls[0] is not calls[1]
 
 

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from _oracles import binomial_assign, binomial_levels_float, cell_count, sampler_levels_float
@@ -25,6 +25,7 @@ from hsketch.tower import (
     IntegerTowerSketch,
     SketchConfig,
     TowerSketch,
+    _CHUNK_UPDATES,
     _TowerBase,
     _binomial_levels_batch,
     _level_cdf,
@@ -33,6 +34,7 @@ from hsketch.tower import (
     deserialize,
     sketch_new,
     theoretical_window,
+    _update_shared,
 )
 
 Z7 = make_group([7])
@@ -528,6 +530,77 @@ def test_property_window_is_the_sketch_built_with_that_window(cfg, data, updates
     direct = sketch_new(replace(cfg, a=a, b=b))
     direct.update_batch(vs, ys)
     assert wide.window(a, b) == direct
+
+
+# -- one pass for K sketches of one config ---------------------------------------------
+
+Z2_3 = make_group([2, 2, 2])
+
+
+@st.composite
+def shared_batches(draw):
+    """A config (integer, Z_7 or Z_2^3; both modes), one id array and K = 1..4 value batches."""
+    cfg = draw(small_configs(orders=(None, (7,), (2, 2, 2))))
+    vs = np.array(draw(st.lists(st.integers(0, 2**40), max_size=40)), dtype=np.int64)
+    row = () if cfg.group is None or cfg.group.degree == 1 else (cfg.group.degree,)
+    size = len(vs) * math.prod(row)
+    values = st.lists(st.integers(-(10**6), 10**6), min_size=size, max_size=size)
+    k = draw(st.integers(1, 4))
+    return cfg, vs, [np.array(draw(values), dtype=np.int64).reshape((len(vs),) + row) for _ in range(k)]
+
+
+def _long_batch(cfg, k):
+    """Past one chunk of updates, so the shared registers are settled between chunks."""
+    n = _CHUNK_UPDATES + 5
+    row = () if cfg.group is None else (cfg.group.degree,)
+    rng = np.random.default_rng(k)
+    return cfg, np.arange(n), [rng.integers(-50, 50, (n,) + row) for _ in range(k)]
+
+
+@given(shared_batches())
+@example(_long_batch(SketchConfig(None, 4, -8, 16, 7), 3))
+@example(_long_batch(SketchConfig(Z2_3, 4, -8, 16, 7), 2))
+@example((SketchConfig(Z7, 4, 12, 40, 7, "binomial"), np.arange(0), [[], []]))
+def test_property_shared_ingest_is_k_separate_update_batches(case):
+    cfg, vs, ys_list = case
+    k = len(ys_list)
+    # every sketch already holds a batch of its own, which the pass must keep
+    shared, alone = [sketch_new(cfg) for _ in range(k)], [sketch_new(cfg) for _ in range(k)]
+    for i, sk in enumerate(shared + alone):
+        sk.update_batch(vs, ys_list[(i + 1) % k])
+    _update_shared(shared, vs, ys_list)
+    for sk, ys in zip(alone, ys_list):
+        sk.update_batch(vs, ys)
+    assert shared == alone
+
+
+class _SubTower(TowerSketch):
+    pass
+
+
+@pytest.mark.parametrize(
+    "build,ys_list,error",
+    [
+        (lambda: [sketch_new(_cfg()), sketch_new(_cfg(seed=43))], [[1, 2], [3, 4]], CannotCombineError),
+        (lambda: [sketch_new(_cfg()), sketch_new(_cfg(group=make_group([5])))], [[1, 2], [3, 4]],
+         CannotCombineError),
+        (lambda: [sketch_new(_cfg()), sketch_new(_cfg(mode="binomial", a=12, b=40))], [[1, 2], [3, 4]],
+         CannotCombineError),
+        (lambda: [sketch_new(_cfg()), _SubTower(_cfg())], [[1, 2], [3, 4]], CannotCombineError),
+        # the offending value comes in the last batch, after one that would ingest
+        (lambda: [sketch_new(_cfg()), sketch_new(_cfg())], [[1, 2], [3, 2.5]], GroupMismatchError),
+        (lambda: [sketch_new(ZI), sketch_new(ZI)], [[1, 2], [3, 2**31 + 1]], RegisterOverflowError),
+    ],
+    ids=["seed", "group", "mode", "class", "non-integral", "magnitude"],
+)
+def test_shared_ingest_checks_everything_before_any_register_changes(build, ys_list, error):
+    sketches = build()
+    for i, sk in enumerate(sketches):
+        sk.update_batch([1, 2, 3], [i + 1, 2, 3])
+    before = [sk.registers.copy() for sk in sketches]
+    with pytest.raises(error):
+        _update_shared(sketches, [4, 5], ys_list)
+    assert all(np.array_equal(sk.registers, b) for sk, b in zip(sketches, before))
 
 
 # -- the register contract ------------------------------------------------------------

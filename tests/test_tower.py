@@ -29,12 +29,12 @@ from hsketch.tower import (
     _TowerBase,
     _binomial_levels_batch,
     _level_cdf,
+    _update_shared,
     combine_product,
     default_window,
     deserialize,
     sketch_new,
     theoretical_window,
-    _update_shared,
 )
 
 Z7 = make_group([7])
@@ -590,8 +590,9 @@ class _SubTower(TowerSketch):
         # the offending value comes in the last batch, after one that would ingest
         (lambda: [sketch_new(_cfg()), sketch_new(_cfg())], [[1, 2], [3, 2.5]], GroupMismatchError),
         (lambda: [sketch_new(ZI), sketch_new(ZI)], [[1, 2], [3, 2**31 + 1]], RegisterOverflowError),
+        (lambda: [sketch_new(_cfg()), sketch_new(_cfg())], [[1, 2]], GroupMismatchError),
     ],
-    ids=["seed", "group", "mode", "class", "non-integral", "magnitude"],
+    ids=["seed", "group", "mode", "class", "non-integral", "magnitude", "one-batch-for-two"],
 )
 def test_shared_ingest_checks_everything_before_any_register_changes(build, ys_list, error):
     sketches = build()

@@ -92,10 +92,9 @@ def cmd_sanity_table(args) -> int:
         sk.update_batch(vs, ys)
         runs.append([estimate_modulo(sk, p, j, literal=args.literal_truncation) for j in range(p)])
     for j in range(p):
-        truth_j = residue_truth[0] if j == 0 else residue_truth[j]
         vals = " ".join(f"{runs[t][j].estimate:>12.2f}" for t in range(args.trials))
         label = f"psi_{j}"
-        print(f"{label:<8} {truth_j:>6} {vals}")
+        print(f"{label:<8} {residue_truth[j]:>6} {vals}")
     sup = " ".join(f"{-runs[t][0].estimate:>12.2f}" for t in range(args.trials))
     print(f"{'-psi_0':<8} {lam:>6} {sup}")
     return 0

@@ -39,6 +39,7 @@ least-recently-used eviction.
 from __future__ import annotations
 
 import math
+import numbers
 import threading
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
@@ -199,6 +200,8 @@ def estimate_modulo(
 ) -> EstimateReport:
     """Estimate of |{v : x(v) = j (mod p)}| for j != 0; for j = 0 the negated
     estimate is the support size mod p (see :func:`estimate_support`)."""
+    if not isinstance(j, numbers.Integral):  # 1.5 would index the roots of unity
+        raise InvalidConfigError(f"residue j={j!r} is not an integer")
     if not 0 <= j < p:
         raise InvalidConfigError(f"residue {j} outside [0, {p})")
     return estimate_f(

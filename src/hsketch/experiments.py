@@ -1,14 +1,14 @@
 """Batch experiment runner: seeded trials, scheme comparison, CSV emission.
 
-Trials are embarrassingly parallel (trial t uses seed base_seed + t) and the
-CSV is written in deterministic trial order regardless of completion order,
+Every experiment is one call to ``_run_trials``, whose tasks are the trial
+seeds (trial t uses base_seed + t), each over every workload.  The CSV is
+written workload-major, then in trial order, whatever the completion order,
 so identical configs produce byte-identical output.  ``HSKETCH_THREADS``
 caps worker processes; 1 disables multiprocessing.
 
-A modulo experiment's tasks are its trial seeds, each over every workload.
-Its towers all take the trial's seed, so workloads that stream the same ids
-share one Poisson ingest (``tower._update_shared``): the counts are drawn
-once and only the values differ.  The CSV keeps the workload-major order.
+Every Fourier tower comes from ``_fourier_towers``: one Poisson tower per
+(stream, m) on the trial's seed, which every scheme at that m queries.
+Streams with the same ids share one ingest (``tower._update_shared``).
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .estimator import (
 )
 from .groups import FunctionTable, GroupDescriptor, _read_csv, _write_csv, dft, make_group
 from .sampler import SamplerSketch, _tally, equal_memory_m_prime, sample_f_moment
-from .tower import IntegerTowerSketch, SketchConfig, TowerSketch, _update_shared, default_window
+from .tower import SketchConfig, _update_shared, default_window, sketch_new
 from .workloads import WorkloadSpec, gen_stream, signed_representative
 
 CSV_HEADER = [
@@ -76,15 +76,18 @@ class SchemeSpec:
 @dataclass(frozen=True)
 class ExperimentConfig:
     name: str
-    workloads: tuple[WorkloadSpec, ...]
+    workloads: tuple[WorkloadSpec | UnionWorkload, ...]
     schemes: tuple[SchemeSpec, ...]
     trials: int
     base_seed: int
     p: int = 7
 
     def __post_init__(self):
-        if self.trials < 1:
+        if _checked_int("trials", self.trials, 0, error=SchemaError) < 1:
             raise SchemaError("trials must be >= 1")
+        # trial t's tower seed is base_seed + t, which must stay below 2^64
+        for name, lo, hi in (("trials", 1, None), ("base_seed", 0, (1 << 64) - self.trials), ("p", 2, None)):
+            object.__setattr__(self, name, _checked_int(name, getattr(self, name), lo, hi, SchemaError))
 
 
 def thread_budget() -> int:
@@ -113,10 +116,45 @@ def write_rows(path, rows: Iterable[Sequence]) -> None:
     _write_csv(path, CSV_HEADER, rows)
 
 
-def _run_trials(trial_fn: Callable, args: list, out_path) -> None:
-    """Run every trial (in worker processes when allowed) and write the rows in trial order."""
-    results = _map_trials(trial_fn, args)
-    write_rows(out_path, [row for rows in results for row in rows])
+def _run_trials(trial_fn: Callable, config: ExperimentConfig, p: int, out_path) -> None:
+    """Map ``trial_fn`` over one (workloads, schemes, p, trial, seed) task per trial seed.
+
+    It returns each workload's rows; the CSV lists workloads in order, each in trial order.
+    """
+    args = [
+        (config.workloads, config.schemes, p, trial, config.base_seed + trial)
+        for trial in range(config.trials)
+    ]
+    results = _map_trials(trial_fn, args)  # per trial, the rows of each workload
+    write_rows(out_path, [row for w in range(len(config.workloads)) for per in results for row in per[w]])
+
+
+def _fourier_towers(
+    streams: Sequence, schemes: Sequence[SchemeSpec], group: GroupDescriptor | None, seed: int
+) -> list[dict]:
+    """One Poisson tower per (stream, fourier m), keyed by m; a ``group`` of None means integer towers.
+
+    ``streams`` holds (ids, values, ...) tuples.  Streams whose id arrays are
+    equal (int64, so equal bytes) share one ingest per m: their towers have
+    one config, so they draw the same counts.
+    """
+    by_ids: dict[bytes, list[int]] = {}  # stream indices by id array
+    for i, stream in enumerate(streams):
+        by_ids.setdefault(stream[0].tobytes(), []).append(i)
+    towers: list[dict] = [{} for _ in streams]
+    for m in dict.fromkeys(s.m for s in schemes if s.kind == "fourier"):
+        a, b = default_window(m)
+        cfg = SketchConfig(group, m, a, b, seed, "poisson")
+        for idx in by_ids.values():
+            sketches = [sketch_new(cfg) for _ in idx]
+            _update_shared(sketches, streams[idx[0]][0], [streams[i][1] for i in idx])
+            for i, sk in zip(idx, sketches):
+                towers[i][m] = sk
+    return towers
+
+
+def _fourier_opts(scheme: SchemeSpec) -> dict:
+    return dict(clamp_nonnegative=scheme.clamp_nonnegative, literal=scheme.literal_truncation)
 
 
 def _sampler_for(scheme: SchemeSpec, group: GroupDescriptor, seed: int) -> SamplerSketch:
@@ -130,33 +168,11 @@ def _sampler_for(scheme: SchemeSpec, group: GroupDescriptor, seed: int) -> Sampl
 # -- modulo-distribution experiment -------------------------------------------
 
 
-def _modulo_towers(streams: list, schemes: Sequence[SchemeSpec], seed: int) -> list[dict]:
-    """One Poisson integer tower per (workload, fourier m), keyed by m.
-
-    Workloads whose id arrays are equal (``gen_stream`` ids are int64, so
-    equal bytes) share one ingest per m: their towers have one config, so
-    they draw the same counts.
-    """
-    groups: dict[bytes, list[int]] = {}  # workload indices by id array
-    for i, (vs, _, _) in enumerate(streams):
-        groups.setdefault(vs.tobytes(), []).append(i)
-    towers: list[dict] = [{} for _ in streams]
-    for m in dict.fromkeys(s.m for s in schemes if s.kind == "fourier"):
-        a, b = default_window(m)
-        cfg = SketchConfig(None, m, a, b, seed, "poisson")
-        for group in groups.values():
-            sketches = [IntegerTowerSketch(cfg) for _ in group]
-            _update_shared(sketches, streams[group[0]][0], [streams[i][1] for i in group])
-            for i, sk in zip(group, sketches):
-                towers[i][m] = sk
-    return towers
-
-
 def _modulo_estimates(scheme: SchemeSpec, tower, vs, ys, group: GroupDescriptor, seed: int) -> list:
     """(estimate, imaginary residual) of lambda_0 .. lambda_{p-1} under one scheme."""
     p = group.orders[0]
     if scheme.kind == "fourier":
-        opts = dict(clamp_nonnegative=scheme.clamp_nonnegative, literal=scheme.literal_truncation)
+        opts = _fourier_opts(scheme)
         # one aggregation: each query after the first is a memo hit
         reps = [estimate_support(tower, p, **opts)]
         reps += [estimate_modulo(tower, p, j, **opts) for j in range(1, p)]
@@ -178,20 +194,18 @@ def _modulo_estimates(scheme: SchemeSpec, tower, vs, ys, group: GroupDescriptor,
 def _modulo_trial(args) -> list[list[list]]:
     """One trial seed over every workload: the rows of each workload, in workload order."""
     workloads, schemes, p, trial, seed = args
-    labels = [scheme.label() for scheme in schemes]
     streams = [gen_stream(spec) for spec in workloads]
-    towers = _modulo_towers(streams, schemes, seed)
+    towers = _fourier_towers(streams, schemes, None, seed)
     group = make_group([p])
     out = []
     for spec, (vs, ys, truth), sketches in zip(workloads, streams, towers):
         residues = truth.residue_counts(p)
         truths = [truth.support_size_mod(p)] + [residues[j] for j in range(1, p)]
         rows: list[list] = []
-        for scheme, label in zip(schemes, labels):
-            tower = sketches[scheme.m] if scheme.kind == "fourier" else None
-            estimates = _modulo_estimates(scheme, tower, vs, ys, group, seed)
+        for scheme in schemes:
+            estimates = _modulo_estimates(scheme, sketches.get(scheme.m), vs, ys, group, seed)
             rows += [
-                [spec.name, label, f"lambda{j}", trial, seed, _fmt(est), _fmt(imag), _fmt(tr)]
+                [spec.name, scheme.label(), f"lambda{j}", trial, seed, _fmt(est), _fmt(imag), _fmt(tr)]
                 for j, ((est, imag), tr) in enumerate(zip(estimates, truths))
             ]
         out.append(rows)
@@ -199,13 +213,7 @@ def _modulo_trial(args) -> list[list[list]]:
 
 
 def run_modulo_experiment(config: ExperimentConfig, out_path) -> None:
-    """One task per trial seed; the CSV lists workloads in order, each in trial order."""
-    args = [
-        (config.workloads, config.schemes, config.p, trial, config.base_seed + trial)
-        for trial in range(config.trials)
-    ]
-    results = _map_trials(_modulo_trial, args)  # per trial, the rows of each workload
-    write_rows(out_path, [row for w in range(len(config.workloads)) for per in results for row in per[w]])
+    _run_trials(_modulo_trial, config, config.p, out_path)
 
 
 # -- L2-style moment experiment ------------------------------------------------
@@ -218,44 +226,37 @@ def squared_rep_table(modulus: int) -> FunctionTable:
     )
 
 
-def _l2_trial(args) -> list[list]:
-    spec, schemes, modulus, trial, seed = args
-    vs, ys, truth = gen_stream(spec)
+def _l2_trial(args) -> list[list[list]]:
+    """One trial seed over every workload: the rows of each workload, in workload order."""
+    workloads, schemes, modulus, trial, seed = args
+    streams = [gen_stream(spec) for spec in workloads]
     group = make_group([modulus])
+    towers = _fourier_towers(streams, schemes, group, seed)
     ftable = squared_rep_table(modulus)
     struth = dft(group, ftable)
-    exact = truth.moment_mod(modulus, ftable)
-    rows: list[list] = []
-    for scheme in schemes:
-        label = scheme.label()
-        if scheme.kind == "fourier":
-            a, b = default_window(scheme.m)
-            sk = TowerSketch(SketchConfig(group, scheme.m, a, b, seed, "poisson"))
-            sk.update_batch(vs, ys)
-            rep = estimate_f(
-                sk, struth, clamp_nonnegative=scheme.clamp_nonnegative,
-                literal=scheme.literal_truncation,
-            )
-            est, imag = rep.estimate, rep.imag_residual
-        else:
-            sampler = _sampler_for(scheme, group, seed)
-            sampler.update_batch(vs, ys)
-            try:
-                est = sample_f_moment(sampler, ftable)
-            except (NoSamplesError, SaturatedError):
-                est = math.nan
-            imag = 0.0
-        rows.append([spec.name, label, "l2", trial, seed, _fmt(est), _fmt(imag), _fmt(exact)])
-    return rows
+    out = []
+    for spec, (vs, ys, truth), sketches in zip(workloads, streams, towers):
+        exact = truth.moment_mod(modulus, ftable)
+        rows: list[list] = []
+        for scheme in schemes:
+            if scheme.kind == "fourier":
+                rep = estimate_f(sketches[scheme.m], struth, **_fourier_opts(scheme))
+                est, imag = rep.estimate, rep.imag_residual
+            else:
+                sampler = _sampler_for(scheme, group, seed)
+                sampler.update_batch(vs, ys)
+                try:
+                    est = sample_f_moment(sampler, ftable)
+                except (NoSamplesError, SaturatedError):
+                    est = math.nan
+                imag = 0.0
+            rows.append([spec.name, scheme.label(), "l2", trial, seed, _fmt(est), _fmt(imag), _fmt(exact)])
+        out.append(rows)
+    return out
 
 
 def run_l2_experiment(config: ExperimentConfig, out_path, modulus: int = 128) -> None:
-    args = [
-        (spec, config.schemes, modulus, trial, config.base_seed + trial)
-        for spec in config.workloads
-        for trial in range(config.trials)
-    ]
-    _run_trials(_l2_trial, args, out_path)
+    _run_trials(_l2_trial, config, modulus, out_path)
 
 
 # -- union experiment -----------------------------------------------------------
@@ -297,31 +298,25 @@ class UnionWorkload:
         return ids1, values(ids1, 11), ids2, values(ids2, 12)
 
 
-def _union_trial(args) -> list[list]:
-    wl, m, trial, seed, clamp, literal = args
-    group = make_group([wl.p])
-    a, b = default_window(m)
-    ids1, y1, ids2, y2 = wl.streams()
-    s1 = TowerSketch(SketchConfig(group, m, a, b, seed, "poisson"))
-    s2 = TowerSketch(SketchConfig(group, m, a, b, seed, "poisson"))
-    s1.update_batch(ids1, y1)
-    s2.update_batch(ids2, y2)
-    rep = estimate_union(s1, s2, clamp_nonnegative=clamp, literal=literal)
-    return [
-        [wl.name, "fourier", "union", trial, seed, _fmt(rep.estimate),
-         _fmt(rep.imag_residual), _fmt(wl.union_size)]
-    ]
+def _union_trial(args) -> list[list[list]]:
+    """One trial seed of the union workload under its one fourier scheme."""
+    (wl,), (scheme,), p, trial, seed = args
+    streams = wl.streams()
+    t1, t2 = _fourier_towers([streams[:2], streams[2:]], [scheme], make_group([p]), seed)
+    rep = estimate_union(t1[scheme.m], t2[scheme.m], **_fourier_opts(scheme))
+    return [[[wl.name, "fourier", "union", trial, seed, _fmt(rep.estimate),
+              _fmt(rep.imag_residual), _fmt(wl.union_size)]]]
 
 
 def run_union_experiment(
     wl: UnionWorkload, m: int, trials: int, base_seed: int, out_path,
     clamp_nonnegative: bool = False, literal_truncation: bool = False,
 ) -> None:
-    args = [
-        (wl, m, trial, base_seed + trial, clamp_nonnegative, literal_truncation)
-        for trial in range(trials)
-    ]
-    _run_trials(_union_trial, args, out_path)
+    scheme = SchemeSpec(
+        "fourier", m, clamp_nonnegative=clamp_nonnegative, literal_truncation=literal_truncation
+    )
+    config = ExperimentConfig("union", (wl,), (scheme,), trials, base_seed, p=wl.p)
+    _run_trials(_union_trial, config, config.p, out_path)
 
 
 # -- summaries -------------------------------------------------------------------

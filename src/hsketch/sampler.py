@@ -96,6 +96,7 @@ def tau_gra_estimate(zero_levels, m_prime: int) -> float:
 
 def equal_memory_m_prime(m: int, r: int, group: GroupDescriptor) -> int:
     """Sampler accuracy parameter matching a triple tower's 3m cells per level."""
+    m, r = _checked_int("m", m, 1), _checked_int("r", r, 1)
     width = splitter_width(group)
     return math.ceil(3 * m / (width * r))
 

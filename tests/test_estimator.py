@@ -177,6 +177,16 @@ def test_estimate_modulo_validates():
         estimate_modulo(sk5, 7, 1)
 
 
+@pytest.mark.parametrize(
+    "j,message", [(1.5, "not an integer"), ("1", "not an integer"), (-1, r"outside \[0, 7\)"),
+                  (7, r"outside \[0, 7\)")]
+)
+def test_estimate_modulo_rejects_a_non_integer_or_out_of_range_residue(j, message):
+    # 1.5 used to raise IndexError from the roots of unity
+    with pytest.raises(InvalidConfigError, match=message):
+        estimate_modulo(sketch_new(_cfg()), 7, j)
+
+
 def test_zero_mod_p_insensitivity_bit_for_bit():
     m = 8
     base = SketchConfig(None, m, 0, 22 * m, 5, "poisson")

@@ -24,6 +24,7 @@ FROZEN = {
     "l2": "a59ae68786affecd6776a2c21d726b396768a993db6fd6558eeca009be2a8602",
     "union": "e6d7e440f9fdfbdc114e87b80bd3ba4728dd51061586e2ba27fbd0835e1c7d9f",
     "modulo_shared_ids": "95797761f5b4787b58c47c8f56d6719914564017268275dca46eea7dc00ea964",
+    "l2_shared_ids": "d4cac5035593b878804d4124a81e97c90990d3f056841dbffb5c7803998af0d3",
 }
 
 
@@ -82,6 +83,25 @@ def test_l2_csv_bytes_frozen(tmp_path):
     out = tmp_path / "l2.csv"
     run_l2_experiment(config, out, modulus=128)
     assert _sha256(out) == FROZEN["l2"]
+
+
+def test_l2_csv_bytes_frozen_shared_ids(tmp_path):
+    # a and b stream the same ids in the same order, so each trial ingests
+    # them together, and the two fourier schemes query one tower per workload
+    schemes = (
+        SchemeSpec("fourier", 8),
+        SchemeSpec("fourier", 8, clamp_nonnegative=True, literal_truncation=True),
+        SchemeSpec("fingerprint", 8, r=2),
+    )
+    u = 1 << 16
+    workloads = (
+        WorkloadSpec("a", {1: 300, 64: 20}, u, shuffle_seed=5),
+        WorkloadSpec("b", {-3: 200, 10: 120}, u, shuffle_seed=5),
+    )
+    config = ExperimentConfig("frozen", workloads, schemes, trials=2, base_seed=21, p=128)
+    out = tmp_path / "l2.csv"
+    run_l2_experiment(config, out, modulus=128)
+    assert _sha256(out) == FROZEN["l2_shared_ids"]
 
 
 def test_union_csv_bytes_frozen(tmp_path):

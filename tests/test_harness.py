@@ -16,6 +16,7 @@ from hsketch.experiments import (
     UnionWorkload,
     format_summary,
     read_rows,
+    run_l2_experiment,
     run_modulo_experiment,
     summarize,
     thread_budget,
@@ -188,6 +189,33 @@ def test_csv_bytes_independent_of_parallelism(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "field,message",
+    [
+        ({"trials": 0}, "trials must be >= 1"),
+        ({"trials": 2.5}, "trials=2.5 is not an integer"),
+        ({"base_seed": -1}, "base_seed=-1 must be >= 0"),
+        # trial 2's seed would be 2^64
+        ({"trials": 3, "base_seed": (1 << 64) - 2}, f"must be >= 0 and < {(1 << 64) - 3}"),
+        ({"p": 1}, "p=1 must be >= 2"),
+    ],
+)
+def test_experiment_config_rejects_a_bad_trial_count_seed_or_p(field, message):
+    kwargs = dict(name="bad", workloads=(), schemes=(), trials=2, base_seed=0, p=7)
+    with pytest.raises(SchemaError, match=message):
+        ExperimentConfig(**{**kwargs, **field})
+
+
+@pytest.mark.parametrize("run", [run_modulo_experiment, run_l2_experiment])
+def test_fingerprint_scheme_with_r_0_is_a_config_error(run, tmp_path, monkeypatch):
+    # equal_memory_m_prime used to divide by zero
+    monkeypatch.setenv("HSKETCH_THREADS", "1")
+    wl = WorkloadSpec("tiny", {1: 40}, universe=1 << 12, shuffle_seed=1)
+    config = ExperimentConfig("bad", (wl,), (SchemeSpec("fingerprint", 8, r=0),), trials=1, base_seed=5)
+    with pytest.raises(InvalidConfigError, match="r=0 must be >= 1"):
+        run(config, tmp_path / "rows.csv")
+
+
 @pytest.mark.parametrize("value", ["two", "2.5"])
 def test_thread_budget_rejects_a_non_integer(monkeypatch, value):
     monkeypatch.setenv("HSKETCH_THREADS", value)
@@ -342,6 +370,7 @@ def test_cli_scheme_filter_matching_nothing_exits_2(command, tmp_path, capsys):
         (["modulo7", "--config", "BAD_CFG"], "is not key=value"),
         # its streams covered ids -1..598 under a truth of 599
         (["union", "--only-first", "-1", "--trials", "1", "--m", "8"], "only_first=-1 must be >= 0"),
+        (["union", "--trials", "0"], "trials must be >= 1"),
     ],
 )
 def test_cli_reports_errors_in_one_line_with_exit_2(argv, message, tmp_path, capsys):

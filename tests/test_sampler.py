@@ -154,6 +154,15 @@ def test_equal_memory_parameterization():
 
 
 @pytest.mark.parametrize(
+    "m,r,message", [(8, 0, "r=0 must be >= 1"), (0, 3, "m=0 must be >= 1"), (8, 1.5, "r=1.5 is not")]
+)
+def test_equal_memory_m_prime_rejects_a_bad_m_or_r(m, r, message):
+    # r=0 used to divide by zero
+    with pytest.raises(InvalidConfigError, match=message):
+        equal_memory_m_prime(m, r, Z7)
+
+
+@pytest.mark.parametrize(
     "kwargs,message",
     [
         ({"m_prime": 2.5}, "m_prime=2.5 is not an integer"),

@@ -29,29 +29,33 @@ Aggregates depend only on the sketch, so one aggregation serves any number of
 spectra.  The characters chi(x, gamma) - 1 are evaluated once per distinct
 register value x (u <= |G| of them) and gathered back to every register:
 O(3 nk d + u |G|) plus one contraction with the weights, the same bits as a
-per-register evaluation.  A memo keeps the last 8 aggregations, each under its
-config (an integer sketch's over Z_p), ``literal`` flag and a snapshot of the
-registers it read (int64 for an integer sketch, so a hit reduces nothing); an
-equal query gets a copy of the stored values, and entries leave only by
-least-recently-used eviction.
+per-register evaluation.  A memo (``groups._Memo``, as for the transforms)
+keeps the last 8 aggregations, each under its config (an integer sketch's
+over Z_p), ``literal`` flag and a snapshot of the registers it read (int64 for
+an integer sketch, so a hit reduces nothing); an equal query gets a copy of
+the stored values, and entries leave only by least-recently-used eviction.
+
+A warm query builds no config and no group: an integer sketch's config over
+Z_p comes from ``tower._config_over``, cached per (config, group), and
+:func:`modulo_spectrum` and :func:`estimate_support` share one Z_p descriptor
+per integer order (``groups._cyclic_group``), whose roots are built once.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import GroupMismatchError, InvalidConfigError, InvalidRHatError
 from .groups import (
-    FunctionTable, GroupDescriptor, SpectrumTable, _phase_rows, dft, make_group,
+    FunctionTable, GroupDescriptor, SpectrumTable, _cyclic_group, _Memo, _phase_rows, dft,
 )
 from .special import gamma_cached
-from .tower import IntegerTowerSketch, SketchConfig, TowerSketch, combine_product
+from .tower import IntegerTowerSketch, SketchConfig, TowerSketch, _config_over, combine_product
 
 
 @lru_cache(maxsize=None)
@@ -88,9 +92,7 @@ class ColumnAggregates:
         return self.group.total_size
 
 
-_MEMO_SIZE = 8
-_MEMO: list[tuple[SketchConfig, bool, np.ndarray, np.ndarray]] = []  # oldest first
-_MEMO_LOCK = threading.Lock()
+_MEMO = _Memo(8)  # entries (config, literal, registers, aggregates), oldest first
 
 
 def column_aggregates(sketch: TowerSketch, literal: bool = False) -> ColumnAggregates:
@@ -105,18 +107,12 @@ def column_aggregates(sketch: TowerSketch, literal: bool = False) -> ColumnAggre
 
 def _memoized_aggregates(cfg: SketchConfig, registers: np.ndarray, literal: bool) -> ColumnAggregates:
     """Aggregates of ``registers`` over ``cfg.group``; (nk, 3) integer registers are read mod its order."""
-    with _MEMO_LOCK:
-        for i, (c, lit, snap, values) in enumerate(_MEMO):
-            if c == cfg and lit == literal and np.array_equal(snap, registers):
-                _MEMO.append(_MEMO.pop(i))
-                return ColumnAggregates(cfg.group, cfg, values.copy(), literal)
-    snap = registers.copy()  # computed from the snapshot, so the entry matches it
-    reduced = snap if snap.ndim == 3 else np.mod(snap, cfg.group.orders[0])[:, :, None]
-    agg = _column_aggregates(cfg, reduced, literal)
-    with _MEMO_LOCK:
-        _MEMO.append((cfg, literal, snap, agg.values.copy()))
-        del _MEMO[:-_MEMO_SIZE]
-    return agg
+
+    def aggregate(snap: np.ndarray) -> np.ndarray:
+        reduced = snap if snap.ndim == 3 else np.mod(snap, cfg.group.orders[0])[:, :, None]
+        return _column_aggregates(cfg, reduced, literal).values
+
+    return ColumnAggregates(cfg.group, cfg, _MEMO.get((cfg, literal), registers, aggregate), literal)
 
 
 def _column_aggregates(cfg: SketchConfig, registers: np.ndarray, literal: bool) -> ColumnAggregates:
@@ -140,7 +136,7 @@ def _resolve_aggregates(sketch, group: GroupDescriptor, literal: bool) -> Column
     if isinstance(sketch, IntegerTowerSketch):
         if group.degree != 1:
             raise GroupMismatchError(f"an integer sketch is read mod a cyclic order, not {group.orders}")
-        return _memoized_aggregates(replace(sketch.config, group=group), sketch.registers, literal)
+        return _memoized_aggregates(_config_over(sketch.config, group), sketch.registers, literal)
     if not isinstance(sketch, (TowerSketch, ColumnAggregates)):
         raise TypeError(f"cannot aggregate {type(sketch).__name__}")
     if isinstance(sketch, ColumnAggregates) and sketch.literal != literal:
@@ -175,7 +171,7 @@ def estimate_f(
 
 def modulo_spectrum(p: int, j: int) -> SpectrumTable:
     """Transform of the indicator of residue j in Z_p: gamma -> e^{-2 pi i j gamma / p}."""
-    group = make_group([p])
+    group = _cyclic_group(p)
     return SpectrumTable(group, group.roots[(-j * np.arange(p)) % p])
 
 
@@ -218,7 +214,7 @@ def estimate_support(
 ) -> EstimateReport:
     """Support size mod p: the negated residue-0 estimate, term for term."""
     return estimate_f(
-        sketch, _support_spectrum(make_group([p])),
+        sketch, _support_spectrum(_cyclic_group(p)),
         clamp_nonnegative=clamp_nonnegative, literal=literal,
     )
 

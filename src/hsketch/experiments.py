@@ -63,14 +63,12 @@ class SchemeSpec:
     clamp_nonnegative: bool = False
     literal_truncation: bool = False
 
+    def __post_init__(self):
+        if self.kind not in ("fourier", "fingerprint", "ideal-oracle"):
+            raise SchemaError(f"unknown scheme kind {self.kind!r}")
+
     def label(self) -> str:
-        if self.kind == "fourier":
-            return "fourier"
-        if self.kind == "ideal-oracle":
-            return "ideal-oracle"
-        if self.kind == "fingerprint":
-            return f"fingerprint-r{self.r}"
-        raise SchemaError(f"unknown scheme kind {self.kind!r}")
+        return f"fingerprint-r{self.r}" if self.kind == "fingerprint" else self.kind
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,12 @@ A descriptor validates itself (at least one factor, integer orders >= 2, at
 most ``MAX_TOTAL_SIZE`` elements), so a product of two groups has the same
 bound as any other.  Characters are evaluated only in bulk, as integer phase
 rows (``_phase_rows``) into the table :attr:`GroupDescriptor.roots`.
+
+Repeated query work is served from caches keyed by content.  A cyclic group
+of a validated integer order has one shared descriptor (``_cyclic_group``),
+so its tables are built once.  :func:`dft` and :func:`idft` remember their
+last 8 results in a :class:`_Memo`, the least-recently-used store that the
+``column_aggregates`` memo uses too.
 """
 
 from __future__ import annotations
@@ -25,8 +31,9 @@ from __future__ import annotations
 import csv
 import math
 import operator
+import threading
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -94,13 +101,13 @@ class GroupDescriptor:
             raise InvalidGroupError(
                 f"character table for lcm {L} exceeds the supported size {_MAX_CHAR_TABLE}"
             )
-        return np.exp(2j * np.pi * np.arange(L) / L)
+        return _read_only(np.exp(2j * np.pi * np.arange(L) / L))
 
     @cached_property
     def phase_factors(self) -> np.ndarray:
         """Per-factor multiplier L/p_t turning residue products into L-th roots."""
         L = self.char_modulus
-        return np.array([L // p for p in self.orders], dtype=np.int64)
+        return _read_only(np.array([L // p for p in self.orders], dtype=np.int64))
 
     @cached_property
     def residue_matrix(self) -> np.ndarray:
@@ -110,7 +117,7 @@ class GroupDescriptor:
         idx = np.arange(n)
         for t in range(d):
             out[:, t] = (idx // self.index_weights[t]) % self.orders[t]
-        return out
+        return _read_only(out)
 
     # -- element handling -------------------------------------------------
 
@@ -152,9 +159,71 @@ class GroupDescriptor:
         return GroupDescriptor(self.orders + other.orders)
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """``arr``, locked: a descriptor's tables are shared by every query on its group."""
+    arr.setflags(write=False)
+    return arr
+
+
 def make_group(orders: Sequence[int]) -> GroupDescriptor:
     """Descriptor for Z_{orders[0]} x ... x Z_{orders[-1]}; the descriptor validates itself."""
     return GroupDescriptor(tuple(orders))
+
+
+def _cyclic_group(p) -> GroupDescriptor:
+    """Z_p, one shared descriptor per integer order; anything else raises as ``make_group([p])``.
+
+    The order is validated before the cache sees it: 7.0 == 7 and both hash
+    alike, so a cache keyed on the raw ``p`` would hand back Z_7 for 7.0.
+    """
+    try:
+        p = operator.index(p)
+    except TypeError:
+        return GroupDescriptor((p,))  # raises InvalidGroupError
+    return _cyclic_descriptor(p)
+
+
+@lru_cache(maxsize=16)
+def _cyclic_descriptor(p: int) -> GroupDescriptor:
+    return GroupDescriptor((p,))
+
+
+# -- the memo of repeated query work ------------------------------------------
+
+
+class _Memo(list):
+    """The last ``size`` results of a computation on an array, least recently used first.
+
+    Each entry is ``(*key, snapshot, result)``.  A lookup whose key equals an
+    entry's and whose array has the snapshot's shape, dtype and bytes (exact
+    for floats too, where 0.0 == -0.0) gets a copy of the stored result, so
+    callers never hold a reference into the memo.  A miss computes from a
+    snapshot of the array, so its entry matches what was computed even if the
+    caller's array changes meanwhile.
+    """
+
+    def __init__(self, size: int):
+        super().__init__()
+        self.size = size
+        self._lock = threading.Lock()
+
+    def get(self, key: tuple, data: np.ndarray, compute: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+        """``compute(snapshot of data)``, or a copy of the result stored for an equal (key, data)."""
+        with self._lock:
+            for i, entry in enumerate(self):
+                if entry[:-2] == key and _same_bits(entry[-2], data):
+                    self.append(self.pop(i))
+                    return entry[-1].copy()
+        snap = data.copy()
+        result = compute(snap)
+        with self._lock:
+            self.append((*key, snap, result.copy()))
+            del self[: -self.size]
+        return result
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 # -- tabulated functions and spectra ----------------------------------------
@@ -168,7 +237,8 @@ class _Table:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.complex128)
+        # contiguous, so a transform (a BLAS dot per output) depends on the values alone
+        vals = np.ascontiguousarray(self.values, dtype=np.complex128)
         if vals.shape != (self.group.total_size,):
             raise GroupMismatchError(
                 f"table has {vals.shape} values, group size is {self.group.total_size}"
@@ -262,21 +332,30 @@ def _transform(g: GroupDescriptor, values: np.ndarray, roots: np.ndarray) -> np.
     return out
 
 
+_TRANSFORM_MEMO = _Memo(8)
+
+
 def dft(g: GroupDescriptor, f: FunctionTable) -> SpectrumTable:
     """Forward transform: hat(f)(gamma) = sum_x f(x) * conj(chi(x, gamma)).
 
-    Naive O(|G|^2) evaluation; the groups here are desk scale.
+    Naive O(|G|^2) evaluation; the groups here are desk scale.  Memoized with
+    :func:`idft`: the last 8 transforms are kept under (group, direction, a
+    snapshot of the input values), and a repeat gets a copy of the same bits.
     """
     if f.group != g:
         raise GroupMismatchError("function table is over a different group")
-    return SpectrumTable(g, _transform(g, f.values, g.roots.conj()))
+    return SpectrumTable(
+        g, _TRANSFORM_MEMO.get((g, "dft"), f.values, lambda v: _transform(g, v, g.roots.conj()))
+    )
 
 
 def idft(g: GroupDescriptor, s: SpectrumTable) -> FunctionTable:
-    """Inverse transform: f(x) = (1/|G|) * sum_gamma hat(f)(gamma) * chi(x, gamma)."""
+    """Inverse transform: f(x) = (1/|G|) * sum_gamma hat(f)(gamma) * chi(x, gamma) (memoized as dft)."""
     if s.group != g:
         raise GroupMismatchError("spectrum table is over a different group")
-    return FunctionTable(g, _transform(g, s.values, g.roots) / g.total_size)
+    return FunctionTable(
+        g, _TRANSFORM_MEMO.get((g, "idft"), s.values, lambda v: _transform(g, v, g.roots) / g.total_size)
+    )
 
 
 def norms(f: FunctionTable, s: SpectrumTable) -> tuple[float, float]:

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 import struct
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -62,7 +63,7 @@ from .errors import (
     RegisterOverflowError,
     _checked_int,
 )
-from .groups import GroupDescriptor, make_group
+from .groups import GroupDescriptor, _cyclic_group, make_group
 
 _MAX_POISSON_MEAN = 700.0  # e^{-mu} underflows past this; construction rejects it
 _INT_REGISTER_BOUND = 1 << 62
@@ -141,6 +142,12 @@ class SketchConfig:
     def sigma(self) -> float:
         """Total cell mass sum_{k=a}^{b-1} e^{-k/m}, as the binomial level draw sums it."""
         return float(_level_cdf(self.m, self.a, self.b)[-1])
+
+
+@lru_cache(maxsize=16)
+def _config_over(config: SketchConfig, group: GroupDescriptor) -> SketchConfig:
+    """``config`` over ``group``: validated once per (config, group), then shared by every query."""
+    return replace(config, group=group)
 
 
 def default_window(m: int) -> tuple[int, int]:
@@ -514,6 +521,9 @@ class TowerSketch(_TowerBase):
         return self.copy()
 
 
+_SHARED_FIELDS = operator.attrgetter("m", "a", "b", "seed", "mode")
+
+
 def combine_product(s1: TowerSketch, s2: TowerSketch) -> TowerSketch:
     """Cellwise-paired sketch over the product group.
 
@@ -524,10 +534,9 @@ def combine_product(s1: TowerSketch, s2: TowerSketch) -> TowerSketch:
     c1, c2 = s1.config, s2.config
     if c1.group is None or c2.group is None:
         raise CannotCombineError("integer sketches have no group to pair; reduce them first")
-    if replace(c1, group=None) != replace(c2, group=None):
+    if _SHARED_FIELDS(c1) != _SHARED_FIELDS(c2):
         raise CannotCombineError("sketches must share m, a, b, seed and mode")
-    group = c1.group.product(c2.group)
-    cfg = replace(c1, group=group)
+    cfg = _config_over(c1, c1.group.product(c2.group))
     return TowerSketch(cfg, np.concatenate([s1.registers, s2.registers], axis=2))
 
 
@@ -536,9 +545,8 @@ class IntegerTowerSketch(_TowerBase):
 
     def reduce_values_mod(self, p: int) -> TowerSketch:
         """Group-valued view of the registers mod p (query-time reduction)."""
-        group = make_group([p])
-        cfg = replace(self.config, group=group)
-        return TowerSketch(cfg, np.mod(self.registers, p)[:, :, None])
+        cfg = _config_over(self.config, _cyclic_group(p))
+        return TowerSketch(cfg, np.mod(self.registers, cfg.group.orders[0])[:, :, None])
 
 
 def sketch_new(config: SketchConfig) -> TowerSketch | IntegerTowerSketch:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from _oracles import aggregate_column, char_eval, column_aggregates_oracle, variance_factor_oracle
 from hsketch import estimator
-from hsketch.errors import GroupMismatchError, InvalidConfigError, InvalidRHatError
+from hsketch.errors import GroupMismatchError, InvalidConfigError, InvalidGroupError, InvalidRHatError
 from hsketch.estimator import (
     EstimateReport,
     _column_aggregates,
@@ -673,6 +673,38 @@ def test_integer_sketch_is_read_mod_the_spectrum_order(fresh_memo, p):
         assert got == want and np.array_equal(got.gamma_terms, want.gamma_terms)
     with pytest.raises(GroupMismatchError):
         estimate_f(ski, SpectrumTable(make_group([7, 7]), np.ones(49)))
+
+
+@pytest.mark.parametrize(
+    "query",
+    [
+        lambda ski, p: modulo_spectrum(p, 1),
+        lambda ski, p: estimate_support(ski, p),
+        lambda ski, p: estimate_modulo(ski, p, 1),
+        lambda ski, p: ski.reduce_values_mod(p),
+    ],
+    ids=["modulo_spectrum", "estimate_support", "estimate_modulo", "reduce_values_mod"],
+)
+def test_cached_groups_keep_the_order_validation(fresh_memo, query):
+    # 7.0 == 7 and both hash alike: a cache keyed on the raw order would hand back Z_7
+    ski = sketch_new(_cfg(group=None, m=8, b=64, seed=9))
+    ski.update_batch(np.arange(500), np.arange(500) - 250)
+    query(ski, 7)  # the Z_7 caches are warm
+    for bad in (7.0, np.float64(7.0), 7.5):
+        with pytest.raises(InvalidGroupError):
+            query(ski, bad)
+
+
+def test_numpy_integer_orders_give_the_bits_of_python_ints(fresh_memo):
+    ski = sketch_new(_cfg(group=None, m=8, b=64, seed=9))
+    rng = np.random.default_rng(7)
+    ski.update_batch(rng.integers(0, 1 << 40, 500), rng.integers(-1000, 1000, 500))
+    for p in (np.int64(7), 7, np.int32(7)):
+        assert np.array_equal(modulo_spectrum(p, 3).values, modulo_spectrum(7, 3).values)
+        assert estimate_support(ski, p) == estimate_support(ski, 7)
+        got, want = estimate_modulo(ski, p, 3), estimate_modulo(ski, 7, 3)
+        assert got == want and np.array_equal(got.gamma_terms, want.gamma_terms)
+        assert ski.reduce_values_mod(p) == ski.reduce_values_mod(7)
 
 
 def test_memo_is_safe_across_threads(fresh_memo):

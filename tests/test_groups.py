@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _oracles import char_eval, dft_oracle, idft_oracle
+from hsketch import groups
 from hsketch.errors import GroupMismatchError, InvalidGroupError
 from hsketch.groups import (
     FunctionTable,
     SpectrumTable,
+    _transform,
     dft,
     idft,
     make_group,
@@ -28,6 +32,17 @@ def test_make_group_examples():
         with pytest.raises(InvalidGroupError):
             make_group(orders)
     assert make_group([np.int64(7)]).orders == (7,)
+
+
+def test_cyclic_descriptors_are_shared_and_their_tables_read_only():
+    g = groups._cyclic_group(7)
+    assert groups._cyclic_group(np.int64(7)) is g and g == make_group([7])
+    for table in (g.roots, g.phase_factors, g.residue_matrix):
+        with pytest.raises(ValueError):
+            table[0] = 0  # a write would reach every later query on Z_7
+    for bad in (7.0, 2.9, "7", 1):
+        with pytest.raises(InvalidGroupError):
+            groups._cyclic_group(bad)
 
 
 def test_enumeration_order_first_factor_most_significant():
@@ -245,3 +260,111 @@ def test_blocked_transforms_equal_per_character_oracle(orders):
     s = SpectrumTable(g, vals)
     assert np.array_equal(dft(g, f).values, dft_oracle(g, f).values)
     assert np.array_equal(idft(g, s).values, idft_oracle(g, s).values)
+
+
+def test_strided_values_transform_as_their_contiguous_copy(transform_memo):
+    # a strided BLAS dot can differ in the last bit, and the memo keys on content alone
+    g = make_group([128])
+    rng = np.random.default_rng(3)
+    wide = rng.normal(size=256) + 1j * rng.normal(size=256)
+    f = FunctionTable(g, wide[::2])
+    assert f.values.flags.c_contiguous
+    assert dft(g, f).values.tobytes() == _uncached(g, wide[::2].copy(), "dft").tobytes()
+
+
+# -- the transform memo ----------------------------------------------------------
+
+
+@pytest.fixture
+def transform_memo():
+    groups._TRANSFORM_MEMO.clear()
+    yield groups._TRANSFORM_MEMO
+    groups._TRANSFORM_MEMO.clear()
+
+
+def _uncached(g, values, direction):
+    if direction == "dft":
+        return _transform(g, values, g.roots.conj())
+    return _transform(g, values, g.roots) / g.total_size
+
+
+MEMO_GROUPS = [make_group([128]), make_group([7, 7, 7]), make_group([2] * 8)]
+WRITES = [0.0, -0.0, 1.0, -2.5, 1j, -0.0j, 3.0 - 4.0j]
+
+TRANSFORM_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["dft", "idft", "write"]),
+        st.integers(0, len(MEMO_GROUPS) - 1),
+        st.integers(0, 1),  # which of two tables over the group
+        st.integers(0, 2**32 - 1),  # entry written
+        st.integers(0, len(WRITES) - 1),  # value written
+    ),
+    max_size=25,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(TRANSFORM_OPS)
+def test_transform_memo_equals_the_uncached_computation(ops):
+    groups._TRANSFORM_MEMO.clear()
+    rng = np.random.default_rng(0)
+    tables = [
+        [rng.normal(size=g.total_size) + 1j * rng.normal(size=g.total_size) for _ in range(2)]
+        for g in MEMO_GROUPS
+    ]
+    for op, gi, ti, x, w in ops:
+        g, values = MEMO_GROUPS[gi], tables[gi][ti]
+        if op == "write":
+            values[x % g.total_size] = WRITES[w]
+            continue
+        table = (FunctionTable if op == "dft" else SpectrumTable)(g, values)
+        assert table.values is values  # a table holds the caller's array, written in place
+        got = (dft if op == "dft" else idft)(g, table).values
+        assert got.tobytes() == _uncached(g, values, op).tobytes()  # the same bits, zero signs too
+    assert len(groups._TRANSFORM_MEMO) <= 8
+    groups._TRANSFORM_MEMO.clear()
+
+
+@pytest.mark.parametrize("direction", ["dft", "idft"])
+def test_transform_memo_hit_is_not_changed_by_a_write_into_a_result(transform_memo, direction):
+    g = make_group([7, 7])
+    rng = np.random.default_rng(5)
+    values = rng.normal(size=49) + 1j * rng.normal(size=49)
+    transform = dft if direction == "dft" else idft
+    table = (FunctionTable if direction == "dft" else SpectrumTable)(g, values)
+    want = _uncached(g, values, direction)
+    transform(g, table).values[:] = 0  # written into a miss's result
+    transform(g, table).values[:] = 0  # and into a hit's
+    assert len(transform_memo) == 1
+    assert np.array_equal(transform(g, table).values, want)
+    assert np.array_equal(transform_memo[0][-1], want) and np.array_equal(transform_memo[0][-2], values)
+
+
+def test_transform_memo_tells_dft_and_idft_of_one_array_apart(transform_memo):
+    g = make_group([128])
+    values = np.random.default_rng(6).normal(size=128) + 0j
+    forward = dft(g, FunctionTable(g, values)).values
+    inverse = idft(g, SpectrumTable(g, values)).values
+    assert len(transform_memo) == 2
+    assert np.array_equal(forward, _uncached(g, values, "dft"))
+    assert np.array_equal(inverse, _uncached(g, values, "idft"))
+    assert not np.array_equal(forward, inverse)
+    for _ in range(2):  # hits keep them apart too
+        assert np.array_equal(dft(g, FunctionTable(g, values)).values, forward)
+        assert np.array_equal(idft(g, SpectrumTable(g, values)).values, inverse)
+    assert len(transform_memo) == 2
+
+
+def test_transform_memo_holds_at_most_eight_least_recently_used(transform_memo):
+    g = make_group([7])
+    tables = [FunctionTable(g, np.full(7, float(k))) for k in range(12)]
+    for f in tables[:8]:
+        dft(g, f)
+    dft(g, tables[0])  # a hit makes table 0 the most recent entry
+    for f in tables[8:]:
+        dft(g, f)
+        assert len(transform_memo) <= 8
+    assert [snap[0].real for *_, snap, _ in transform_memo] == [5, 6, 7, 0, 8, 9, 10, 11]
+    for f in tables:
+        assert np.array_equal(dft(g, f).values, _uncached(g, f.values, "dft"))
+    assert len(transform_memo) == 8

@@ -216,6 +216,25 @@ def test_fingerprint_scheme_with_r_0_is_a_config_error(run, tmp_path, monkeypatc
         run(config, tmp_path / "rows.csv")
 
 
+def test_scheme_spec_rejects_an_unknown_kind_at_construction():
+    # before any worker generates streams or ingests towers
+    with pytest.raises(SchemaError, match="fingerprnt"):
+        SchemeSpec("fingerprnt", 64)
+
+
+@pytest.mark.parametrize(
+    "spec, label",
+    [
+        (SchemeSpec("fourier", 8, clamp_nonnegative=True), "fourier"),
+        (SchemeSpec("ideal-oracle", 8), "ideal-oracle"),
+        (SchemeSpec("fingerprint", 8), "fingerprint-r3"),
+        (SchemeSpec("fingerprint", 8, r=2), "fingerprint-r2"),
+    ],
+)
+def test_scheme_spec_keeps_the_label_of_every_valid_kind(spec, label):
+    assert spec.label() == label
+
+
 @pytest.mark.parametrize("value", ["two", "2.5"])
 def test_thread_budget_rejects_a_non_integer(monkeypatch, value):
     monkeypatch.setenv("HSKETCH_THREADS", value)

@@ -198,6 +198,7 @@ def estimate_modulo(
     estimate is the support size mod p (see :func:`estimate_support`)."""
     if not isinstance(j, numbers.Integral):  # 1.5 would index the roots of unity
         raise InvalidConfigError(f"residue j={j!r} is not an integer")
+    p = _cyclic_group(p).orders[0]  # an order that is not one raises InvalidGroupError first
     if not 0 <= j < p:
         raise InvalidConfigError(f"residue {j} outside [0, {p})")
     return estimate_f(

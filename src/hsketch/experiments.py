@@ -6,9 +6,11 @@ written workload-major, then in trial order, whatever the completion order,
 so identical configs produce byte-identical output.  ``HSKETCH_THREADS``
 caps worker processes; 1 disables multiprocessing.
 
-Every Fourier tower comes from ``_fourier_towers``: one Poisson tower per
-(stream, m) on the trial's seed, which every scheme at that m queries.
-Streams with the same ids share one ingest (``tower._update_shared``).
+Every Fourier tower comes from ``_fourier_towers``, on the trial's seed, and
+every scheme at one m queries the same tower.  Streams over G with the same
+ids are the coordinates of one Poisson tower over G^K, fed (n, K) value rows,
+and each stream gets its coordinate's projection.  The union trial's two
+streams are the coordinates of one Z_p x Z_p stream over the union's ids.
 """
 
 from __future__ import annotations
@@ -30,15 +32,10 @@ from .errors import (
     SchemaError,
     _checked_int,
 )
-from .estimator import (
-    estimate_f,
-    estimate_modulo,
-    estimate_support,
-    estimate_union,
-)
-from .groups import FunctionTable, GroupDescriptor, _read_csv, _write_csv, dft, make_group
+from .estimator import _support_spectrum, estimate_f, estimate_modulo, estimate_support
+from .groups import MAX_TOTAL_SIZE, FunctionTable, GroupDescriptor, _read_csv, _write_csv, dft, make_group
 from .sampler import SamplerSketch, _tally, equal_memory_m_prime, sample_f_moment
-from .tower import SketchConfig, _update_shared, default_window, sketch_new
+from .tower import SketchConfig, TowerSketch, default_window
 from .workloads import WorkloadSpec, gen_stream, signed_representative
 
 CSV_HEADER = [
@@ -128,26 +125,29 @@ def _run_trials(trial_fn: Callable, config: ExperimentConfig, p: int, out_path) 
 
 
 def _fourier_towers(
-    streams: Sequence, schemes: Sequence[SchemeSpec], group: GroupDescriptor | None, seed: int
+    streams: Sequence, schemes: Sequence[SchemeSpec], group: GroupDescriptor, seed: int
 ) -> list[dict]:
-    """One Poisson tower per (stream, fourier m), keyed by m; a ``group`` of None means integer towers.
+    """One Poisson tower over ``group`` per (stream, fourier m), keyed by m.
 
-    ``streams`` holds (ids, values, ...) tuples.  Streams whose id arrays are
-    equal (int64, so equal bytes) share one ingest per m: their towers have
-    one config, so they draw the same counts.
+    ``streams`` holds (ids, values, ...) tuples.  K streams whose id arrays
+    are equal (int64, so equal bytes) are the coordinates of one tower per m
+    over group^K, fed (n, K) rows, and each stream's tower is its projection.
+    More streams than the largest K with |group|^K <= ``MAX_TOTAL_SIZE`` are
+    split into towers of at most that K.
     """
+    fit = max(k for k in range(1, 32) if group.total_size**k <= MAX_TOTAL_SIZE)  # |G| >= 2, so K < 31
     by_ids: dict[bytes, list[int]] = {}  # stream indices by id array
     for i, stream in enumerate(streams):
         by_ids.setdefault(stream[0].tobytes(), []).append(i)
+    parts = [idx[s : s + fit] for idx in by_ids.values() for s in range(0, len(idx), fit)]
     towers: list[dict] = [{} for _ in streams]
     for m in dict.fromkeys(s.m for s in schemes if s.kind == "fourier"):
         a, b = default_window(m)
-        cfg = SketchConfig(group, m, a, b, seed, "poisson")
-        for idx in by_ids.values():
-            sketches = [sketch_new(cfg) for _ in idx]
-            _update_shared(sketches, streams[idx[0]][0], [streams[i][1] for i in idx])
-            for i, sk in zip(idx, sketches):
-                towers[i][m] = sk
+        for idx in parts:
+            tower = TowerSketch(SketchConfig(make_group(group.orders * len(idx)), m, a, b, seed, "poisson"))
+            tower.update_batch(streams[idx[0]][0], np.column_stack([streams[i][1] for i in idx]))
+            for c, i in enumerate(idx):
+                towers[i][m] = tower.project(range(c * group.degree, (c + 1) * group.degree))
     return towers
 
 
@@ -193,8 +193,8 @@ def _modulo_trial(args) -> list[list[list]]:
     """One trial seed over every workload: the rows of each workload, in workload order."""
     workloads, schemes, p, trial, seed = args
     streams = [gen_stream(spec) for spec in workloads]
-    towers = _fourier_towers(streams, schemes, None, seed)
     group = make_group([p])
+    towers = _fourier_towers(streams, schemes, group, seed)
     out = []
     for spec, (vs, ys, truth), sketches in zip(workloads, streams, towers):
         residues = truth.residue_counts(p)
@@ -299,9 +299,13 @@ class UnionWorkload:
 def _union_trial(args) -> list[list[list]]:
     """One trial seed of the union workload under its one fourier scheme."""
     (wl,), (scheme,), p, trial, seed = args
-    streams = wl.streams()
-    t1, t2 = _fourier_towers([streams[:2], streams[2:]], [scheme], make_group([p]), seed)
-    rep = estimate_union(t1[scheme.m], t2[scheme.m], **_fourier_opts(scheme))
+    ids1, ys1, ids2, ys2 = wl.streams()
+    ids = np.union1d(ids1, ids2)
+    ys = np.zeros((len(ids), 2), dtype=np.int64)  # 0 where a stream is absent
+    ys[np.searchsorted(ids, ids1), 0] = ys1
+    ys[np.searchsorted(ids, ids2), 1] = ys2
+    tower = _fourier_towers([(ids, ys)], [scheme], make_group([p, p]), seed)[0][scheme.m]
+    rep = estimate_f(tower, _support_spectrum(tower.group), **_fourier_opts(scheme))
     return [[[wl.name, "fourier", "union", trial, seed, _fmt(rep.estimate),
               _fmt(rep.imag_residual), _fmt(wl.union_size)]]]
 

@@ -33,11 +33,10 @@ c + 1 copies, and the hits go to the registers with one scatter-add per block.
 Every register array, towers of both modes and both sampler modes, is
 updated by one flat scatter-add, :func:`_scatter_add`.
 
-A count never depends on the value, so K sketches of one config fed the same
-ids draw the same counts.  :func:`_update_shared` ingests them in one pass:
-their registers are stacked to (nk, 3, K * d) and their values to
-(n, K * d), so each dense product and each sparse scatter-add covers all K,
-and ``update_batch`` is its K = 1 case on a view of the registers.
+A count never depends on the value, so K streams over G fed the same ids are
+the K coordinates of one stream over G^K: one tower over the product group,
+fed (n, K) value rows, draws each count once for all K, and
+:meth:`TowerSketch.project` hands back the sketch of any coordinates.
 """
 
 from __future__ import annotations
@@ -349,21 +348,20 @@ def _canonical_values(group: GroupDescriptor | None, ys) -> np.ndarray:
 
 
 def _settle(config: SketchConfig, regs: np.ndarray) -> None:
-    """Restore the register invariant of ``regs``, K stacked sketches of ``config``, after a chunk.
+    """Restore the register invariant of ``regs``, a view of a tower of ``config``, after a chunk.
 
-    Integer registers must stay below 2^62 in magnitude; group registers,
-    (nk, 3, K * d), are reduced by the group orders tiled K times.
+    Integer registers must stay below 2^62 in magnitude; group registers are
+    reduced by the group orders.
     """
     if config.group is None:
         if np.any((regs >= _INT_REGISTER_BOUND) | (regs <= -_INT_REGISTER_BOUND)):
             raise RegisterOverflowError("integer register exceeded the 2^62 workload bound")
     else:
-        orders = np.array(config.group.orders, dtype=np.int64)
-        regs %= np.tile(orders, regs.shape[-1] // len(orders))
+        regs %= np.array(config.group.orders, dtype=np.int64)
 
 
 def _ingest(config: SketchConfig, regs: np.ndarray, vs: np.ndarray, ys: np.ndarray) -> None:
-    """Add checked updates to ``regs``, (nk, 3, K), for (n, K) values ``ys``, settling every chunk."""
+    """Add checked updates to ``regs``, (nk, 3, d), for (n, d) values ``ys``, settling every chunk."""
     add = _ingest_poisson if config.mode == "poisson" else _ingest_binomial
     for s in range(0, len(vs), _CHUNK_UPDATES):
         add(config, regs, vs[s : s + _CHUNK_UPDATES], ys[s : s + _CHUNK_UPDATES])
@@ -408,45 +406,8 @@ def _ingest_binomial(config: SketchConfig, regs: np.ndarray, vs: np.ndarray, ys:
     _scatter_add(regs, rows[live], np.broadcast_to(ys, (3,) + ys.shape)[live])
 
 
-def _update_shared(sketches: Sequence[_TowerBase], vs, ys_list: Sequence) -> None:
-    """Add the values ``ys_list[i]`` at the ids ``vs`` to ``sketches[i]``, all in one pass.
-
-    A cell's count depends only on (seed, element, column, cell), so K
-    sketches of one config fed the same ids share every PRF draw and differ
-    only in the values multiplied in: their registers are stacked to
-    (nk, 3, K * d) and the values to (n, K * d).  Every check comes before any
-    register changes: one class and one config (else CannotCombineError), one
-    canonical batch per sketch (else GroupMismatchError), and integer values
-    within 2^31 (else RegisterOverflowError).  One sketch is updated in place.
-    """
-    first = sketches[0]
-    cfg = first.config
-    if any(type(sk) is not type(first) or sk.config != cfg for sk in sketches):
-        raise CannotCombineError("a shared ingest needs sketches of one class and one config")
-    if len(ys_list) != len(sketches):
-        raise GroupMismatchError(f"{len(ys_list)} value batches for {len(sketches)} sketches")
-    batches = [_update_arrays(cfg.group, vs, ys) for ys in ys_list]
-    vs = batches[0][0]
-    cols = [yr if yr.ndim == 2 else yr[:, None] for _, yr in batches]
-    ys = cols[0] if len(cols) == 1 else np.concatenate(cols, axis=1)  # one batch is not copied
-    if cfg.group is None and np.any((ys > _MAX_UPDATE_MAGNITUDE) | (ys < -_MAX_UPDATE_MAGNITUDE)):
-        raise RegisterOverflowError(
-            f"update magnitude exceeds the declared bound {_MAX_UPDATE_MAGNITUDE}"
-        )
-    if not len(vs):
-        return
-    nk = cfg.num_cells
-    if len(sketches) == 1:  # a view: the constructor keeps registers C-contiguous
-        _ingest(cfg, first.registers.reshape(nk, 3, -1), vs, ys)
-        return
-    regs = np.concatenate([sk.registers.reshape(nk, 3, -1) for sk in sketches], axis=2)
-    _ingest(cfg, regs, vs, ys)
-    for sk, part in zip(sketches, np.split(regs, len(sketches), axis=2)):
-        sk.registers[...] = part.reshape(sk.registers.shape)
-
-
 class _TowerBase:
-    """Register storage, updates through :func:`_update_shared` and the structural operations."""
+    """Register storage, the one ingest path and the structural operations."""
 
     config: SketchConfig
     registers: np.ndarray
@@ -489,7 +450,17 @@ class _TowerBase:
         self.update_batch([v], [y])
 
     def update_batch(self, vs: Sequence[int], ys) -> None:
-        _update_shared([self], vs, [ys])
+        """Add the values ``ys`` at the ids ``vs``; every check comes before any register changes.
+
+        The batch must be canonical (else GroupMismatchError), with integer
+        values within 2^31 (else RegisterOverflowError).
+        """
+        cfg = self.config
+        vs, ys = _update_arrays(cfg.group, vs, ys)
+        if cfg.group is None and np.any((ys > _MAX_UPDATE_MAGNITUDE) | (ys < -_MAX_UPDATE_MAGNITUDE)):
+            raise RegisterOverflowError(f"update magnitude exceeds the bound {_MAX_UPDATE_MAGNITUDE}")
+        if len(vs):  # a view: the constructor keeps registers C-contiguous
+            _ingest(cfg, self.registers.reshape(cfg.num_cells, 3, -1), vs, ys.reshape(len(vs), -1))
 
     # -- structure ---------------------------------------------------------
 
@@ -516,9 +487,27 @@ class TowerSketch(_TowerBase):
 
     def reduce_values_mod(self, p: int) -> "TowerSketch":
         """A copy of this Z_p sketch: its registers are already reduced."""
-        if self.group.orders != (p,):
+        if self.group != _cyclic_group(p):
             raise GroupMismatchError(f"sketch is over {self.group.orders}, not Z_{p}")
         return self.copy()
+
+    def project(self, coords: Sequence[int]) -> "TowerSketch":
+        """The sketch of the values' coordinates ``coords``, over those factors of the group.
+
+        A count never depends on the value, so factor t of the registers is
+        exactly the sketch of the stream's t-th coordinate.  The registers are
+        copied; an empty list, or a coordinate that is not an integer index
+        of a factor, raises InvalidGroupError.
+        """
+        orders = self.group.orders
+        try:
+            idx = [operator.index(c) for c in coords]
+        except TypeError:
+            idx = []
+        if not idx or not all(0 <= c < len(orders) for c in idx):
+            raise InvalidGroupError(f"coordinates {coords!r} do not index the factors of {orders}")
+        cfg = _config_over(self.config, make_group([orders[c] for c in idx]))
+        return type(self)(cfg, self.registers[:, :, idx])
 
 
 _SHARED_FIELDS = operator.attrgetter("m", "a", "b", "seed", "mode")

@@ -682,15 +682,17 @@ def test_integer_sketch_is_read_mod_the_spectrum_order(fresh_memo, p):
         lambda ski, p: estimate_support(ski, p),
         lambda ski, p: estimate_modulo(ski, p, 1),
         lambda ski, p: ski.reduce_values_mod(p),
+        lambda ski, p: ski.reduce_values_mod(7).reduce_values_mod(p),
     ],
-    ids=["modulo_spectrum", "estimate_support", "estimate_modulo", "reduce_values_mod"],
+    ids=["modulo_spectrum", "estimate_support", "estimate_modulo", "reduce_values_mod",
+         "group_reduce_values_mod"],
 )
 def test_cached_groups_keep_the_order_validation(fresh_memo, query):
     # 7.0 == 7 and both hash alike: a cache keyed on the raw order would hand back Z_7
     ski = sketch_new(_cfg(group=None, m=8, b=64, seed=9))
     ski.update_batch(np.arange(500), np.arange(500) - 250)
     query(ski, 7)  # the Z_7 caches are warm
-    for bad in (7.0, np.float64(7.0), 7.5):
+    for bad in (7.0, np.float64(7.0), 7.5, "7", None):
         with pytest.raises(InvalidGroupError):
             query(ski, bad)
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import subprocess
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 import hsketch
+from hsketch import experiments
 from hsketch.cli import main as cli_main
 from hsketch.errors import InvalidConfigError, InvalidWorkloadError, SchemaError
 from hsketch.experiments import (
@@ -22,7 +24,9 @@ from hsketch.experiments import (
     thread_budget,
     write_rows,
 )
-from hsketch.tower import SketchConfig, sketch_new
+from hsketch.estimator import estimate_f, estimate_union
+from hsketch.groups import make_group
+from hsketch.tower import SketchConfig, TowerSketch, combine_product, sketch_new
 from hsketch.workloads import (
     WorkloadSpec,
     gen_stream,
@@ -290,6 +294,77 @@ def test_union_workload_streams():
     assert len(ids1) == 6 and len(ids2) == 5
     assert set(ids1) & set(ids2) == {4, 5}
     assert (y1 > 0).all() and (y1 < 7).all()
+
+
+# -- product towers in the trials ---------------------------------------------------
+
+
+def test_union_trial_tower_is_the_product_of_the_two_stream_towers(monkeypatch):
+    wl = UnionWorkload("u", only_first=100, only_second=80, overlap=40, shuffle_seed=6)
+    scheme = SchemeSpec("fourier", 8, literal_truncation=True)
+    queried = []
+
+    def recording(sketch, spectrum, **opts):
+        queried.append(sketch)
+        return estimate_f(sketch, spectrum, **opts)
+
+    monkeypatch.setattr(experiments, "estimate_f", recording)
+    ((row,),) = experiments._union_trial(((wl,), (scheme,), 7, 0, 31))
+    ids1, y1, ids2, y2 = wl.streams()
+    apart = []
+    for ids, ys in ((ids1, y1), (ids2, y2)):
+        apart.append(sketch_new(SketchConfig(make_group([7]), 8, 0, 22 * 8, 31)))
+        apart[-1].update_batch(ids, ys)
+    (tower,) = queried
+    product = combine_product(*apart)
+    assert tower.config == product.config and np.array_equal(tower.registers, product.registers)
+    rep = estimate_union(*apart, literal=True)
+    assert row[5:7] == [repr(rep.estimate), repr(rep.imag_residual)]
+
+
+def test_shared_ids_past_the_group_size_limit_split_into_towers_that_fit(tmp_path, monkeypatch):
+    # 128^5 > 2^31, so each trial's five Z_128 streams take a Z_128^4 and a Z_128 tower;
+    # the digest is that of the code that ingested them as five Z_128 towers
+    monkeypatch.setenv("HSKETCH_THREADS", "1")
+    degrees = []
+    update_batch = TowerSketch.update_batch
+
+    def recording(self, vs, ys):
+        degrees.append(self.group.degree)
+        update_batch(self, vs, ys)
+
+    monkeypatch.setattr(TowerSketch, "update_batch", recording)
+    schemes = (
+        SchemeSpec("fourier", 8),
+        SchemeSpec("fourier", 8, clamp_nonnegative=True, literal_truncation=True),
+        SchemeSpec("fingerprint", 8, r=2),
+    )
+    values = ({1: 300, 64: 20}, {-3: 200, 10: 120}, {5: 320}, {2: 100, -60: 220}, {127: 160, 3: 160})
+    workloads = tuple(WorkloadSpec(f"c{i}", v, 1 << 16, shuffle_seed=5) for i, v in enumerate(values))
+    out = tmp_path / "l2.csv"
+    run_l2_experiment(ExperimentConfig("frozen", workloads, schemes, trials=2, base_seed=21, p=128), out)
+    assert degrees == [4, 1, 4, 1]
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "3fd3ca2efacecd4e9f55ded77df7c563a0d86fa1ae45badead2daf2919573ff6"
+
+
+def test_modulo_values_past_2_31_are_reduced_at_ingest(tmp_path, monkeypatch):
+    # the values are 3 and 6 mod 7 and sort in the same order, so a trial
+    # that reads them mod 7 writes the CSV of {3: 200, 6: 40}
+    monkeypatch.setenv("HSKETCH_THREADS", "1")
+    schemes = (
+        SchemeSpec("fourier", 8),
+        SchemeSpec("fourier", 8, clamp_nonnegative=True, literal_truncation=True),
+        SchemeSpec("fingerprint", 8, r=3),
+        SchemeSpec("ideal-oracle", 8),
+    )
+    csvs = []
+    for counts in ({7 * 2**38 + 3: 200, 7 * 2**39 + 6: 40}, {3: 200, 6: 40}):
+        spec = WorkloadSpec("w", counts, 1 << 16, shuffle_seed=4)
+        out = tmp_path / f"modulo{len(csvs)}.csv"
+        run_modulo_experiment(ExperimentConfig("big", (spec,), schemes, trials=2, base_seed=11, p=7), out)
+        csvs.append(out.read_bytes())
+    assert csvs[0] == csvs[1]
 
 
 # -- CLI ------------------------------------------------------------------------------

@@ -29,7 +29,6 @@ from hsketch.tower import (
     _TowerBase,
     _binomial_levels_batch,
     _level_cdf,
-    _update_shared,
     combine_product,
     default_window,
     deserialize,
@@ -532,17 +531,19 @@ def test_property_window_is_the_sketch_built_with_that_window(cfg, data, updates
     assert wide.window(a, b) == direct
 
 
-# -- one pass for K sketches of one config ---------------------------------------------
+# -- one product tower for K streams with the same ids ---------------------------------
 
 Z2_3 = make_group([2, 2, 2])
+Z7_2 = make_group([7, 7])
+ZI = SketchConfig(None, m=4, a=0, b=16, seed=3, mode="poisson")
 
 
 @st.composite
 def shared_batches(draw):
-    """A config (integer, Z_7 or Z_2^3; both modes), one id array and K = 1..4 value batches."""
-    cfg = draw(small_configs(orders=(None, (7,), (2, 2, 2))))
+    """A config over G (Z_7 or Z_2^3; both modes), one id array and K = 1..4 value batches over G."""
+    cfg = draw(small_configs(orders=((7,), (2, 2, 2))))
     vs = np.array(draw(st.lists(st.integers(0, 2**40), max_size=40)), dtype=np.int64)
-    row = () if cfg.group is None or cfg.group.degree == 1 else (cfg.group.degree,)
+    row = () if cfg.group.degree == 1 else (cfg.group.degree,)
     size = len(vs) * math.prod(row)
     values = st.lists(st.integers(-(10**6), 10**6), min_size=size, max_size=size)
     k = draw(st.integers(1, 4))
@@ -550,63 +551,88 @@ def shared_batches(draw):
 
 
 def _long_batch(cfg, k):
-    """Past one chunk of updates, so the shared registers are settled between chunks."""
+    """Past one chunk of updates, so the product registers are settled between chunks."""
     n = _CHUNK_UPDATES + 5
-    row = () if cfg.group is None else (cfg.group.degree,)
+    row = () if cfg.group.degree == 1 else (cfg.group.degree,)
     rng = np.random.default_rng(k)
     return cfg, np.arange(n), [rng.integers(-50, 50, (n,) + row) for _ in range(k)]
 
 
+def _product_tower(cfg, k):
+    """An empty tower of ``cfg`` over G^k, G being ``cfg``'s group."""
+    return sketch_new(replace(cfg, group=make_group(cfg.group.orders * k)))
+
+
 @given(shared_batches())
-@example(_long_batch(SketchConfig(None, 4, -8, 16, 7), 3))
+@example(_long_batch(SketchConfig(make_group([128]), 4, -8, 16, 7), 3))
 @example(_long_batch(SketchConfig(Z2_3, 4, -8, 16, 7), 2))
 @example((SketchConfig(Z7, 4, 12, 40, 7, "binomial"), np.arange(0), [[], []]))
 def test_property_shared_ingest_is_k_separate_update_batches(case):
+    # the projections of one tower over G^K fed (n, K) rows are K towers over G
     cfg, vs, ys_list = case
-    k = len(ys_list)
-    # every sketch already holds a batch of its own, which the pass must keep
-    shared, alone = [sketch_new(cfg) for _ in range(k)], [sketch_new(cfg) for _ in range(k)]
-    for i, sk in enumerate(shared + alone):
-        sk.update_batch(vs, ys_list[(i + 1) % k])
-    _update_shared(shared, vs, ys_list)
-    for sk, ys in zip(alone, ys_list):
-        sk.update_batch(vs, ys)
-    assert shared == alone
-
-
-class _SubTower(TowerSketch):
-    pass
+    k, d = len(ys_list), cfg.group.degree
+    # every tower already holds a batch of its own, which the ingest must keep
+    product, alone = _product_tower(cfg, k), [sketch_new(cfg) for _ in range(k)]
+    product.update_batch(vs, np.column_stack(ys_list[1:] + ys_list[:1]))
+    product.update_batch(vs, np.column_stack(ys_list))
+    for c, sk in enumerate(alone):
+        sk.update_batch(vs, ys_list[(c + 1) % k])
+        sk.update_batch(vs, ys_list[c])
+        assert product.project(range(c * d, c * d + d)) == sk
 
 
 @pytest.mark.parametrize(
-    "build,ys_list,error",
+    "cfg,rows,error",
     [
-        (lambda: [sketch_new(_cfg()), sketch_new(_cfg(seed=43))], [[1, 2], [3, 4]], CannotCombineError),
-        (lambda: [sketch_new(_cfg()), sketch_new(_cfg(group=make_group([5])))], [[1, 2], [3, 4]],
-         CannotCombineError),
-        (lambda: [sketch_new(_cfg()), sketch_new(_cfg(mode="binomial", a=12, b=40))], [[1, 2], [3, 4]],
-         CannotCombineError),
-        (lambda: [sketch_new(_cfg()), _SubTower(_cfg())], [[1, 2], [3, 4]], CannotCombineError),
-        # the offending value comes in the last batch, after one that would ingest
-        (lambda: [sketch_new(_cfg()), sketch_new(_cfg())], [[1, 2], [3, 2.5]], GroupMismatchError),
-        (lambda: [sketch_new(ZI), sketch_new(ZI)], [[1, 2], [3, 2**31 + 1]], RegisterOverflowError),
-        (lambda: [sketch_new(_cfg()), sketch_new(_cfg())], [[1, 2]], GroupMismatchError),
+        # the offending value comes in the last row, after one that would ingest
+        (_cfg(group=Z7_2), [[1, 2], [3, 2.5]], GroupMismatchError),
+        (ZI, [2, 2**31 + 1], RegisterOverflowError),
+        # one stream's column for a tower of two
+        (_cfg(group=Z7_2), [[1], [2]], GroupMismatchError),
     ],
-    ids=["seed", "group", "mode", "class", "non-integral", "magnitude", "one-batch-for-two"],
+    ids=["non-integral", "magnitude", "one-batch-for-two"],
 )
-def test_shared_ingest_checks_everything_before_any_register_changes(build, ys_list, error):
-    sketches = build()
-    for i, sk in enumerate(sketches):
-        sk.update_batch([1, 2, 3], [i + 1, 2, 3])
-    before = [sk.registers.copy() for sk in sketches]
+def test_shared_ingest_checks_everything_before_any_register_changes(cfg, rows, error):
+    sk = sketch_new(cfg)
+    sk.update_batch([1, 2, 3], [1, 2, 3] if cfg.group is None else [[1, 2], [3, 4], [5, 6]])
+    before = sk.registers.copy()
     with pytest.raises(error):
-        _update_shared(sketches, [4, 5], ys_list)
-    assert all(np.array_equal(sk.registers, b) for sk, b in zip(sketches, before))
+        sk.update_batch([4, 5], rows)
+    assert np.array_equal(sk.registers, before)
+
+
+def test_project_examples():
+    cfg = _cfg(group=make_group([2, 7, 128]), seed=5)
+    rng = np.random.default_rng(5)
+    vs, rows = np.arange(200), rng.integers(-1000, 1000, (200, 3))
+    product = sketch_new(cfg)
+    product.update_batch(vs, rows)
+    for coords in ([1], [2, 0], [0, 1, 2], [1, 1]):
+        want = sketch_new(_cfg(group=make_group([cfg.group.orders[c] for c in coords]), seed=5))
+        want.update_batch(vs, rows[:, coords])
+        assert product.project(coords) == want
+
+
+@pytest.mark.parametrize(
+    "coords",
+    [[], [2], [-1], [0.0], ["0"], [None], 0, None],
+    ids=["empty", "past-the-end", "negative", "float", "string", "none", "int", "no-list"],
+)
+def test_project_rejects_a_bad_coordinate(coords):
+    sk = sketch_new(_cfg(group=Z7_2))
+    with pytest.raises(InvalidGroupError):
+        sk.project(coords)
+
+
+def test_project_owns_its_registers():
+    sk = sketch_new(_cfg(group=Z7_2, seed=4))
+    sk.update_batch(np.arange(20), np.arange(40).reshape(20, 2))
+    for coords in ([0], [0, 1]):
+        assert not np.shares_memory(sk.project(coords).registers, sk.registers)
 
 
 # -- the register contract ------------------------------------------------------------
 
-ZI = SketchConfig(None, m=4, a=0, b=16, seed=3, mode="poisson")
 Z2xZ128 = _cfg(group=make_group([2, 128]))
 
 
@@ -709,7 +735,7 @@ def test_every_tower_is_built_through_the_constructor(monkeypatch):
     ski = sketch_new(ZI)
     ski.update_batch(np.arange(20), np.arange(20) - 7)
     made = [
-        sk.copy(), sk.window(2, 9), combine_product(sk, sk), sk.reduce_values_mod(7),
+        sk.copy(), sk.window(2, 9), combine_product(sk, sk), sk.reduce_values_mod(7), sk.project([0]),
         ski.reduce_values_mod(7), ski.copy(), deserialize(sk.serialize()), deserialize(ski.serialize()),
     ]
     assert built == ["TowerSketch", "IntegerTowerSketch"] + [type(t).__name__ for t in made]

@@ -26,14 +26,19 @@ keeps the verbatim formula (useful for studying truncation error, and it is
 the variant whose subgroup cancellations are exact).
 
 Aggregates depend only on the sketch, so one aggregation serves any number of
-spectra.  The characters chi(x, gamma) - 1 are evaluated once per distinct
-register value x (u <= |G| of them) and gathered back to every register:
-O(3 nk d + u |G|) plus one contraction with the weights, the same bits as a
-per-register evaluation.  A memo (``groups._Memo``, as for the transforms)
-keeps the last 8 aggregations, each under its config (an integer sketch's
-over Z_p), ``literal`` flag and a snapshot of the registers it read (int64 for
-an integer sketch, so a hit reduces nothing); an equal query gets a copy of
-the stored values, and entries leave only by least-recently-used eviction.
+spectra.  Per column j, the histogram H_j(x) = sum_k e^{k/(3m)} [X_kj = x]
+over x != 0 makes the aggregate a character sum,
+
+    agg(j, gamma) = sum_x H_j(x) chi(x, gamma) - sum_x H_j(x) - tau2,
+
+that is one unnormalized inverse FFT over the group.  The weights come from
+libm (``math.exp``), cached per (m, a, b), so estimates do not depend on
+which SIMD loop numpy dispatches ``np.exp`` to.
+A memo (``groups._Memo``, as for the transforms) keeps the last 8
+aggregations, each under its config (an integer sketch's over Z_p),
+``literal`` flag and a snapshot of the registers it read (int64 for an
+integer sketch, so a hit reduces nothing); an equal query gets a copy of the
+stored values, and entries leave only by least-recently-used eviction.
 
 A warm query builds no config and no group: an integer sketch's config over
 Z_p comes from ``tower._config_over``, cached per (config, group), and
@@ -51,9 +56,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import GroupMismatchError, InvalidConfigError, InvalidRHatError
-from .groups import (
-    FunctionTable, GroupDescriptor, SpectrumTable, _cyclic_group, _Memo, _phase_rows, dft,
-)
+from .groups import FunctionTable, GroupDescriptor, SpectrumTable, _cyclic_group, _Memo, _read_only, dft
 from .special import gamma_cached
 from .tower import IntegerTowerSketch, SketchConfig, TowerSketch, _config_over, combine_product
 
@@ -115,17 +118,23 @@ def _memoized_aggregates(cfg: SketchConfig, registers: np.ndarray, literal: bool
     return ColumnAggregates(cfg.group, cfg, _MEMO.get((cfg, literal), registers, aggregate), literal)
 
 
+@lru_cache(maxsize=16)
+def _weights(m: int, a: int, b: int) -> np.ndarray:
+    """e^{k/(3m)} for k in [a, b), from libm."""
+    return _read_only(np.array([math.exp(k / (3.0 * m)) for k in range(a, b)]))
+
+
 def _column_aggregates(cfg: SketchConfig, registers: np.ndarray, literal: bool) -> ColumnAggregates:
     group = cfg.group
-    m, a, b = cfg.m, cfg.a, cfg.b
-    regs = registers.reshape(-1, group.degree)  # (3 nk, d) residue rows
-    index = regs @ np.array(group.index_weights, dtype=np.int64)
-    _, first, inverse = np.unique(index, return_index=True, return_inverse=True)
-    # chi - 1 once per distinct register value, gathered back per register
-    rows = group.roots[_phase_rows(group, regs[first])] - 1.0  # (u, n_gamma)
-    chars = rows[inverse].reshape(registers.shape[:2] + (-1,))  # (nk, 3, n_gamma)
-    weights = np.exp(np.arange(a, b) / (3.0 * m))
-    agg = np.tensordot(weights, chars, axes=(0, 0)) - truncation_tail(m, a)
+    n = group.total_size
+    index = registers @ np.array(group.index_weights, dtype=np.int64)  # (nk, 3) element indices
+    weights = _weights(cfg.m, cfg.a, cfg.b)
+    hist = np.stack([np.bincount(index[:, j], weights, minlength=n) for j in range(3)])
+    hist[:, 0] = 0.0  # chi(0, gamma) - 1 = 0
+    axes = tuple(range(1, group.degree + 1))
+    sums = np.fft.ifftn(hist.reshape((3,) + group.orders), axes=axes, norm="forward").reshape(3, n)
+    # sums[:, 0] is sum_x H_j(x), so the trivial character gets exactly -tau2
+    agg = sums - sums[:, :1] - truncation_tail(cfg.m, cfg.a)
     if not literal:
         agg[:, 0] = 0.0  # trivial character: the infinite-tower aggregate is 0
     return ColumnAggregates(group, cfg, agg, literal)
@@ -170,8 +179,13 @@ def estimate_f(
 
 
 def modulo_spectrum(p: int, j: int) -> SpectrumTable:
-    """Transform of the indicator of residue j in Z_p: gamma -> e^{-2 pi i j gamma / p}."""
+    """Transform of the indicator of residue j in Z_p: gamma -> e^{-2 pi i j gamma / p}, j in [0, p)."""
+    if not isinstance(j, numbers.Integral):  # 1.5 would index the roots of unity
+        raise InvalidConfigError(f"residue j={j!r} is not an integer")
     group = _cyclic_group(p)
+    p = group.orders[0]
+    if not 0 <= j < p:
+        raise InvalidConfigError(f"residue {j} outside [0, {p})")
     return SpectrumTable(group, group.roots[(-j * np.arange(p)) % p])
 
 
@@ -196,11 +210,6 @@ def estimate_modulo(
 ) -> EstimateReport:
     """Estimate of |{v : x(v) = j (mod p)}| for j != 0; for j = 0 the negated
     estimate is the support size mod p (see :func:`estimate_support`)."""
-    if not isinstance(j, numbers.Integral):  # 1.5 would index the roots of unity
-        raise InvalidConfigError(f"residue j={j!r} is not an integer")
-    p = _cyclic_group(p).orders[0]  # an order that is not one raises InvalidGroupError first
-    if not 0 <= j < p:
-        raise InvalidConfigError(f"residue {j} outside [0, {p})")
     return estimate_f(
         sketch, modulo_spectrum(p, j), clamp_nonnegative=clamp_nonnegative, literal=literal
     )

@@ -16,8 +16,10 @@ Conventions, fixed so serialized tables are portable:
 
 A descriptor validates itself (at least one factor, integer orders >= 2, at
 most ``MAX_TOTAL_SIZE`` elements), so a product of two groups has the same
-bound as any other.  Characters are evaluated only in bulk, as integer phase
-rows (``_phase_rows``) into the table :attr:`GroupDescriptor.roots`.
+bound as any other.  Every character sum over the group is an n-dimensional
+FFT: the enumeration order is C order over an array of shape ``orders``, so
+:func:`dft` is ``np.fft.fftn`` of the values reshaped to that shape and
+:func:`idft` is ``np.fft.ifftn``.
 
 Repeated query work is served from caches keyed by content.  A cyclic group
 of a validated integer order has one shared descriptor (``_cyclic_group``),
@@ -41,7 +43,6 @@ import numpy as np
 from .errors import GroupMismatchError, InvalidGroupError
 
 MAX_TOTAL_SIZE = 2**31
-_MAX_CHAR_TABLE = 2**22
 
 GroupElement = tuple[int, ...]
 
@@ -89,25 +90,12 @@ class GroupDescriptor:
         return tuple(reversed(weights))
 
     @cached_property
-    def char_modulus(self) -> int:
-        """Common denominator of all character phases: lcm of the orders."""
-        return math.lcm(*self.orders)
-
-    @cached_property
     def roots(self) -> np.ndarray:
-        """exp(2*pi*i*r/L) for r in [0, L); the only complex exponentials used."""
-        L = self.char_modulus
-        if L > _MAX_CHAR_TABLE:
-            raise InvalidGroupError(
-                f"character table for lcm {L} exceeds the supported size {_MAX_CHAR_TABLE}"
-            )
-        return _read_only(np.exp(2j * np.pi * np.arange(L) / L))
-
-    @cached_property
-    def phase_factors(self) -> np.ndarray:
-        """Per-factor multiplier L/p_t turning residue products into L-th roots."""
-        L = self.char_modulus
-        return _read_only(np.array([L // p for p in self.orders], dtype=np.int64))
+        """exp(2*pi*i*r/p) for r in [0, p): the character values of a cyclic group Z_p."""
+        if self.degree != 1:
+            raise InvalidGroupError(f"roots of unity are tabulated for a cyclic group, not {self.orders}")
+        p = self.orders[0]
+        return _read_only(np.exp(2j * np.pi * np.arange(p) / p))
 
     @cached_property
     def residue_matrix(self) -> np.ndarray:
@@ -142,18 +130,6 @@ class GroupDescriptor:
     def elements(self) -> Iterator[GroupElement]:
         for i in range(self.total_size):
             yield self.element_at(i)
-
-    # -- arithmetic --------------------------------------------------------
-
-    def add(self, x: GroupElement, y: GroupElement) -> GroupElement:
-        x, y = self.element(x), self.element(y)
-        return tuple((a + b) % p for a, b, p in zip(x, y, self.orders))
-
-    def neg(self, x: GroupElement) -> GroupElement:
-        return tuple((-a) % p for a, p in zip(self.element(x), self.orders))
-
-    def scalar_mul(self, n: int, x: GroupElement) -> GroupElement:
-        return tuple((n % p) * a % p for a, p in zip(self.element(x), self.orders))
 
     def product(self, other: "GroupDescriptor") -> "GroupDescriptor":
         return GroupDescriptor(self.orders + other.orders)
@@ -237,7 +213,7 @@ class _Table:
     values: np.ndarray
 
     def __post_init__(self):
-        # contiguous, so a transform (a BLAS dot per output) depends on the values alone
+        # contiguous, so a transform depends on the values alone, not on the caller's strides
         vals = np.ascontiguousarray(self.values, dtype=np.complex128)
         if vals.shape != (self.group.total_size,):
             raise GroupMismatchError(
@@ -311,41 +287,20 @@ def _read_table_csv(path) -> np.ndarray:
     return out
 
 
-def _phase_rows(g: GroupDescriptor, residues: np.ndarray) -> np.ndarray:
-    """Phase indices of chi(x, gamma), one row per residue row x and one column per gamma."""
-    return (residues @ (g.residue_matrix * g.phase_factors).T) % g.char_modulus
-
-
-def _transform(g: GroupDescriptor, values: np.ndarray, roots: np.ndarray) -> np.ndarray:
-    """out[i] = values @ roots[phase row of element i]; the pairing is symmetric in x and gamma.
-
-    Rows are built in blocks of about 2^16 phases, and each output is one 1-D
-    dot with a C-contiguous row: the same bits as a row built on its own.
-    """
-    n = g.total_size
-    out = np.empty(n, dtype=np.complex128)
-    step = max(1, (1 << 16) // n)
-    for lo in range(0, n, step):
-        rows = roots[_phase_rows(g, g.residue_matrix[lo : lo + step])]
-        for i, row in enumerate(rows, lo):
-            out[i] = values @ row
-    return out
-
-
 _TRANSFORM_MEMO = _Memo(8)
 
 
 def dft(g: GroupDescriptor, f: FunctionTable) -> SpectrumTable:
     """Forward transform: hat(f)(gamma) = sum_x f(x) * conj(chi(x, gamma)).
 
-    Naive O(|G|^2) evaluation; the groups here are desk scale.  Memoized with
+    ``np.fft.fftn`` over the factor axes: O(|G| log |G|).  Memoized with
     :func:`idft`: the last 8 transforms are kept under (group, direction, a
     snapshot of the input values), and a repeat gets a copy of the same bits.
     """
     if f.group != g:
         raise GroupMismatchError("function table is over a different group")
     return SpectrumTable(
-        g, _TRANSFORM_MEMO.get((g, "dft"), f.values, lambda v: _transform(g, v, g.roots.conj()))
+        g, _TRANSFORM_MEMO.get((g, "dft"), f.values, lambda v: np.fft.fftn(v.reshape(g.orders)).ravel())
     )
 
 
@@ -354,7 +309,7 @@ def idft(g: GroupDescriptor, s: SpectrumTable) -> FunctionTable:
     if s.group != g:
         raise GroupMismatchError("spectrum table is over a different group")
     return FunctionTable(
-        g, _TRANSFORM_MEMO.get((g, "idft"), s.values, lambda v: _transform(g, v, g.roots) / g.total_size)
+        g, _TRANSFORM_MEMO.get((g, "idft"), s.values, lambda v: np.fft.ifftn(v.reshape(g.orders)).ravel())
     )
 
 

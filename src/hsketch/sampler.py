@@ -2,7 +2,9 @@
 
 Each element id hashes to exactly one level with P(level k) =
 e^{-k/m'} - e^{-(k+1)/m'} (a smoothed PCSA grid over [0, 22m')), drawn by
-the towers' integer threshold search.  A level holds a fingerprint bucket: r
+the towers' integer threshold search.  The grid, like the estimator's terms
+below, is computed with libm (``math.exp``) and cached per m', so results do
+not depend on numpy's SIMD dispatch.  A level holds a fingerprint bucket: r
 columns of 2 slots (odd group order, bi-splitter) or 3 slots (even order,
 tri-splitter); every inserted value is added to one PRF-chosen slot per
 column.  A bucket whose columns each hold
@@ -22,6 +24,7 @@ per level.  Both modes add values with :func:`hsketch.tower._scatter_add`.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -33,7 +36,7 @@ from .errors import (
     SaturatedError,
     _checked_int,
 )
-from .groups import FunctionTable, GroupDescriptor
+from .groups import FunctionTable, GroupDescriptor, _read_only
 from .special import gamma_cached
 from .tower import _scatter_add, _u53_thresholds, _update_arrays
 
@@ -69,6 +72,19 @@ def classify_many(slots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return codes, values
 
 
+@lru_cache(maxsize=64)
+def _tau_terms(m_prime: int) -> np.ndarray:
+    """e^{-TAU_STAR k / m'} for every level k in [0, LEVEL_SPAN m'), from libm."""
+    return _read_only(np.array([math.exp(-TAU_STAR * k / m_prime) for k in range(LEVEL_SPAN * m_prime)]))
+
+
+@lru_cache(maxsize=64)
+def _level_thresholds(m_prime: int) -> np.ndarray:
+    """Integer thresholds of the ascending level boundaries e^{-L/m'} .. e^{-1/m'}, from libm."""
+    bounds = [math.exp(-k / m_prime) for k in range(LEVEL_SPAN * m_prime, 0, -1)]
+    return _read_only(_u53_thresholds(np.array(bounds)))
+
+
 def tau_gra_density(zero_levels, m_prime: int) -> float:
     """The 0.34355-exponent closed form over the empty-level set.
 
@@ -79,7 +95,10 @@ def tau_gra_density(zero_levels, m_prime: int) -> float:
     levels = np.asarray(sorted(zero_levels), dtype=np.int64)
     if levels.size == 0:
         raise SaturatedError("no empty levels: sketch is saturated at this cardinality")
-    total = float(np.exp(-TAU_STAR * levels / m_prime).sum())
+    terms = _tau_terms(_checked_int("m_prime", m_prime, 1))
+    if levels[0] < 0 or levels[-1] >= len(terms):
+        raise InvalidConfigError(f"empty levels must lie in [0, {len(terms)})")
+    total = float(terms[levels].sum())
     return (total / (m_prime * gamma_cached(TAU_STAR))) ** (-1.0 / TAU_STAR)
 
 
@@ -124,8 +143,7 @@ class SamplerSketch:
         self.r = _checked_int("r", r, 1)
         self.mode = mode
         self.num_levels = LEVEL_SPAN * self.m_prime
-        # integer thresholds of the ascending level boundaries e^{-L/m'} .. e^{-1/m'}
-        self._thresholds = _u53_thresholds(np.exp(-np.arange(self.num_levels, 0, -1) / self.m_prime))
+        self._thresholds = _level_thresholds(self.m_prime)
         width = splitter_width(group)
         if mode == "fingerprint":
             self.slots = np.zeros(

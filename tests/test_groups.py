@@ -3,13 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import char_eval, dft_oracle, idft_oracle
+from _oracles import add, char_eval, dft_oracle, idft_oracle, neg, oracle_close, scalar_mul
 from hsketch import groups
 from hsketch.errors import GroupMismatchError, InvalidGroupError
 from hsketch.groups import (
     FunctionTable,
     SpectrumTable,
-    _transform,
     dft,
     idft,
     make_group,
@@ -37,12 +36,18 @@ def test_make_group_examples():
 def test_cyclic_descriptors_are_shared_and_their_tables_read_only():
     g = groups._cyclic_group(7)
     assert groups._cyclic_group(np.int64(7)) is g and g == make_group([7])
-    for table in (g.roots, g.phase_factors, g.residue_matrix):
+    for table in (g.roots, g.residue_matrix):
         with pytest.raises(ValueError):
             table[0] = 0  # a write would reach every later query on Z_7
     for bad in (7.0, 2.9, "7", 1):
         with pytest.raises(InvalidGroupError):
             groups._cyclic_group(bad)
+
+
+def test_roots_of_unity_are_tabulated_for_a_cyclic_group_only():
+    assert make_group([128]).roots[32] == pytest.approx(1j, abs=1e-15)
+    with pytest.raises(InvalidGroupError):
+        make_group([2, 3]).roots
 
 
 def test_enumeration_order_first_factor_most_significant():
@@ -55,11 +60,11 @@ def test_enumeration_order_first_factor_most_significant():
 
 def test_element_arithmetic_examples():
     g = make_group([7])
-    assert g.add((3,), (5,)) == (1,)
-    assert g.neg((3,)) == (4,)
-    assert g.scalar_mul(10, (3,)) == (2,)
+    assert add(g, (3,), (5,)) == (1,)
+    assert neg(g, (3,)) == (4,)
+    assert scalar_mul(g, 10, (3,)) == (2,)
     with pytest.raises(GroupMismatchError):
-        g.add((3,), (1, 2))
+        add(g, (3,), (1, 2))
 
 
 def test_char_eval_examples():
@@ -82,13 +87,13 @@ def test_character_homomorphism_properties(orders):
         xi, yi, gi, hi = rng.integers(0, n, 4)
         x, y = g.element_at(int(xi)), g.element_at(int(yi))
         gam, gam2 = g.element_at(int(gi)), g.element_at(int(hi))
-        lhs = char_eval(g, g.add(x, y), gam)
+        lhs = char_eval(g, add(g, x, y), gam)
         rhs = char_eval(g, x, gam) * char_eval(g, y, gam)
         assert abs(lhs - rhs) <= 1e-10
-        lhs2 = char_eval(g, x, g.add(gam, gam2))
+        lhs2 = char_eval(g, x, add(g, gam, gam2))
         rhs2 = char_eval(g, x, gam) * char_eval(g, x, gam2)
         assert abs(lhs2 - rhs2) <= 1e-10
-        assert abs(char_eval(g, g.neg(x), gam) - np.conj(char_eval(g, x, gam))) <= 1e-12
+        assert abs(char_eval(g, neg(g, x), gam) - np.conj(char_eval(g, x, gam))) <= 1e-12
         assert abs(abs(char_eval(g, x, gam)) - 1.0) <= 1e-12
 
 
@@ -133,6 +138,18 @@ def test_dft_round_trip_random_tables(orders):
     f = FunctionTable(g, vals)
     back = idft(g, dft(g, f))
     assert np.max(np.abs(back.values - f.values)) <= 1e-9
+
+
+@pytest.mark.parametrize("orders", [(2,) * 12, (7,) * 4], ids=["Z2^12", "Z7^4"])
+def test_large_group_round_trip_and_parseval(orders):
+    g = make_group(list(orders))
+    rng = np.random.default_rng(12)
+    vals = rng.standard_normal(g.total_size) + 1j * rng.standard_normal(g.total_size)
+    s = dft(g, FunctionTable(g, vals))
+    back = idft(g, s).values
+    assert np.max(np.abs(back - vals)) <= 1e-12 * np.max(np.abs(vals))
+    energy = np.sum(np.abs(vals) ** 2)
+    assert np.sum(np.abs(s.values) ** 2) / g.total_size == pytest.approx(energy, rel=1e-12)
 
 
 def test_idft_examples():
@@ -258,8 +275,8 @@ def test_blocked_transforms_equal_per_character_oracle(orders):
     vals = rng.normal(size=g.total_size) + 1j * rng.normal(size=g.total_size)
     f = FunctionTable(g, vals)
     s = SpectrumTable(g, vals)
-    assert np.array_equal(dft(g, f).values, dft_oracle(g, f).values)
-    assert np.array_equal(idft(g, s).values, idft_oracle(g, s).values)
+    assert oracle_close(dft(g, f).values, dft_oracle(g, f).values)
+    assert oracle_close(idft(g, s).values, idft_oracle(g, s).values)
 
 
 def test_strided_values_transform_as_their_contiguous_copy(transform_memo):
@@ -283,9 +300,14 @@ def transform_memo():
 
 
 def _uncached(g, values, direction):
+    transform = np.fft.fftn if direction == "dft" else np.fft.ifftn
+    return transform(values.reshape(g.orders)).ravel()
+
+
+def _oracle(g, values, direction):
     if direction == "dft":
-        return _transform(g, values, g.roots.conj())
-    return _transform(g, values, g.roots) / g.total_size
+        return dft_oracle(g, FunctionTable(g, values)).values
+    return idft_oracle(g, SpectrumTable(g, values)).values
 
 
 MEMO_GROUPS = [make_group([128]), make_group([7, 7, 7]), make_group([2] * 8)]
@@ -321,6 +343,7 @@ def test_transform_memo_equals_the_uncached_computation(ops):
         assert table.values is values  # a table holds the caller's array, written in place
         got = (dft if op == "dft" else idft)(g, table).values
         assert got.tobytes() == _uncached(g, values, op).tobytes()  # the same bits, zero signs too
+        assert oracle_close(got, _oracle(g, values, op))
     assert len(groups._TRANSFORM_MEMO) <= 8
     groups._TRANSFORM_MEMO.clear()
 
@@ -338,6 +361,7 @@ def test_transform_memo_hit_is_not_changed_by_a_write_into_a_result(transform_me
     assert len(transform_memo) == 1
     assert np.array_equal(transform(g, table).values, want)
     assert np.array_equal(transform_memo[0][-1], want) and np.array_equal(transform_memo[0][-2], values)
+    assert oracle_close(want, _oracle(g, values, direction))
 
 
 def test_transform_memo_tells_dft_and_idft_of_one_array_apart(transform_memo):
@@ -348,6 +372,7 @@ def test_transform_memo_tells_dft_and_idft_of_one_array_apart(transform_memo):
     assert len(transform_memo) == 2
     assert np.array_equal(forward, _uncached(g, values, "dft"))
     assert np.array_equal(inverse, _uncached(g, values, "idft"))
+    assert oracle_close(forward, _oracle(g, values, "dft")) and oracle_close(inverse, _oracle(g, values, "idft"))
     assert not np.array_equal(forward, inverse)
     for _ in range(2):  # hits keep them apart too
         assert np.array_equal(dft(g, FunctionTable(g, values)).values, forward)
@@ -367,4 +392,5 @@ def test_transform_memo_holds_at_most_eight_least_recently_used(transform_memo):
     assert [snap[0].real for *_, snap, _ in transform_memo] == [5, 6, 7, 0, 8, 9, 10, 11]
     for f in tables:
         assert np.array_equal(dft(g, f).values, _uncached(g, f.values, "dft"))
+        assert oracle_close(dft(g, f).values, _oracle(g, f.values, "dft"))
     assert len(transform_memo) == 8

@@ -134,6 +134,13 @@ def test_tau_gra_saturated():
         tau_gra_estimate([], 384)
 
 
+@pytest.mark.parametrize("levels,m_prime", [([-1, 3], 8), ([3, 176], 8), ([3], 0), ([3], 8.0)])
+def test_tau_gra_rejects_levels_outside_the_grid(levels, m_prime):
+    # the terms are a table over the 22 m' levels, so a level outside would index past it or wrap
+    with pytest.raises(InvalidConfigError):
+        tau_gra_estimate(levels, m_prime)
+
+
 def test_tau_gra_monte_carlo_small():
     lam, m_prime = 2000, 96
     ests = []

@@ -126,7 +126,7 @@ def cmd_l2(args) -> int:
     config = ExperimentConfig(
         "l2", (spec,), tuple(schemes), trials=args.trials, base_seed=args.seed, p=128
     )
-    run_l2_experiment(config, args.out, modulus=128)
+    run_l2_experiment(config, args.out)
     return _report(args.out)
 
 

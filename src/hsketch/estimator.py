@@ -57,14 +57,14 @@ import numpy as np
 
 from .errors import GroupMismatchError, InvalidConfigError, InvalidRHatError
 from .groups import FunctionTable, GroupDescriptor, SpectrumTable, _cyclic_group, _Memo, _read_only, dft
-from .special import gamma_cached
+from .special import gamma_fn
 from .tower import IntegerTowerSketch, SketchConfig, TowerSketch, _config_over, combine_product
 
 
 @lru_cache(maxsize=None)
 def _scale_constant() -> float:
     """|Gamma(-1/3)|^3, derived from the shared Gamma routine."""
-    return abs(gamma_cached(-1.0 / 3.0)) ** 3
+    return abs(gamma_fn(-1.0 / 3.0)) ** 3
 
 
 def truncation_tail(m: int, a: int) -> float:
@@ -317,6 +317,6 @@ def variance_factor(s: SpectrumTable, rhat: RHatTable) -> complex:
 def predict_variance(s: SpectrumTable, rhat: RHatTable, lam: float, m: int) -> float:
     """Leading-order variance of the moment estimate at support size lam."""
     alpha = variance_factor(s, rhat)
-    g13 = gamma_cached(-1.0 / 3.0)
-    g23 = gamma_cached(-2.0 / 3.0)
+    g13 = gamma_fn(-1.0 / 3.0)
+    g23 = gamma_fn(-2.0 / 3.0)
     return 3.0 / m * lam * lam * (-g23) / (g13 * g13) * alpha.real

@@ -34,7 +34,7 @@ from .errors import (
 )
 from .estimator import _support_spectrum, estimate_f, estimate_modulo, estimate_support
 from .groups import MAX_TOTAL_SIZE, FunctionTable, GroupDescriptor, _read_csv, _write_csv, dft, make_group
-from .sampler import SamplerSketch, _tally, equal_memory_m_prime, sample_f_moment
+from .sampler import SamplerSketch, equal_memory_m_prime, sample_f_moment
 from .tower import SketchConfig, TowerSketch, default_window
 from .workloads import WorkloadSpec, gen_stream, signed_representative
 
@@ -111,13 +111,13 @@ def write_rows(path, rows: Iterable[Sequence]) -> None:
     _write_csv(path, CSV_HEADER, rows)
 
 
-def _run_trials(trial_fn: Callable, config: ExperimentConfig, p: int, out_path) -> None:
-    """Map ``trial_fn`` over one (workloads, schemes, p, trial, seed) task per trial seed.
+def _run_trials(trial_fn: Callable, config: ExperimentConfig, out_path) -> None:
+    """Map ``trial_fn`` over one (workloads, schemes, config.p, trial, seed) task per trial seed.
 
     It returns each workload's rows; the CSV lists workloads in order, each in trial order.
     """
     args = [
-        (config.workloads, config.schemes, p, trial, config.base_seed + trial)
+        (config.workloads, config.schemes, config.p, trial, config.base_seed + trial)
         for trial in range(config.trials)
     ]
     results = _map_trials(trial_fn, args)  # per trial, the rows of each workload
@@ -182,11 +182,11 @@ def _modulo_estimates(scheme: SchemeSpec, tower, vs, ys, group: GroupDescriptor,
         lam0 = sampler._support(codes)
     except SaturatedError:
         lam0 = math.nan
-    tally = _tally(values[codes == 1])
-    total = sum(tally.values())
+    counts = np.bincount(values[codes == 1, 0], minlength=p).tolist()  # singletons per residue
+    total = sum(counts)
     if total == 0 or math.isnan(lam0):
         return [(lam0, 0.0)] + [(math.nan, 0.0)] * (p - 1)
-    return [(lam0, 0.0)] + [(lam0 * tally.get((j,), 0) / total, 0.0) for j in range(1, p)]
+    return [(lam0, 0.0)] + [(lam0 * counts[j] / total, 0.0) for j in range(1, p)]
 
 
 def _modulo_trial(args) -> list[list[list]]:
@@ -211,7 +211,7 @@ def _modulo_trial(args) -> list[list[list]]:
 
 
 def run_modulo_experiment(config: ExperimentConfig, out_path) -> None:
-    _run_trials(_modulo_trial, config, config.p, out_path)
+    _run_trials(_modulo_trial, config, out_path)
 
 
 # -- L2-style moment experiment ------------------------------------------------
@@ -253,8 +253,11 @@ def _l2_trial(args) -> list[list[list]]:
     return out
 
 
-def run_l2_experiment(config: ExperimentConfig, out_path, modulus: int = 128) -> None:
-    _run_trials(_l2_trial, config, modulus, out_path)
+def run_l2_experiment(config: ExperimentConfig, out_path, modulus: int | None = None) -> None:
+    """The L2 moment over Z_{config.p}; ``modulus``, if given, must equal ``config.p``."""
+    if modulus is not None and modulus != config.p:
+        raise SchemaError(f"modulus {modulus!r} differs from the config's p = {config.p}")
+    _run_trials(_l2_trial, config, out_path)
 
 
 # -- union experiment -----------------------------------------------------------
@@ -318,7 +321,7 @@ def run_union_experiment(
         "fourier", m, clamp_nonnegative=clamp_nonnegative, literal_truncation=literal_truncation
     )
     config = ExperimentConfig("union", (wl,), (scheme,), trials, base_seed, p=wl.p)
-    _run_trials(_union_trial, config, config.p, out_path)
+    _run_trials(_union_trial, config, out_path)
 
 
 # -- summaries -------------------------------------------------------------------

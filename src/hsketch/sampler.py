@@ -37,7 +37,7 @@ from .errors import (
     _checked_int,
 )
 from .groups import FunctionTable, GroupDescriptor, _read_only
-from .special import gamma_cached
+from .special import gamma_fn
 from .tower import _scatter_add, _u53_thresholds, _update_arrays
 
 TAU_STAR = 0.34355
@@ -99,7 +99,7 @@ def tau_gra_density(zero_levels, m_prime: int) -> float:
     if levels[0] < 0 or levels[-1] >= len(terms):
         raise InvalidConfigError(f"empty levels must lie in [0, {len(terms)})")
     total = float(terms[levels].sum())
-    return (total / (m_prime * gamma_cached(TAU_STAR))) ** (-1.0 / TAU_STAR)
+    return (total / (m_prime * gamma_fn(TAU_STAR))) ** (-1.0 / TAU_STAR)
 
 
 def tau_gra_estimate(zero_levels, m_prime: int) -> float:
@@ -200,29 +200,12 @@ class SamplerSketch:
         values[levels[single]] = self._net[single]
         return codes, values
 
-    def empty_levels(self) -> np.ndarray:
-        codes, _ = self.classify_levels()
-        return np.nonzero(codes == 0)[0]
-
-    def singleton_values(self) -> np.ndarray:
-        codes, values = self.classify_levels()
-        return values[codes == 1]
-
-    def singleton_tally(self) -> dict[tuple[int, ...], int]:
-        return _tally(self.singleton_values())
-
     def estimate_support(self) -> float:
         return self._support(self.classify_levels()[0])
 
     def _support(self, codes: np.ndarray) -> float:
         """Support estimate from the codes of one ``classify_levels`` call."""
         return tau_gra_estimate(np.nonzero(codes == 0)[0], self.m_prime)
-
-
-def _tally(singles: np.ndarray) -> dict[tuple[int, ...], int]:
-    """How many singleton levels carry each value row."""
-    values, counts = np.unique(singles, axis=0, return_counts=True)
-    return {tuple(v.tolist()): int(n) for v, n in zip(values, counts)}
 
 
 def sample_f_moment(sampler: SamplerSketch, f: FunctionTable) -> float:

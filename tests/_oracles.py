@@ -61,7 +61,7 @@ from hsketch.errors import DomainError, InvalidConfigError
 from hsketch.estimator import ColumnAggregates, RHatTable, truncation_tail
 from hsketch.groups import FunctionTable, GroupDescriptor, GroupElement, SpectrumTable
 from hsketch.sampler import SamplerSketch, classify_many, splitter_width
-from hsketch.special import gamma_cached
+from hsketch.special import gamma_fn
 from hsketch.tower import (
     SketchConfig,
     TowerSketch,
@@ -447,7 +447,7 @@ def eta1_closed(params: EtaParams) -> complex:
     a, b, c = params.a, params.b, params.c
     a_pow = a**c if a != 0 else 0.0 + 0.0j
     b_pow = b**c if b != 0 else 0.0 + 0.0j
-    return (a_pow - b_pow) * gamma_cached(-c)
+    return (a_pow - b_pow) * gamma_fn(-c)
 
 
 def _adaptive_simpson(

@@ -22,14 +22,16 @@ from hsketch.experiments import (
     run_modulo_experiment,
     run_union_experiment,
 )
+from hsketch.tower import TowerSketch
 from hsketch.workloads import WorkloadSpec, uniform_mod_workload
 
 FROZEN = {
-    "modulo": "a18b1014abc2b2606101fcae367e3ac75bdd4eb7ac03e9a67114040311e9eb58",
-    "l2": "a15710e88e56eb473d427acfc22d0ed829901e1d74a46488f8966e6bdf4baf98",
-    "union": "2663d2f79e7dbae9467658b8b1c88b89e2907294582c4958b38e60d9a28f7361",
-    "modulo_shared_ids": "c011fe4a1bdce87afead831cb7a7038cb5df2f19912f1f5eaaf7ab9396fd23c6",
-    "l2_shared_ids": "6040ba4f474545e6d131f329d0efad245ebc628ad6acf9610a12d08dbb29c563",
+    "modulo": "f80d048a57ccc9522cbe71e14d1613dd781f0ad7b3926bc83da4053b2ef73034",
+    "l2": "28a6b346b0b342ac82dcd79c7410b8f31047e71b8565ffee0cd7c92e6a5f05ab",
+    "union": "4c12c1d1e99e9b7f75d49bbfd3c32ac2022e025d31cd6468502f276555ab83bc",
+    "modulo_shared_ids": "639edfd88d299559d9b459b83028622d174ce03c2f3e3d32b03f0c29e13e7e54",
+    "l2_shared_ids": "6329d10c8936d0d5815469e931a3f56ddaf2dbb4cc64a47466ec7073fda2bde9",
+    "l2_split_towers": "31b444967cf22ee387739c5be6085f3b69f260cee912a1dad355b8f27bd8f491",
 }
 
 
@@ -109,6 +111,29 @@ def test_l2_csv_bytes_frozen_shared_ids(tmp_path):
     assert _sha256(out) == FROZEN["l2_shared_ids"]
 
 
+def test_l2_csv_bytes_frozen_split_towers(tmp_path, monkeypatch):
+    # 128^5 > 2^31, so each trial's five Z_128 streams take a Z_128^4 and a Z_128 tower
+    degrees = []
+    update_batch = TowerSketch.update_batch
+
+    def recording(self, vs, ys):
+        degrees.append(self.group.degree)
+        update_batch(self, vs, ys)
+
+    monkeypatch.setattr(TowerSketch, "update_batch", recording)
+    schemes = (
+        SchemeSpec("fourier", 8),
+        SchemeSpec("fourier", 8, clamp_nonnegative=True, literal_truncation=True),
+        SchemeSpec("fingerprint", 8, r=2),
+    )
+    values = ({1: 300, 64: 20}, {-3: 200, 10: 120}, {5: 320}, {2: 100, -60: 220}, {127: 160, 3: 160})
+    workloads = tuple(WorkloadSpec(f"c{i}", v, 1 << 16, shuffle_seed=5) for i, v in enumerate(values))
+    out = tmp_path / "l2.csv"
+    run_l2_experiment(ExperimentConfig("frozen", workloads, schemes, trials=2, base_seed=21, p=128), out)
+    assert degrees == [4, 1, 4, 1]
+    assert _sha256(out) == FROZEN["l2_split_towers"]
+
+
 def test_union_csv_bytes_frozen(tmp_path):
     wl = UnionWorkload("u", only_first=100, only_second=80, overlap=40, shuffle_seed=6)
     out = tmp_path / "union.csv"
@@ -138,7 +163,5 @@ def test_pins_hold_with_numpy_avx512_dispatch_disabled():
         "print([t for t in sys.argv[1:] if f[t]])"
     assert python("-c", probe, *targets).stdout.strip() == "[]"  # the targets are really off
     pins = [f"{__file__}::{name}" for name in globals() if "_csv_bytes_frozen" in name]
-    pins.append(f"{Path(__file__).with_name('test_harness.py')}::"
-                "test_shared_ids_past_the_group_size_limit_split_into_towers_that_fit")
     run = python("-m", "pytest", "-q", "-p", "no:cacheprovider", *pins)
     assert run.returncode == 0 and f"{len(pins)} passed" in run.stdout, run.stdout[-2000:]

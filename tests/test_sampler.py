@@ -203,8 +203,10 @@ def test_sample_f_moment_point_mass():
     f = FunctionTable.from_function(Z7, lambda x: float(x[0] == 3))
     est = sample_f_moment(sampler, f)
     assert est == pytest.approx(sampler.estimate_support())
-    assert sampler.singleton_values().shape[0] >= 1
-    assert all(v == (3,) for v in map(tuple, sampler.singleton_values()))
+    codes, values = sampler.classify_levels()
+    singles = values[codes == 1]
+    assert singles.shape[0] >= 1
+    assert all(v == (3,) for v in map(tuple, singles))
 
 
 def test_each_sampler_is_classified_once(monkeypatch):
@@ -268,13 +270,12 @@ def test_ideal_mode_sampling_means():
     # uniform values: per-value singleton frequencies track 1/6 each
     lam = 3000
     counts = np.zeros(7)
-    total = 0
     for seed in range(30):
         sampler = SamplerSketch(Z7, 96, seed, mode="ideal")
         sampler.update_batch(np.arange(lam), 1 + (np.arange(lam) % 6))
-        for (val,), n in sampler.singleton_tally().items():
-            counts[val] += n
-            total += n
+        codes, values = sampler.classify_levels()
+        counts += np.bincount(values[codes == 1, 0], minlength=7)
+    total = counts.sum()
     assert counts[0] == 0
     freqs = counts[1:] / total
     ci = 4 * math.sqrt(0.25 / total)
@@ -289,4 +290,5 @@ def test_fingerprint_linearity():
     assert sampler.slots.any()
     sampler.update_batch(vs, (7 - ys) % 7)
     assert not sampler.slots.any()
-    assert len(sampler.empty_levels()) == sampler.num_levels
+    codes, _ = sampler.classify_levels()
+    assert np.count_nonzero(codes == 0) == sampler.num_levels

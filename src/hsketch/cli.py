@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 
-from .errors import HSketchError, InvalidConfigError
+from .errors import HSketchError, InvalidConfigError, _checked_int
 from .estimator import (
     _support_spectrum,
     estimate_modulo,
@@ -73,6 +73,7 @@ def _report(out) -> int:
 
 
 def cmd_sanity_table(args) -> int:
+    _checked_int("trials", args.trials, 1)
     p = 7
     counts = dict(MODULO7_COUNTS)
     counts[p] = args.zero_mod  # integer values = p, invisible mod p
@@ -144,6 +145,7 @@ def cmd_union(args) -> int:
 
 
 def cmd_variance_check(args) -> int:
+    _checked_int("trials", args.trials, 2)  # the empirical variance has ddof=1
     p = 7
     spec = uniform_mod_workload("varcheck", args.support, p, 1 << 20, shuffle_seed=args.seed)
     vs, ys, truth = gen_stream(spec)

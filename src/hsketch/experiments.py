@@ -286,28 +286,21 @@ class UnionWorkload:
     def union_size(self) -> int:
         return self.only_first + self.only_second + self.overlap
 
-    def streams(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(ids1, values1, ids2, values2); values are nonzero residues."""
-        n1 = self.only_first + self.overlap
-        ids1 = np.arange(n1, dtype=np.int64)
-        ids2 = np.arange(self.only_first, self.union_size, dtype=np.int64)
-
-        def values(ids, salt):
-            u = prf.draw(prf.stream_state(self.shuffle_seed, prf.DOMAIN_VALUE, ids), prf.tuple_key(j=salt))
-            return 1 + (u % np.uint64(self.p - 1)).astype(np.int64)
-
-        return ids1, values(ids1, 11), ids2, values(ids2, 12)
+    def stream(self) -> tuple[np.ndarray, np.ndarray]:
+        """The union's ids and (n, 2) values: stream c's residue in column c, 0 where it lacks the id."""
+        ids = np.arange(self.union_size, dtype=np.int64)
+        state = prf.stream_state(self.shuffle_seed, prf.DOMAIN_VALUE, ids)
+        u = np.column_stack([prf.draw(state, prf.tuple_key(j=salt)) for salt in (11, 12)])
+        ys = 1 + (u % np.uint64(self.p - 1)).astype(np.int64)
+        ys[self.only_first + self.overlap :, 0] = 0  # the first stream holds ids [0, only_first + overlap)
+        ys[: self.only_first, 1] = 0  # the second holds [only_first, union_size)
+        return ids, ys
 
 
 def _union_trial(args) -> list[list[list]]:
     """One trial seed of the union workload under its one fourier scheme."""
     (wl,), (scheme,), p, trial, seed = args
-    ids1, ys1, ids2, ys2 = wl.streams()
-    ids = np.union1d(ids1, ids2)
-    ys = np.zeros((len(ids), 2), dtype=np.int64)  # 0 where a stream is absent
-    ys[np.searchsorted(ids, ids1), 0] = ys1
-    ys[np.searchsorted(ids, ids2), 1] = ys2
-    tower = _fourier_towers([(ids, ys)], [scheme], make_group([p, p]), seed)[0][scheme.m]
+    tower = _fourier_towers([wl.stream()], [scheme], make_group([p, p]), seed)[0][scheme.m]
     rep = estimate_f(tower, _support_spectrum(tower.group), **_fourier_opts(scheme))
     return [[[wl.name, "fourier", "union", trial, seed, _fmt(rep.estimate),
               _fmt(rep.imag_residual), _fmt(wl.union_size)]]]

@@ -3,9 +3,9 @@
 Everything random in this package is derived from one fixed construction so
 register states are reproducible across platforms: the SplitMix64 finalizer
 (Stafford mix 13) applied in counter mode.  A draw for a tuple such as
-(seed, v, j, k, t) is
+(seed, v, j, k) is
 
-    out = mix64(state(seed, domain, v) XOR key(j, k, t))
+    out = mix64(state(seed, domain, v) XOR key(j, k))
 
 where ``state`` pre-mixes the seed/element pair and ``key`` pre-mixes the
 remaining coordinates.  Both halves pass through the finalizer, so the final
@@ -45,7 +45,6 @@ DOMAIN_VALUE = U64(0x5851F42D4C957F2D)
 
 _C_COLUMN = U64(0xD1342543DE82EF95)
 _C_INDEX = U64(0xC2B2AE3D27D4EB4F)
-_C_COUNTER = U64(0x2545F4914F6CDD1D)
 
 
 def mix64(z: np.ndarray | np.uint64) -> np.ndarray | np.uint64:
@@ -98,10 +97,10 @@ def stream_state(seed: int, domain: np.uint64, v) -> np.ndarray | np.uint64:
         return mix64(base ^ (_as_u64(v) * GOLDEN))
 
 
-def tuple_key(j: int | np.ndarray = 0, k: int | np.ndarray = 0, t: int = 0) -> np.ndarray | np.uint64:
-    """Pre-mixed key for the trailing tuple coordinates plus counter."""
+def tuple_key(j: int | np.ndarray = 0, k: int | np.ndarray = 0) -> np.ndarray | np.uint64:
+    """Pre-mixed key for the trailing tuple coordinates."""
     with np.errstate(over="ignore"):
-        acc = (_as_u64(j) * _C_COLUMN) ^ (_as_u64(k) * _C_INDEX) ^ (_as_u64(t) * _C_COUNTER)
+        acc = (_as_u64(j) * _C_COLUMN) ^ (_as_u64(k) * _C_INDEX)
         return mix64(acc)
 
 

@@ -485,12 +485,6 @@ class TowerSketch(_TowerBase):
     def group(self) -> GroupDescriptor:
         return self.config.group
 
-    def reduce_values_mod(self, p: int) -> "TowerSketch":
-        """A copy of this Z_p sketch: its registers are already reduced."""
-        if self.group != _cyclic_group(p):
-            raise GroupMismatchError(f"sketch is over {self.group.orders}, not Z_{p}")
-        return self.copy()
-
     def project(self, coords: Sequence[int]) -> "TowerSketch":
         """The sketch of the values' coordinates ``coords``, over those factors of the group.
 

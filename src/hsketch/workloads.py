@@ -143,6 +143,7 @@ def uniform_mod_workload(
     residues: tuple[int, ...] | None = None,
 ) -> WorkloadSpec:
     """Support spread as evenly as integer counts allow over given residues."""
+    support = _checked_int("support", support, 0, error=InvalidWorkloadError)
     p = _checked_int("p", p, 2, error=InvalidWorkloadError)
     residues = residues if residues is not None else tuple(range(1, p))
     if not residues:

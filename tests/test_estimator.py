@@ -708,10 +708,8 @@ def test_integer_sketch_is_read_mod_the_spectrum_order(fresh_memo, p):
         lambda ski, p: estimate_support(ski, p),
         lambda ski, p: estimate_modulo(ski, p, 1),
         lambda ski, p: ski.reduce_values_mod(p),
-        lambda ski, p: ski.reduce_values_mod(7).reduce_values_mod(p),
     ],
-    ids=["modulo_spectrum", "estimate_support", "estimate_modulo", "reduce_values_mod",
-         "group_reduce_values_mod"],
+    ids=["modulo_spectrum", "estimate_support", "estimate_modulo", "reduce_values_mod"],
 )
 def test_cached_groups_keep_the_order_validation(fresh_memo, query):
     # 7.0 == 7 and both hash alike: a cache keyed on the raw order would hand back Z_7

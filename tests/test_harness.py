@@ -304,11 +304,13 @@ def test_read_rows_schema_errors(tmp_path):
 
 def test_union_workload_streams():
     wl = UnionWorkload("u", only_first=4, only_second=3, overlap=2, p=7)
-    ids1, y1, ids2, y2 = wl.streams()
+    ids, ys = wl.stream()
     assert wl.union_size == 9
+    assert np.array_equal(ids, np.arange(9)) and ys.shape == (9, 2)
+    ids1, ids2 = ids[ys[:, 0] != 0], ids[ys[:, 1] != 0]  # 0 where a stream lacks the id
     assert len(ids1) == 6 and len(ids2) == 5
     assert set(ids1) & set(ids2) == {4, 5}
-    assert (y1 > 0).all() and (y1 < 7).all()
+    assert (ys >= 0).all() and (ys < 7).all()
 
 
 # -- product towers in the trials ---------------------------------------------------
@@ -325,11 +327,12 @@ def test_union_trial_tower_is_the_product_of_the_two_stream_towers(monkeypatch):
 
     monkeypatch.setattr(experiments, "estimate_f", recording)
     ((row,),) = experiments._union_trial(((wl,), (scheme,), 7, 0, 31))
-    ids1, y1, ids2, y2 = wl.streams()
+    ids, ys = wl.stream()
     apart = []
-    for ids, ys in ((ids1, y1), (ids2, y2)):
+    for c in (0, 1):
+        rows = ys[:, c] != 0  # each stream's own ids
         apart.append(sketch_new(SketchConfig(make_group([7]), 8, 0, 22 * 8, 31)))
-        apart[-1].update_batch(ids, ys)
+        apart[-1].update_batch(ids[rows], ys[rows, c])
     (tower,) = queried
     product = combine_product(*apart)
     assert tower.config == product.config and np.array_equal(tower.registers, product.registers)
@@ -467,6 +470,24 @@ def test_cli_reports_errors_in_one_line_with_exit_2(argv, message, tmp_path, cap
     err = capsys.readouterr().err
     assert message in err and err.count("\n") == 1 and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["sanity-table", "--trials", "0"], "trials=0 must be >= 1"),  # an empty table
+        (["variance-check", "--trials", "1"], "trials=1 must be >= 2"),  # a nan variance
+        (["variance-check", "--trials", "0"], "trials=0 must be >= 2"),
+        (["variance-check", "--support", "-5"], "support=-5 must be >= 0"),
+        (["bench", "--support", "-5"], "support=-5 must be >= 0"),
+    ],
+)
+def test_cli_checks_trial_counts_and_support_sizes(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.err.count("\n") == 1 and not captured.out
 
 
 def test_modulo7_counts_constant():

@@ -76,7 +76,7 @@ def cmd_sanity_table(args) -> int:
     _checked_int("trials", args.trials, 1)
     p = 7
     counts = dict(MODULO7_COUNTS)
-    counts[p] = args.zero_mod  # integer values = p, invisible mod p
+    counts[p] = _checked_int("--zero-mod", args.zero_mod, 0)  # integer values = p, invisible mod p
     spec = WorkloadSpec("sanity", counts, universe=1 << 21, shuffle_seed=args.seed)
     vs, ys, truth = gen_stream(spec)
     lam = truth.support_size_mod(p)
@@ -148,6 +148,7 @@ def cmd_variance_check(args) -> int:
     _checked_int("trials", args.trials, 2)  # the empirical variance has ddof=1
     p = 7
     spec = uniform_mod_workload("varcheck", args.support, p, 1 << 20, shuffle_seed=args.seed)
+    _checked_int("--support", args.support, 1)  # an empty support has no residue distribution
     vs, ys, truth = gen_stream(spec)
     lam = truth.support_size_mod(p)
     group = make_group([p])

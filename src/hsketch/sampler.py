@@ -38,7 +38,7 @@ from .errors import (
 )
 from .groups import FunctionTable, GroupDescriptor, _read_only
 from .special import gamma_fn
-from .tower import _scatter_add, _u53_thresholds, _update_arrays
+from .tower import _reduce_rows, _scatter_add, _u53_thresholds, _update_arrays
 
 TAU_STAR = 0.34355
 LEVEL_SPAN = 22  # levels cover cell masses e^0 .. e^-22 (~2^-32)
@@ -170,6 +170,7 @@ class SamplerSketch:
         vs, yr = _update_arrays(self.group, vs, ys)
         if len(vs) == 0:
             return
+        yr = _reduce_rows(self.group, yr)
         orders = np.array(self.group.orders, dtype=np.int64)
         if self.mode == "ideal":
             ids, inv = np.unique(np.concatenate([self._ids, vs]), return_inverse=True)

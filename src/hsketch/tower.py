@@ -307,16 +307,17 @@ def _scatter_add(regs: np.ndarray, rows: np.ndarray, terms: np.ndarray) -> None:
     np.add.at(regs.reshape(-1), idx, terms.ravel())
 
 
-def _as_int64(values, what: str) -> np.ndarray:
-    """``values`` as int64; an entry that is not an integer in the int64 range raises.
+def _integer_array(values, what: str) -> np.ndarray:
+    """``values`` as an integer array; an entry that is not an integer in the int64 range raises.
 
-    Dtypes that always fit int64 skip the per-element test, and int64 is not copied.
+    Dtypes that always fit int64 are returned as they are, without a copy or a
+    per-element test; the other dtypes are tested through an int64 copy.
     """
     try:
         arr = np.asarray(values)
         kind, size = arr.dtype.kind, arr.dtype.itemsize
         if kind in "bi" or (kind == "u" and size < 8):
-            return arr.astype(np.int64, copy=False)
+            return arr
         if kind in "ufO":
             with np.errstate(invalid="ignore"):
                 out = arr.astype(np.int64)
@@ -327,24 +328,44 @@ def _as_int64(values, what: str) -> np.ndarray:
     raise GroupMismatchError(f"{what} must be integers in the int64 range")
 
 
+def _as_int64(values, what: str) -> np.ndarray:
+    """``values`` as int64, checked as in :func:`_integer_array`; int64 is not copied."""
+    return _integer_array(values, what).astype(np.int64, copy=False)
+
+
 def _update_arrays(group: GroupDescriptor | None, vs, ys) -> tuple[np.ndarray, np.ndarray]:
-    """A batch's (n,) element ids as int64 and its canonical values, checked to match."""
+    """A batch's (n,) element ids as int64 and its checked value rows (see :func:`_value_rows`)."""
     vs = _as_int64(vs, "element ids")
-    yr = _canonical_values(group, ys)
+    yr = _value_rows(group, ys)
     if vs.ndim != 1 or len(vs) != len(yr):
         raise GroupMismatchError(f"element ids of shape {vs.shape} do not match {len(yr)} values")
     return vs, yr
 
 
-def _canonical_values(group: GroupDescriptor | None, ys) -> np.ndarray:
-    """Update values as int64: (n,) integers, or (n, d) canonical residues of ``group``."""
-    arr = _as_int64(ys, "update values")
+def _value_rows(group: GroupDescriptor | None, ys) -> np.ndarray:
+    """Update values checked in place: (n,) integers, or (n, d) integer rows of ``group``.
+
+    The rows are not converted or reduced; :func:`_reduce_rows` does that.
+    """
+    arr = _integer_array(ys, "update values")
     row = () if group is None else (group.degree,)
     if arr.ndim == 1 and row == (1,):
         arr = arr[:, None]
     if arr.ndim != 1 + len(row) or arr.shape[1:] != row:
         raise GroupMismatchError(f"values of shape {arr.shape} are not rows of shape {row}")
-    return arr if group is None else np.mod(arr, np.array(group.orders, dtype=np.int64))
+    return arr
+
+
+def _reduce_rows(group: GroupDescriptor | None, ys: np.ndarray) -> np.ndarray:
+    """Checked value rows as int64: canonical residues of ``group``, or the integers themselves."""
+    if group is None:
+        return ys.astype(np.int64, copy=False)
+    return np.mod(ys, np.array(group.orders, dtype=np.int64), dtype=np.int64)
+
+
+def _canonical_values(group: GroupDescriptor | None, ys) -> np.ndarray:
+    """Update values as int64: (n,) integers, or (n, d) canonical residues of ``group``."""
+    return _reduce_rows(group, _value_rows(group, ys))
 
 
 def _settle(config: SketchConfig, regs: np.ndarray) -> None:
@@ -361,10 +382,15 @@ def _settle(config: SketchConfig, regs: np.ndarray) -> None:
 
 
 def _ingest(config: SketchConfig, regs: np.ndarray, vs: np.ndarray, ys: np.ndarray) -> None:
-    """Add checked updates to ``regs``, (nk, 3, d), for (n, d) values ``ys``, settling every chunk."""
+    """Add checked updates to ``regs``, (nk, 3, d), for (n, d) value rows ``ys``, chunk by chunk.
+
+    Each chunk's rows are reduced to int64 residues just before they are
+    added, so the batch is never copied whole; every chunk is settled.
+    """
     add = _ingest_poisson if config.mode == "poisson" else _ingest_binomial
     for s in range(0, len(vs), _CHUNK_UPDATES):
-        add(config, regs, vs[s : s + _CHUNK_UPDATES], ys[s : s + _CHUNK_UPDATES])
+        chunk = _reduce_rows(config.group, ys[s : s + _CHUNK_UPDATES])
+        add(config, regs, vs[s : s + _CHUNK_UPDATES], chunk)
         _settle(config, regs)
 
 
@@ -452,12 +478,16 @@ class _TowerBase:
     def update_batch(self, vs: Sequence[int], ys) -> None:
         """Add the values ``ys`` at the ids ``vs``; every check comes before any register changes.
 
-        The batch must be canonical (else GroupMismatchError), with integer
-        values within 2^31 (else RegisterOverflowError).
+        Ids and values must be integers in the int64 range and values rows of
+        the group's shape (else GroupMismatchError); integer values must lie
+        within 2^31 (else RegisterOverflowError).  The checks read the batch
+        in place.  Group values are reduced into the group one chunk at a time
+        as they are added, so no full-size copy of the batch is made.
         """
         cfg = self.config
         vs, ys = _update_arrays(cfg.group, vs, ys)
-        if cfg.group is None and np.any((ys > _MAX_UPDATE_MAGNITUDE) | (ys < -_MAX_UPDATE_MAGNITUDE)):
+        bound = _MAX_UPDATE_MAGNITUDE
+        if cfg.group is None and ys.size and (ys.max() > bound or ys.min() < -bound):
             raise RegisterOverflowError(f"update magnitude exceeds the bound {_MAX_UPDATE_MAGNITUDE}")
         if len(vs):  # a view: the constructor keeps registers C-contiguous
             _ingest(cfg, self.registers.reshape(cfg.num_cells, 3, -1), vs, ys.reshape(len(vs), -1))

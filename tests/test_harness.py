@@ -480,6 +480,8 @@ def test_cli_reports_errors_in_one_line_with_exit_2(argv, message, tmp_path, cap
         (["variance-check", "--trials", "0"], "trials=0 must be >= 2"),
         (["variance-check", "--support", "-5"], "support=-5 must be >= 0"),
         (["bench", "--support", "-5"], "support=-5 must be >= 0"),
+        (["sanity-table", "--zero-mod", "-3"], "--zero-mod=-3 must be >= 0"),
+        (["variance-check", "--support", "0"], "--support=0 must be >= 1"),  # no residue pmf
     ],
 )
 def test_cli_checks_trial_counts_and_support_sizes(argv, message, capsys):

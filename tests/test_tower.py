@@ -1,6 +1,7 @@
 import math
 import struct
 import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -588,6 +589,74 @@ def test_shared_ingest_checks_everything_before_any_register_changes(cfg, rows, 
     with pytest.raises(error):
         sk.update_batch([4, 5], rows)
     assert np.array_equal(sk.registers, before)
+
+
+_RAW_GROUPS = [Z7, make_group([2] * 8), make_group([7] * 3)]
+
+
+def _raw_config(group, mode):
+    a = 8 if mode == "binomial" else 0  # the binomial window needs sigma < 1
+    return SketchConfig(group, 4, a, a + 16, 11, mode)
+
+
+@pytest.mark.parametrize("group", _RAW_GROUPS, ids=lambda g: "x".join(map(str, g.orders)))
+@pytest.mark.parametrize("mode", ["poisson", "binomial"])
+def test_raw_values_ingest_as_their_residues(mode, group):
+    # past one chunk: every chunk of the batch is reduced on its own
+    cfg, n = _raw_config(group, mode), _CHUNK_UPDATES + 7
+    orders = np.array(group.orders)
+    rng = np.random.default_rng(12)
+    vs = np.arange(n)
+    shape = (n, group.degree)
+    wide = rng.integers(0, orders, shape) + rng.integers(-(2**40), 2**40, shape) * orders
+    # the full int64 range too: unreduced, such values wrap the register sums
+    batches = [wide] + [
+        rng.integers(np.iinfo(dt).min, np.iinfo(dt).max, shape, endpoint=True, dtype=dt)
+        for dt in (np.int64, np.int8, np.uint8, np.int16, np.uint32)
+    ] + [rng.integers(0, 2, shape).astype(bool)]
+    assert (wide < 0).any()
+    for ys in batches:
+        raw, reduced = sketch_new(cfg), sketch_new(cfg)
+        raw.update_batch(vs, ys)
+        reduced.update_batch(vs, np.mod(ys.astype(np.int64), orders))
+        assert np.array_equal(raw.registers, reduced.registers), ys.dtype
+
+
+@pytest.mark.parametrize("mode", ["poisson", "binomial"])
+@pytest.mark.parametrize(
+    "group,bad,error",
+    [(make_group([7] * 3), 2.5, GroupMismatchError), (None, 2**31 + 1, RegisterOverflowError)],
+    ids=["fractional", "magnitude"],
+)
+def test_a_bad_value_in_the_last_chunk_changes_no_register(mode, group, bad, error):
+    cfg = _raw_config(group, mode)
+    n, row = 2 * _CHUNK_UPDATES + 3, () if group is None else (group.degree,)
+    sk = sketch_new(cfg)
+    sk.update_batch(np.arange(n), np.ones((n,) + row, dtype=np.int64))
+    before = sk.registers.copy()
+    ys = np.ones((n,) + row, dtype=type(bad))
+    ys[-1] = bad
+    with pytest.raises(error):
+        sk.update_batch(np.arange(n), ys)
+    assert np.array_equal(sk.registers, before)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.uint8])
+def test_update_batch_makes_no_full_size_copy_of_the_batch(dtype):
+    # the traced peak is one chunk's temporaries whatever the batch size (about
+    # 6.8 MB here), so at 32 chunks it stays under a quarter of the int64 batch
+    n = 32 * _CHUNK_UPDATES
+    vs = np.arange(n)
+    ys = np.unpackbits(vs.astype(np.uint8)[:, None], axis=1).astype(dtype)  # (n, 8) bits
+    sk = sketch_new(SketchConfig(make_group([2] * 8), 64, 320, 1408, 3, "binomial"))
+    tracemalloc.start()
+    try:
+        sk.update_batch(vs, ys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * 8 * 8 // 4
+    assert sk.registers.any()
 
 
 def test_project_examples():

@@ -17,7 +17,8 @@ ingest calls them apart: a shift distributes over XOR, so the head of
 so a threshold on them can be tested before it.  Distinct DOMAIN_*
 constants keep unrelated consumers (Poisson cells, level hashes, splitter
 slots, workload shuffles) on disjoint streams of the same seed.  Consumers
-compare ``u53`` of a word with integer thresholds; no word becomes a float.
+compare ``u53`` of a word with integer thresholds: a float of a word may only
+propose a level, and the integer compares decide it.
 """
 
 from __future__ import annotations

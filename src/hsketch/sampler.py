@@ -38,7 +38,14 @@ from .errors import (
 )
 from .groups import FunctionTable, GroupDescriptor, _read_only
 from .special import gamma_fn
-from .tower import _reduce_rows, _scatter_add, _u53_thresholds, _update_arrays
+from .tower import (
+    _level_search,
+    _log_count,
+    _padded_thresholds,
+    _reduce_rows,
+    _scatter_add,
+    _update_arrays,
+)
 
 TAU_STAR = 0.34355
 LEVEL_SPAN = 22  # levels cover cell masses e^0 .. e^-22 (~2^-32)
@@ -80,9 +87,9 @@ def _tau_terms(m_prime: int) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _level_thresholds(m_prime: int) -> np.ndarray:
-    """Integer thresholds of the ascending level boundaries e^{-L/m'} .. e^{-1/m'}, from libm."""
+    """Padded integer thresholds of the ascending level boundaries e^{-L/m'} .. e^{-1/m'}, from libm."""
     bounds = [math.exp(-k / m_prime) for k in range(LEVEL_SPAN * m_prime, 0, -1)]
-    return _read_only(_u53_thresholds(np.array(bounds)))
+    return _padded_thresholds(np.array(bounds))
 
 
 def tau_gra_density(zero_levels, m_prime: int) -> float:
@@ -160,8 +167,10 @@ class SamplerSketch:
         state = prf.stream_state(self.seed, prf.DOMAIN_SAMPLER_LEVEL, vs)
         u = prf.u53(prf.draw(state, prf.tuple_key()))
         L = self.num_levels
-        levels = L - np.searchsorted(self._thresholds, u, side="right")
-        return np.minimum(levels, L - 1)  # fold the e^{-22} tail into the last level
+        # the boundaries e^{-k/m'} at or below x = u 2^-53 have k >= -m' ln x: about L - floor(-m' ln x)
+        count = _level_search(u, self._thresholds, L - _log_count(u, self.m_prime, 2.0**-53, 0.0))
+        levels = np.subtract(L, count, out=count)
+        return np.minimum(levels, L - 1, out=levels)  # fold the e^{-22} tail into the last level
 
     def update(self, v: int, y) -> None:
         self.update_batch([v], [y])

@@ -15,7 +15,11 @@ integers: with t_c = ceil(cdf[c] * 2^53) the draw is #{c : t_c <= u}, exactly
 the float ``searchsorted(cdf, u * 2^-53, "right")`` as scaling by 2^53 is
 exact.  The CDF is a cell's Poisson counts, the binomial cell masses or the
 sampler's level grid.  A Poisson row ends where the float CDF stops rising or
-reaches 1, so cells with mean below ~2^-53 are a Bernoulli draw or zero.
+reaches 1, so cells with mean below ~2^-53 are a Bernoulli draw or zero.  The
+two level grids are exponential, so a closed form in ``np.log`` proposes each
+level g; a float only proposes it, and it stands where t_{g-1} <= u < t_g on
+the integer thresholds.  The few words it misses are searched
+(:func:`_level_search`).
 
 Poisson ingest is blocked: one table per (m, a, b) holds every cell's PRF keys
 and integer thresholds, and each block draws the words of many cells at once,
@@ -289,22 +293,82 @@ def _level_cdf(m: int, a: int, b: int) -> np.ndarray:
     return cum
 
 
+def _padded_thresholds(cdf: np.ndarray) -> np.ndarray:
+    """ceil(cdf * 2^53) with 0 in front and 2^63 (above every 53-bit word) at the end, read-only."""
+    thr = np.empty(len(cdf) + 2, dtype=np.uint64)
+    thr[0], thr[-1] = 0, 1 << 63
+    thr[1:-1] = _u53_thresholds(cdf)
+    thr.setflags(write=False)
+    return thr
+
+
+@lru_cache(maxsize=64)
+def _binomial_thresholds(m: int, a: int, b: int) -> np.ndarray:
+    return _padded_thresholds(_level_cdf(m, a, b))
+
+
+def _log_count(u: np.ndarray, m: float, scale: float, offset: float) -> np.ndarray:
+    """floor(-m ln(max(offset + scale * u, 2^-60))) as int64, for 53-bit words ``u``.
+
+    The closed-form inverse of an exponential level grid; the floor of 2^-60
+    keeps the logarithm finite.
+    """
+    f = u.view(np.int64).astype(np.float64)  # exact below 2^53
+    f *= scale
+    if offset:
+        f += offset
+    np.maximum(f, 2.0**-60, out=f)
+    np.log(f, out=f)
+    f *= -m
+    return f.astype(np.int64)
+
+
+def _level_search(u: np.ndarray, thr: np.ndarray, guess: np.ndarray) -> np.ndarray:
+    """#{c : t_c <= u} for 53-bit words ``u`` against ascending thresholds t, from a guess of it.
+
+    ``thr`` is t padded with 0 in front and 2^63 at the end (see
+    :func:`_padded_thresholds`), and ``guess`` an int64 array of ``u``'s
+    shape, which is overwritten and returned.  A guess g is clamped to
+    [0, len(t)] and stands where thr[g] <= u < thr[g + 1]: on ascending
+    thresholds that is exactly the count.  Only the words it misses go to
+    ``searchsorted``.
+    """
+    g = np.clip(guess, 0, len(thr) - 2, out=guess)
+    ok = thr.take(g) <= u
+    ok &= u < thr.take(g + 1)
+    miss = np.flatnonzero(~ok)
+    if miss.size:
+        g.reshape(-1)[miss] = np.searchsorted(thr[1:-1], u.reshape(-1)[miss], side="right")
+    return g
+
+
 def _binomial_levels_batch(seed: int, vs: np.ndarray, j, config: SketchConfig) -> np.ndarray:
-    """Level offsets in [0, num_cells]; num_cells encodes the no-op; ``j`` broadcasts against ``vs``."""
+    """Level offsets in [0, num_cells]; num_cells encodes the no-op; ``j`` broadcasts against ``vs``.
+
+    Cell i's CDF is e^{-a/m} (1 - e^{-(i+1)/m}) / (1 - e^{-1/m}), so the
+    level of u is about floor(-m ln(1 - u 2^-53 (1 - e^{-1/m}) e^{a/m})),
+    which proposes it to :func:`_level_search`.  Past a/m = 700 the factor
+    e^{a/m} is capped to stay finite, and the search resolves the misses.
+    """
+    m, a = config.m, config.a
     state = prf.stream_state(seed, prf.DOMAIN_LEVEL, vs)
     u = prf.u53(prf.draw(state, prf.tuple_key(j=j)))
-    thr = _u53_thresholds(_level_cdf(config.m, config.a, config.b))
-    return np.searchsorted(thr, u, side="right")
+    scale = math.expm1(-1 / m) * math.exp(min(a / m, 700.0)) * 2.0**-53
+    return _level_search(u, _binomial_thresholds(m, a, config.b), _log_count(u, m, scale, 1.0))
 
 
 def _scatter_add(regs: np.ndarray, rows: np.ndarray, terms: np.ndarray) -> None:
     """Add ``terms[i]``, (h,) or (h, d), to row ``rows[i]`` of C-contiguous ``regs`` viewed as (R, d).
 
-    Repeated rows sum.  The scatter is flat because numpy's fast path for ``add.at`` is 1-D.
+    Repeated rows sum.  The scatter is flat because numpy's fast path for
+    ``add.at`` is 1-D; for d > 1 its (h, d) index is the one temporary made.
     """
     d = math.prod(terms.shape[1:])
-    idx = (rows[:, None] * d + np.arange(d)).ravel()
-    np.add.at(regs.reshape(-1), idx, terms.ravel())
+    idx = rows
+    if d > 1:
+        idx = np.multiply(rows[:, None], d, out=np.empty((len(rows), d), dtype=np.int64))
+        idx += np.arange(d)
+    np.add.at(regs.reshape(-1), idx.reshape(-1), terms.reshape(-1))
 
 
 def _integer_array(values, what: str) -> np.ndarray:
@@ -357,10 +421,17 @@ def _value_rows(group: GroupDescriptor | None, ys) -> np.ndarray:
 
 
 def _reduce_rows(group: GroupDescriptor | None, ys: np.ndarray) -> np.ndarray:
-    """Checked value rows as int64: canonical residues of ``group``, or the integers themselves."""
+    """Checked value rows as int64: canonical residues of ``group``, or the integers themselves.
+
+    int64 rows that need no reduction are returned as they are, not copied.
+    """
     if group is None:
         return ys.astype(np.int64, copy=False)
-    return np.mod(ys, np.array(group.orders, dtype=np.int64), dtype=np.int64)
+    orders = np.array(group.orders, dtype=np.int64)
+    # a min and a compare cost far less than the mod; rows already in range are only converted
+    if ys.size and ys.min() >= 0 and (ys < orders).all():
+        return ys.astype(np.int64, copy=False)
+    return np.mod(ys, orders, dtype=np.int64)
 
 
 def _canonical_values(group: GroupDescriptor | None, ys) -> np.ndarray:
@@ -427,9 +498,10 @@ def _add_sparse(regs: np.ndarray, words: np.ndarray, ys: np.ndarray, tab: _CellT
 
 def _ingest_binomial(config: SketchConfig, regs: np.ndarray, vs: np.ndarray, ys: np.ndarray) -> None:
     levels = _binomial_levels_batch(config.seed, vs, _COLUMNS, config)  # (3, n)
-    live = levels < config.num_cells
-    rows = 3 * levels + (_COLUMNS - 1)
-    _scatter_add(regs, rows[live], np.broadcast_to(ys, (3,) + ys.shape)[live])
+    # flat: a 2-D nonzero and a 2-D fancy index cost several times more
+    live = np.flatnonzero(levels < config.num_cells)
+    col, v = np.divmod(live, len(vs))
+    _scatter_add(regs, 3 * levels.reshape(-1).take(live) + col, ys.take(v, axis=0))
 
 
 class _TowerBase:

@@ -183,16 +183,19 @@ def test_binomial_assign_distribution():
 
 def _probe_words(grid: np.ndarray, n: int, seed) -> np.ndarray:
     """n random words, then words whose top 53 bits are t - 1, t and t + 1 for
-    every boundary t = ceil(c * 2^53) of the float grid, with random low bits."""
+    every boundary t = ceil(c * 2^53) of the float grid, and 0 and 2^53 - 1,
+    with random low bits."""
     rng = np.random.default_rng(seed)
     t = np.ceil(grid * 2.0**53).astype(np.int64)
-    u = np.concatenate([t - 1, t, t + 1])
+    u = np.concatenate([t - 1, t, t + 1, [0, (1 << 53) - 1]])
     u = u[(u >= 0) & (u < 1 << 53)].astype(np.uint64)
     low = rng.integers(0, 1 << 11, u.size, dtype=np.uint64)
     return np.concatenate([rng.integers(0, 2**64, n, dtype=np.uint64), u << np.uint64(11) | low])
 
 
-@pytest.mark.parametrize("m,a,b", [(2, 3, 9), (8, 40, 176), (64, 320, 1408)])
+@pytest.mark.parametrize(
+    "m,a,b", [(2, 3, 9), (8, 40, 176), (64, 320, 1408), (64, 267, 1000), (2, 2, 3)]
+)
 def test_binomial_level_draw_matches_the_float_oracle(monkeypatch, m, a, b):
     cfg = SketchConfig(None, m, a, b, 5, "binomial")
     words = _probe_words(_level_cdf(m, a, b), 1 << 20, [m, a, b])
@@ -201,7 +204,7 @@ def test_binomial_level_draw_matches_the_float_oracle(monkeypatch, m, a, b):
     assert np.array_equal(got, binomial_levels_float(cfg, words))
 
 
-@pytest.mark.parametrize("m_prime", [24, 64, 192])
+@pytest.mark.parametrize("m_prime", [24, 48, 64, 192])
 def test_sampler_level_draw_matches_the_float_oracle(monkeypatch, m_prime):
     sampler = SamplerSketch(Z7, m_prime, seed=3)
     grid = np.exp(-np.arange(sampler.num_levels, 0, -1) / m_prime)
@@ -209,6 +212,20 @@ def test_sampler_level_draw_matches_the_float_oracle(monkeypatch, m_prime):
     monkeypatch.setattr(prf, "draw", lambda state, key: words)
     got = sampler._levels(np.zeros(len(words), dtype=np.int64))
     assert np.array_equal(got, sampler_levels_float(sampler, words))
+
+
+@pytest.mark.parametrize("grid", ["binomial", 32, 48], ids=["binomial-m64", "sampler-m32", "sampler-m48"])
+def test_level_draw_closed_form_guess_rarely_needs_the_search(monkeypatch, grid):
+    # the search covers a bad guess, so a broken guess would only run slower
+    searched = []
+    search = np.searchsorted
+    monkeypatch.setattr(np, "searchsorted", lambda a, v, side: searched.append(len(v)) or search(a, v, side))
+    vs = np.arange(1 << 16)
+    if grid == "binomial":  # the query-refresh window
+        _binomial_levels_batch(9, vs, 1, SketchConfig(None, 64, 320, 1728, 9, "binomial"))
+    else:
+        SamplerSketch(Z7, grid, seed=9)._levels(vs)
+    assert sum(searched) < len(vs) // 100
 
 
 # -- update semantics -------------------------------------------------------------
@@ -657,6 +674,20 @@ def test_update_batch_makes_no_full_size_copy_of_the_batch(dtype):
         tracemalloc.stop()
     assert peak < n * 8 * 8 // 4
     assert sk.registers.any()
+
+
+@pytest.mark.parametrize("orders", [(3, 5, 2), (2,) * 8], ids=["z3xz5xz2", "z2^8"])
+@pytest.mark.parametrize("dtype", [np.uint8, np.int32, np.int64])
+def test_reduce_rows_equals_np_mod(orders, dtype):
+    # rows already in range skip the mod, so check both kinds, alone and mixed
+    p = np.array(orders, dtype=np.int64)
+    rows = np.stack([0 * p, p - 1, p, 0 * p - 1, 0 * p + (1 << 31), 0 * p - (1 << 31)])
+    info = np.iinfo(dtype)
+    rows = rows[((rows >= info.min) & (rows <= info.max)).all(axis=1)].astype(dtype)
+    group = make_group(list(orders))
+    for ys in (*(r[None, :] for r in rows), rows):
+        got = tower._reduce_rows(group, ys)
+        assert got.dtype == np.int64 and np.array_equal(got, np.mod(ys.astype(np.int64), p))
 
 
 def test_project_examples():

@@ -172,6 +172,7 @@ def cmd_variance_check(args) -> int:
 def cmd_bench(args) -> int:
     p = 7
     spec = uniform_mod_workload("bench", args.support, p, 1 << 22, shuffle_seed=args.seed)
+    tg = time.perf_counter()
     vs, ys, _ = gen_stream(spec)
     a, b = default_window(args.m)
     t0 = time.perf_counter()
@@ -181,6 +182,7 @@ def cmd_bench(args) -> int:
     rep = estimate_support(sk, p)
     t2 = time.perf_counter()
     print(f"m={args.m} cells={3*(b-a)} updates={len(vs)}")
+    print(f"generate: {t0-tg:.3f}s ({len(vs)/(t0-tg):.0f} updates/s)")
     print(f"ingest: {t1-t0:.3f}s ({len(vs)/(t1-t0):.0f} updates/s)")
     print(f"estimate: {t2-t1:.4f}s  support estimate {rep.estimate:.1f}")
     return 0

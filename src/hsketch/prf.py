@@ -14,7 +14,11 @@ once, as three in-place steps that ``mix64`` composes: head (xorshift 30),
 core (multiply, xorshift 27, multiply) and tail (xorshift 31).  Bulk Poisson
 ingest calls them apart: a shift distributes over XOR, so the head of
 ``state ^ key`` is the XOR of the heads, and the tail keeps the top 31 bits,
-so a threshold on them can be tested before it.  Distinct DOMAIN_*
+so a threshold on them can be tested before it.  ``stream_state``, ``draw``
+and ``tuple_key`` run the steps in place on the array each one allocates
+for its own result (one product or XOR), and read an int64 input through a
+uint64 view, so each makes two n-word arrays for n words: its result and
+one scratch.  ``mix64`` itself never changes its argument.  Distinct DOMAIN_*
 constants keep unrelated consumers (Poisson cells, level hashes, splitter
 slots, workload shuffles) on disjoint streams of the same seed.  Consumers
 compare ``u53`` of a word with integer thresholds: a float of a word may only
@@ -53,12 +57,19 @@ def mix64(z: np.ndarray | np.uint64) -> np.ndarray | np.uint64:
 
     Returns a new value and never mutates ``z``.
     """
-    out = np.array(z, dtype=U64)
-    tmp = np.empty_like(out)
-    _mix64_head(out, tmp)
-    _mix64_core(out, tmp)
-    _mix64_tail(out, tmp)
+    out = _mix64_fresh(np.array(z, dtype=U64))
     return out if isinstance(z, np.ndarray) else out[()]
+
+
+def _mix64_fresh(z):
+    """mix64 of a value no caller holds: a uint64 array is mixed in place and returned."""
+    if not isinstance(z, np.ndarray):
+        return mix64(z)
+    tmp = np.empty_like(z)
+    _mix64_head(z, tmp)
+    _mix64_core(z, tmp)
+    _mix64_tail(z, tmp)
+    return z
 
 
 # The finalizer's steps, in place on a uint64 array; ``tmp`` is optional
@@ -84,10 +95,11 @@ def _mix64_tail(z: np.ndarray, tmp: np.ndarray | None = None) -> None:
 
 
 def _as_u64(x) -> np.ndarray | np.uint64:
+    """``x`` as uint64 words mod 2^64; an int64 array comes back as a view, not to be written."""
     if isinstance(x, np.ndarray):
         if x.dtype == np.uint64:
             return x
-        return x.astype(np.int64).astype(np.uint64)
+        return x.astype(np.int64, copy=False).view(np.uint64)
     return U64(int(x) & _MASK64)
 
 
@@ -95,19 +107,21 @@ def stream_state(seed: int, domain: np.uint64, v) -> np.ndarray | np.uint64:
     """Per-(seed, element) mixed state for one domain.  ``v`` may be an array."""
     with np.errstate(over="ignore"):
         base = mix64(_as_u64(seed) + domain)
-        return mix64(base ^ (_as_u64(v) * GOLDEN))
+        z = _as_u64(v) * GOLDEN
+        z ^= base
+        return _mix64_fresh(z)
 
 
 def tuple_key(j: int | np.ndarray = 0, k: int | np.ndarray = 0) -> np.ndarray | np.uint64:
     """Pre-mixed key for the trailing tuple coordinates."""
     with np.errstate(over="ignore"):
         acc = (_as_u64(j) * _C_COLUMN) ^ (_as_u64(k) * _C_INDEX)
-        return mix64(acc)
+        return _mix64_fresh(acc)
 
 
 def draw(state, key) -> np.ndarray | np.uint64:
-    """Final counter-mode output word."""
-    return mix64(state ^ key)
+    """Final counter-mode output word, mixed in place on the XOR it allocates."""
+    return _mix64_fresh(state ^ key)
 
 
 def u53(u) -> np.ndarray | np.uint64:

@@ -39,6 +39,7 @@ from .errors import (
 from .groups import FunctionTable, GroupDescriptor, _read_only
 from .special import gamma_fn
 from .tower import (
+    _CHUNK_UPDATES,
     _level_search,
     _log_count,
     _padded_thresholds,
@@ -179,23 +180,29 @@ class SamplerSketch:
         vs, yr = _update_arrays(self.group, vs, ys)
         if len(vs) == 0:
             return
-        yr = _reduce_rows(self.group, yr)
         orders = np.array(self.group.orders, dtype=np.int64)
         if self.mode == "ideal":
             ids, inv = np.unique(np.concatenate([self._ids, vs]), return_inverse=True)
             net = np.zeros((len(ids), self.group.degree), dtype=np.int64)
-            _scatter_add(net, inv, np.concatenate([self._net, yr]))
+            _scatter_add(net, inv, np.concatenate([self._net, _reduce_rows(self.group, yr)]))
             net %= orders
             live = net.any(axis=1)
             self._ids, self._net = ids[live], net[live]
             return
+        # chunk by chunk, as the towers ingest, so the batch is never copied whole
+        for s in range(0, len(vs), _CHUNK_UPDATES):
+            self._add_slots(vs[s : s + _CHUNK_UPDATES], _reduce_rows(self.group, yr[s : s + _CHUNK_UPDATES]))
+            self.slots %= orders
+
+    def _add_slots(self, vs: np.ndarray, yr: np.ndarray) -> None:
+        """Add int64 residue rows ``yr`` to one PRF-chosen slot per column of each id's level."""
         width = splitter_width(self.group)
         state = prf.stream_state(self.seed, prf.DOMAIN_SLOT, vs)
-        cols = np.arange(self.r, dtype=np.int64)[:, None]
-        slot = (prf.draw(state, prf.tuple_key(j=cols)) % np.uint64(width)).astype(np.int64)
-        rows = (self._levels(vs) * self.r + cols) * width + slot  # (r, n)
-        _scatter_add(self.slots, rows.ravel(), np.tile(yr, (self.r, 1)))
-        self.slots %= orders
+        first = self._levels(vs) * (self.r * width)  # row of each level's (column 0, slot 0)
+        for j in range(self.r):
+            slot = (prf.draw(state, prf.tuple_key(j=j)) % np.uint64(width)).astype(np.int64)
+            slot += first + j * width
+            _scatter_add(self.slots, slot, yr)
 
     # -- classification and estimates ----------------------------------------
 

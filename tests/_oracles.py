@@ -34,7 +34,8 @@ are checked against.
 
 ``gen_stream_oracle`` is the workload generator as it was when its shuffle
 used a stable ``argsort``, for comparison with ``hsketch.workloads.gen_stream``,
-which uses the default sort on the same (pairwise distinct) keys.  ``unmix64``
+which sorts the same (pairwise distinct) keys packed with their indices and
+repairs ties in their top bits.  ``unmix64``
 inverts ``hsketch.prf.mix64``: it is the witness that the finalizer is a
 bijection, which is why those keys are distinct.
 

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -410,7 +411,10 @@ def test_cli_sanity_table_smoke(capsys):
 def test_cli_bench_smoke(capsys):
     rc = cli_main(["bench", "--m", "8", "--support", "500", "--seed", "2"])
     assert rc == 0
-    assert "updates/s" in capsys.readouterr().out
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines[1:3]] == ["generate", "ingest"]
+    assert re.fullmatch(r"generate: \d+\.\d{3}s \(\d+ updates/s\)", lines[1])
+    assert "updates/s" in lines[2]
 
 
 def test_cli_variance_check_smoke(capsys):

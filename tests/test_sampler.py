@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from hsketch.sampler import (
     splitter_width,
     tau_gra_estimate,
 )
+from hsketch.tower import _CHUNK_UPDATES
 from hsketch.workloads import WorkloadSpec
 
 Z7 = make_group([7])
@@ -292,3 +294,26 @@ def test_fingerprint_linearity():
     assert not sampler.slots.any()
     codes, _ = sampler.classify_levels()
     assert np.count_nonzero(codes == 0) == sampler.num_levels
+
+
+@pytest.mark.parametrize("r", [2, 6])
+def test_fingerprint_batch_is_never_copied_whole(r):
+    # 2^20 uint8 rows of Z_2^8 (8.4 MB): slots are filled one chunk at a time,
+    # so the peak is a few chunks' int64 rows, whatever r and the batch length
+    z2_8 = make_group([2] * 8)
+    n = 1 << 20
+    vs = np.arange(n)
+    ys = np.unpackbits(vs.astype(np.uint8)[:, None], axis=1)
+    sampler = SamplerSketch(z2_8, equal_memory_m_prime(64, r, z2_8), seed=4, r=r)
+    tracemalloc.start()
+    try:
+        sampler.update_batch(vs, ys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * _CHUNK_UPDATES * 8 * 8
+    # the slots are a sum mod 2: the halves in the other order, cut at other chunk bounds, agree
+    swapped = SamplerSketch(z2_8, sampler.m_prime, seed=4, r=r)
+    swapped.update_batch(vs[n // 2 :], ys[n // 2 :])
+    swapped.update_batch(vs[: n // 2], ys[: n // 2])
+    assert sampler.slots.any() and np.array_equal(sampler.slots, swapped.slots)

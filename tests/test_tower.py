@@ -961,3 +961,21 @@ def test_mix64_returns_new_array_and_keeps_frozen_words():
     ]
     scalar = prf.mix64(np.uint64(42))
     assert isinstance(scalar, np.uint64) and int(scalar) == 0xA759EA27D4727622
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint64])
+def test_prf_draws_mix_in_place_but_keep_their_arguments(dtype):
+    # int64 ids are read through a uint64 view, and each result is mixed in
+    # place: neither may write to the caller's array, and scalars agree with arrays
+    v = np.array([0, 1, 5, 2**31 - 1] + ([-7] if dtype != np.uint64 else []), dtype=dtype)
+    j = np.array([0, 3], dtype=dtype)[:, None]
+    v0, j0 = v.copy(), j.copy()
+    state = prf.stream_state(9, prf.DOMAIN_SLOT, v)
+    key = prf.tuple_key(j=j)
+    words = prf.draw(state, key)
+    assert np.array_equal(v, v0) and np.array_equal(j, j0)
+    assert not np.shares_memory(state, v) and not np.shares_memory(words, state)
+    for i, x in enumerate(v.tolist()):
+        s = prf.stream_state(9, prf.DOMAIN_SLOT, x)
+        assert isinstance(s, np.uint64) and s == state[i]
+        assert prf.draw(s, prf.tuple_key(j=3)) == words[1, i]

@@ -40,10 +40,16 @@ aggregations, each under its config (an integer sketch's over Z_p),
 integer sketch, so a hit reduces nothing); an equal query gets a copy of the
 stored values, and entries leave only by least-recently-used eviction.
 
-A warm query builds no config and no group: an integer sketch's config over
-Z_p comes from ``tower._config_over``, cached per (config, group), and
-:func:`modulo_spectrum` and :func:`estimate_support` share one Z_p descriptor
-per integer order (``groups._cyclic_group``), whose roots are built once.
+A warm query builds no config, no group and no spectrum, and copies no
+register array: an integer sketch's config over Z_p comes from
+``tower._config_over``, cached per (config, group); :func:`modulo_spectrum`
+and :func:`estimate_support` share one Z_p descriptor per integer order
+(``groups._cyclic_group``), whose roots are built once; the product group of
+a union comes from ``tower._product_group``; the spectra of
+:func:`modulo_spectrum` and the support are cached per (group, residue) and
+per group, read-only, after every input check; and the memo compares the
+registers with its snapshot in place.  A warm estimate pays for one compare
+of the registers, a copy of the stored aggregates and the weighted sum.
 """
 
 from __future__ import annotations
@@ -58,7 +64,7 @@ import numpy as np
 from .errors import GroupMismatchError, InvalidConfigError, InvalidRHatError
 from .groups import FunctionTable, GroupDescriptor, SpectrumTable, _cyclic_group, _Memo, _read_only, dft
 from .special import gamma_fn
-from .tower import IntegerTowerSketch, SketchConfig, TowerSketch, _config_over, combine_product
+from .tower import IntegerTowerSketch, SketchConfig, TowerSketch, _config_over, _mod_exact, combine_product
 
 
 @lru_cache(maxsize=None)
@@ -112,7 +118,7 @@ def _memoized_aggregates(cfg: SketchConfig, registers: np.ndarray, literal: bool
     """Aggregates of ``registers`` over ``cfg.group``; (nk, 3) integer registers are read mod its order."""
 
     def aggregate(snap: np.ndarray) -> np.ndarray:
-        reduced = snap if snap.ndim == 3 else np.mod(snap, cfg.group.orders[0])[:, :, None]
+        reduced = snap if snap.ndim == 3 else _mod_exact(snap, cfg.group.orders[0])[:, :, None]
         return _column_aggregates(cfg, reduced, literal).values
 
     return ColumnAggregates(cfg.group, cfg, _MEMO.get((cfg, literal), registers, aggregate), literal)
@@ -179,16 +185,25 @@ def estimate_f(
 
 
 def modulo_spectrum(p: int, j: int) -> SpectrumTable:
-    """Transform of the indicator of residue j in Z_p: gamma -> e^{-2 pi i j gamma / p}, j in [0, p)."""
+    """Transform of the indicator of residue j in Z_p: gamma -> e^{-2 pi i j gamma / p}, j in [0, p).
+
+    Built once per (p, j) and shared: its values are read-only.
+    """
     if not isinstance(j, numbers.Integral):  # 1.5 would index the roots of unity
         raise InvalidConfigError(f"residue j={j!r} is not an integer")
     group = _cyclic_group(p)
+    if not 0 <= j < group.orders[0]:
+        raise InvalidConfigError(f"residue {j} outside [0, {group.orders[0]})")
+    return _modulo_spectrum(group, int(j))
+
+
+@lru_cache(maxsize=64)
+def _modulo_spectrum(group: GroupDescriptor, j: int) -> SpectrumTable:
     p = group.orders[0]
-    if not 0 <= j < p:
-        raise InvalidConfigError(f"residue {j} outside [0, {p})")
-    return SpectrumTable(group, group.roots[(-j * np.arange(p)) % p])
+    return SpectrumTable(group, _read_only(group.roots[(-j * np.arange(p)) % p]))
 
 
+@lru_cache(maxsize=16)
 def _support_spectrum(group: GroupDescriptor) -> SpectrumTable:
     """The constant -1: the transform of -1{x = 0}, whose moment is the support size.
 
@@ -196,8 +211,9 @@ def _support_spectrum(group: GroupDescriptor) -> SpectrumTable:
     |G| 1{gamma = 0} - 1.  A constant added to a function moves only the
     trivial character's entry, which the default aggregates multiply by zero;
     -1 there keeps the ``literal=True`` estimates what they have always been.
+    Built once per group and shared: its values are read-only.
     """
-    return SpectrumTable(group, np.full(group.total_size, -1.0 + 0.0j))
+    return SpectrumTable(group, _read_only(np.full(group.total_size, -1.0 + 0.0j)))
 
 
 def estimate_modulo(

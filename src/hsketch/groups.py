@@ -173,9 +173,10 @@ class _Memo(list):
     Each entry is ``(*key, snapshot, result)``.  A lookup whose key equals an
     entry's and whose array has the snapshot's shape, dtype and bytes (exact
     for floats too, where 0.0 == -0.0) gets a copy of the stored result, so
-    callers never hold a reference into the memo.  A miss computes from a
-    snapshot of the array, so its entry matches what was computed even if the
-    caller's array changes meanwhile.
+    callers never hold a reference into the memo.  The bytes are compared in
+    place (:func:`_same_bits`), so a lookup copies neither array.  A miss
+    computes from a snapshot of the array, so its entry matches what was
+    computed even if the caller's array changes meanwhile.
     """
 
     def __init__(self, size: int):
@@ -186,7 +187,8 @@ class _Memo(list):
     def get(self, key: tuple, data: np.ndarray, compute: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
         """``compute(snapshot of data)``, or a copy of the result stored for an equal (key, data)."""
         with self._lock:
-            for i, entry in enumerate(self):
+            for i in range(len(self) - 1, -1, -1):  # newest first: a repeated query stops at once
+                entry = self[i]
                 if entry[:-2] == key and _same_bits(entry[-2], data):
                     self.append(self.pop(i))
                     return entry[-1].copy()
@@ -199,7 +201,18 @@ class _Memo(list):
 
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
-    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    """Whether ``a`` and ``b`` have one shape, one dtype and the same bytes.
+
+    Arrays of 8-byte multiples, as the memos hold (C-contiguous int64
+    registers and complex128 tables), are compared in place as uint64 words:
+    -0.0 differs from 0.0 and equal NaN bits match.  Other dtypes are
+    compared through copies of their bytes.
+    """
+    if a.shape != b.shape or a.dtype != b.dtype:
+        return False
+    if a.dtype.itemsize % 8:
+        return a.tobytes() == b.tobytes()
+    return not np.count_nonzero(np.not_equal(a.reshape(-1).view(np.uint64), b.reshape(-1).view(np.uint64)))
 
 
 # -- tabulated functions and spectra ----------------------------------------

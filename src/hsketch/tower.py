@@ -365,9 +365,8 @@ def _scatter_add(regs: np.ndarray, rows: np.ndarray, terms: np.ndarray) -> None:
     """
     d = math.prod(terms.shape[1:])
     idx = rows
-    if d > 1:
-        idx = np.multiply(rows[:, None], d, out=np.empty((len(rows), d), dtype=np.int64))
-        idx += np.arange(d)
+    if d > 1:  # one pass over (h, d): the (h,) row starts broadcast against the d offsets
+        idx = np.add((rows * d)[:, None], np.arange(d), out=np.empty((len(rows), d), dtype=np.int64))
     np.add.at(regs.reshape(-1), idx.reshape(-1), terms.reshape(-1))
 
 
@@ -420,6 +419,20 @@ def _value_rows(group: GroupDescriptor | None, ys) -> np.ndarray:
     return arr
 
 
+def _mod_exact(x: np.ndarray, p: int, out: np.ndarray | None = None) -> np.ndarray:
+    """``np.mod(x, p)`` for int64 ``x`` and an order ``p`` >= 2, exact for every int64, into ``out``.
+
+    A power of two is a mask; any other p is x - (x // p) * p, whose product
+    may wrap but whose difference, the residue, is exact modulo 2^64.  Both
+    cost a fraction of ``np.mod``'s integer loop.
+    """
+    if p & (p - 1) == 0:
+        return np.bitwise_and(x, p - 1, out=out)
+    q = np.floor_divide(x, p)
+    q *= p
+    return np.subtract(x, q, out=q if out is None else out)
+
+
 def _reduce_rows(group: GroupDescriptor | None, ys: np.ndarray) -> np.ndarray:
     """Checked value rows as int64: canonical residues of ``group``, or the integers themselves.
 
@@ -431,7 +444,10 @@ def _reduce_rows(group: GroupDescriptor | None, ys: np.ndarray) -> np.ndarray:
     # a min and a compare cost far less than the mod; rows already in range are only converted
     if ys.size and ys.min() >= 0 and (ys < orders).all():
         return ys.astype(np.int64, copy=False)
-    return np.mod(ys, orders, dtype=np.int64)
+    if len(set(group.orders)) > 1:
+        return np.mod(ys, orders, dtype=np.int64)
+    wide = ys.astype(np.int64, copy=False)
+    return _mod_exact(wide, group.orders[0], out=None if wide is ys else wide)
 
 
 def _canonical_values(group: GroupDescriptor | None, ys) -> np.ndarray:
@@ -443,11 +459,13 @@ def _settle(config: SketchConfig, regs: np.ndarray) -> None:
     """Restore the register invariant of ``regs``, a view of a tower of ``config``, after a chunk.
 
     Integer registers must stay below 2^62 in magnitude; group registers are
-    reduced by the group orders.
+    reduced by the group orders, with :func:`_mod_exact` when they are all one order.
     """
     if config.group is None:
         if np.any((regs >= _INT_REGISTER_BOUND) | (regs <= -_INT_REGISTER_BOUND)):
             raise RegisterOverflowError("integer register exceeded the 2^62 workload bound")
+    elif len(set(config.group.orders)) == 1:
+        _mod_exact(regs, config.group.orders[0], out=regs)
     else:
         regs %= np.array(config.group.orders, dtype=np.int64)
 
@@ -455,17 +473,18 @@ def _settle(config: SketchConfig, regs: np.ndarray) -> None:
 def _ingest(config: SketchConfig, regs: np.ndarray, vs: np.ndarray, ys: np.ndarray) -> None:
     """Add checked updates to ``regs``, (nk, 3, d), for (n, d) value rows ``ys``, chunk by chunk.
 
-    Each chunk's rows are reduced to int64 residues just before they are
-    added, so the batch is never copied whole; every chunk is settled.
+    Each mode reduces a chunk's rows to int64 residues (:func:`_reduce_rows`)
+    just before it adds them, so the batch is never copied whole; every chunk
+    is settled.
     """
     add = _ingest_poisson if config.mode == "poisson" else _ingest_binomial
     for s in range(0, len(vs), _CHUNK_UPDATES):
-        chunk = _reduce_rows(config.group, ys[s : s + _CHUNK_UPDATES])
-        add(config, regs, vs[s : s + _CHUNK_UPDATES], chunk)
+        add(config, regs, vs[s : s + _CHUNK_UPDATES], ys[s : s + _CHUNK_UPDATES])
         _settle(config, regs)
 
 
 def _ingest_poisson(config: SketchConfig, regs: np.ndarray, vs: np.ndarray, ys: np.ndarray) -> None:
+    ys = _reduce_rows(config.group, ys)  # every update reaches the dense cells
     tab = _cell_table(config.m, config.a, config.b)
     state = prf.stream_state(config.seed, prf.DOMAIN_CELL, vs)  # (n,)
     prf._mix64_head(state)
@@ -501,7 +520,21 @@ def _ingest_binomial(config: SketchConfig, regs: np.ndarray, vs: np.ndarray, ys:
     # flat: a 2-D nonzero and a 2-D fancy index cost several times more
     live = np.flatnonzero(levels < config.num_cells)
     col, v = np.divmod(live, len(vs))
-    _scatter_add(regs, 3 * levels.reshape(-1).take(live) + col, ys.take(v, axis=0))
+    # the live rows are gathered in their own dtype, then widened: one int64 copy, not two
+    terms = _reduce_rows(config.group, ys.take(v, axis=0))
+    _scatter_add(regs, 3 * levels.reshape(-1).take(live) + col, terms)
+
+
+def _any_at_or_above(u: np.ndarray, orders: tuple[int, ...]) -> bool:
+    """Whether an entry of ``u``, (..., d) uint64, reaches the order of its factor.
+
+    One order is one max over the whole array.  Mixed orders take one strided
+    max per factor: a broadcast compare against the orders, or a max along
+    the rows, runs a d-long inner loop and measured 2-10 times slower.
+    """
+    if len(set(orders)) == 1:
+        return bool(u.max() >= orders[0])
+    return any(u[..., t].max() >= p for t, p in enumerate(orders))
 
 
 class _TowerBase:
@@ -528,8 +561,8 @@ class _TowerBase:
         self.config, self.registers = config, np.ascontiguousarray(regs)
         if integer:
             _settle(config, self.registers)
-        # one unsigned max per factor: a negative residue reads as >= 2^63
-        elif any(regs[..., t].view(np.uint64).max() >= p for t, p in enumerate(config.group.orders)):
+        # unsigned, so a negative residue reads as >= 2^63
+        elif _any_at_or_above(self.registers.view(np.uint64), config.group.orders):
             raise GroupMismatchError(f"registers must be residues in [0, p) of orders {config.group.orders}")
 
     def __eq__(self, other) -> bool:
@@ -621,8 +654,14 @@ def combine_product(s1: TowerSketch, s2: TowerSketch) -> TowerSketch:
         raise CannotCombineError("integer sketches have no group to pair; reduce them first")
     if _SHARED_FIELDS(c1) != _SHARED_FIELDS(c2):
         raise CannotCombineError("sketches must share m, a, b, seed and mode")
-    cfg = _config_over(c1, c1.group.product(c2.group))
+    cfg = _config_over(c1, _product_group(c1.group, c2.group))
     return TowerSketch(cfg, np.concatenate([s1.registers, s2.registers], axis=2))
+
+
+@lru_cache(maxsize=16)
+def _product_group(g1: GroupDescriptor, g2: GroupDescriptor) -> GroupDescriptor:
+    """``g1 x g2``, built and validated once per pair, then shared by every combine."""
+    return g1.product(g2)
 
 
 class IntegerTowerSketch(_TowerBase):
@@ -631,7 +670,7 @@ class IntegerTowerSketch(_TowerBase):
     def reduce_values_mod(self, p: int) -> TowerSketch:
         """Group-valued view of the registers mod p (query-time reduction)."""
         cfg = _config_over(self.config, _cyclic_group(p))
-        return TowerSketch(cfg, np.mod(self.registers, cfg.group.orders[0])[:, :, None])
+        return TowerSketch(cfg, _mod_exact(self.registers, cfg.group.orders[0])[:, :, None])
 
 
 def sketch_new(config: SketchConfig) -> TowerSketch | IntegerTowerSketch:

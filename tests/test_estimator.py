@@ -17,6 +17,7 @@ from hsketch.errors import GroupMismatchError, InvalidConfigError, InvalidGroupE
 from hsketch.estimator import (
     EstimateReport,
     _column_aggregates,
+    _support_spectrum,
     column_aggregates,
     estimate_f,
     estimate_modulo,
@@ -796,3 +797,76 @@ def test_memo_equals_the_uncached_computation(ops):
         assert np.array_equal(column_aggregates(sk).values, _uncached(sk))
     assert len(estimator._MEMO) <= 8
     estimator._MEMO.clear()
+
+
+# -- warm queries ------------------------------------------------------------------
+
+
+def test_warm_estimate_copies_no_registers(fresh_memo):
+    z2_8 = make_group([2] * 8)
+    sk = sketch_new(SketchConfig(z2_8, 64, 320, 1728, 3, "binomial"))
+    rng = np.random.default_rng(11)
+    sk.update_batch(rng.integers(0, 1 << 40, 5000), rng.integers(0, 2, (5000, 8)))
+    assert sk.registers.shape == (1408, 3, 8) and sk.registers.nbytes == 270_336
+    spectrum = SpectrumTable(z2_8, rng.normal(size=256) + 1j * rng.normal(size=256))
+    cold = estimate_f(sk, spectrum)
+    tracemalloc.start()
+    try:
+        warm = estimate_f(sk, spectrum)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a byte copy of the registers for the memo compare alone would be 270 KB
+    assert peak < sk.registers.nbytes // 4
+    assert warm == cold and np.array_equal(warm.gamma_terms, cold.gamma_terms)
+
+
+@pytest.mark.parametrize("p", [2, 7, 128])
+def test_cached_spectra_equal_the_uncached_construction(p):
+    roots = np.exp(2j * np.pi * np.arange(p) / p)
+    for j in range(p):
+        got = modulo_spectrum(p, j)
+        assert got.group == make_group([p])
+        assert got.values.tobytes() == roots[(-j * np.arange(p)) % p].tobytes()
+        assert modulo_spectrum(np.int64(p), np.int32(j)).values.tobytes() == got.values.tobytes()
+    for group in (make_group([p]), make_group([p, 7])):
+        got = _support_spectrum(group)
+        assert got.group == group
+        assert got.values.tobytes() == np.full(group.total_size, -1.0 + 0.0j).tobytes()
+
+
+@pytest.mark.parametrize(
+    "spectrum", [lambda: modulo_spectrum(7, 3), lambda: _support_spectrum(make_group([7, 7]))],
+    ids=["modulo", "support"],
+)
+def test_cached_spectra_are_read_only(fresh_memo, spectrum):
+    sk = _binomial_z7()
+    if spectrum().group != Z7:
+        sk = combine_product(sk, _binomial_z7(salt=1))
+    want = spectrum().values.copy()
+    before = estimate_f(sk, spectrum())
+    for write in (lambda v: v.__setitem__(0, 0.0), lambda v: v.__imul__(2.0), lambda v: v.fill(1.0)):
+        with pytest.raises(ValueError):
+            write(spectrum().values)
+    assert spectrum().values.tobytes() == want.tobytes()
+    assert estimate_f(sk, spectrum()) == before
+
+
+@pytest.mark.parametrize(
+    "p,j,error,message",
+    [
+        (7, 1.5, InvalidConfigError, r"^residue j=1\.5 is not an integer$"),
+        (7, 7, InvalidConfigError, r"^residue 7 outside \[0, 7\)$"),
+        (7, -1, InvalidConfigError, r"^residue -1 outside \[0, 7\)$"),
+        (np.int64(7), np.int64(7), InvalidConfigError, r"^residue 7 outside \[0, 7\)$"),
+        (1, 0, InvalidGroupError, r"^cyclic factor order 1 < 2 is invalid$"),
+        (7.0, 1, InvalidGroupError, r"^cyclic factor order 7\.0 is not an integer$"),
+    ],
+    ids=["j-1.5", "j-p", "j-negative", "numpy-j-p", "p-1", "p-float"],
+)
+def test_modulo_spectrum_checks_every_input_before_its_cache(p, j, error, message):
+    for _ in range(2):  # cold, then with the valid neighbours cached
+        with pytest.raises(error, match=message):
+            modulo_spectrum(p, j)
+        modulo_spectrum(7, 6)
+        modulo_spectrum(7, 1)

@@ -394,3 +394,51 @@ def test_transform_memo_holds_at_most_eight_least_recently_used(transform_memo):
         assert np.array_equal(dft(g, f).values, _uncached(g, f.values, "dft"))
         assert oracle_close(dft(g, f).values, _oracle(g, f.values, "dft"))
     assert len(transform_memo) == 8
+
+
+# -- the memo's compare ----------------------------------------------------------
+
+
+def _words(*words):
+    """float64 values with exactly these bit patterns."""
+    return np.array(words, dtype=np.uint64).view(np.float64)
+
+
+QNAN, NAN_1, NAN_2 = 0x7FF8000000000000, 0x7FF8000000000001, 0x7FF0000000000002
+
+
+@pytest.mark.parametrize(
+    "a,b,same",
+    [
+        (np.array([0.0, 1.0]), np.array([-0.0, 1.0]), False),
+        (np.array([complex(0.0, 1.0)]), np.array([complex(-0.0, 1.0)]), False),
+        (np.array([complex(1.0, 0.0)]), np.array([complex(1.0, -0.0)]), False),
+        (_words(QNAN, NAN_1), _words(QNAN, NAN_1), True),
+        (_words(QNAN, NAN_1), _words(QNAN, NAN_2), False),
+        (_words(NAN_1).astype(np.complex128), _words(NAN_1).astype(np.complex128), True),
+        (np.arange(4, dtype=np.int64), np.arange(4, dtype=np.int64).view(np.float64), False),
+        (np.arange(4, dtype=np.int64), np.arange(4, dtype=np.int64).view(np.uint64), False),
+        (np.arange(4, dtype=np.int64), np.arange(4, dtype=np.int64).reshape(2, 2), False),
+        (np.arange(4, dtype=np.int64), np.arange(4, dtype=np.int64).view(np.complex128), False),
+        (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), True),
+        (np.zeros((0, 3), dtype=np.complex128), np.zeros((0, 3), dtype=np.complex128), True),
+        (np.zeros((0, 3), dtype=np.int64), np.zeros((3, 0), dtype=np.int64), False),
+        (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.float64), False),
+        (np.arange(6, dtype=np.int64).reshape(2, 3), np.arange(6, dtype=np.int64).reshape(2, 3), True),
+        (np.arange(6, dtype=np.uint8), np.arange(6, dtype=np.uint8), True),
+        (np.arange(6, dtype=np.uint8), np.arange(1, 7, dtype=np.uint8), False),
+    ],
+    ids=[
+        "zero-vs-negative-zero", "complex-zero-vs-negative-zero", "imaginary-zero-signs",
+        "equal-nan-payloads", "other-nan-payload", "complex-nan-payloads",
+        "same-bytes-as-float64", "same-bytes-as-uint64", "same-bytes-other-shape", "same-bytes-as-complex",
+        "empty", "empty-2d", "empty-other-shape", "empty-other-dtype", "equal-2d",
+        "equal-bytes-uint8", "other-bytes-uint8",
+    ],
+)
+def test_same_bits_compares_shape_dtype_and_every_bit(a, b, same):
+    assert groups._same_bits(a, b) is same and groups._same_bits(b, a) is same
+    # a strided view is compared through its bytes, with the same verdict
+    strided = np.stack([a, a], axis=-1)[..., 0]
+    assert strided.flags.c_contiguous == (a.size <= 1)
+    assert groups._same_bits(strided, b) is same and groups._same_bits(b, strided) is same

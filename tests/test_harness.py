@@ -412,9 +412,10 @@ def test_cli_bench_smoke(capsys):
     rc = cli_main(["bench", "--m", "8", "--support", "500", "--seed", "2"])
     assert rc == 0
     lines = capsys.readouterr().out.splitlines()
-    assert [line.split(":")[0] for line in lines[1:3]] == ["generate", "ingest"]
+    assert [line.split(":")[0] for line in lines[1:]] == ["generate", "ingest", "estimate", "warm estimate"]
     assert re.fullmatch(r"generate: \d+\.\d{3}s \(\d+ updates/s\)", lines[1])
     assert "updates/s" in lines[2]
+    assert re.fullmatch(r"warm estimate: \d+\.\d{3}ms", lines[4])
 
 
 def test_cli_variance_check_smoke(capsys):

@@ -676,7 +676,9 @@ def test_update_batch_makes_no_full_size_copy_of_the_batch(dtype):
     assert sk.registers.any()
 
 
-@pytest.mark.parametrize("orders", [(3, 5, 2), (2,) * 8], ids=["z3xz5xz2", "z2^8"])
+@pytest.mark.parametrize(
+    "orders", [(3, 5, 2), (2,) * 8, (7, 7), (2**31 - 1,)], ids=["z3xz5xz2", "z2^8", "z7xz7", "z(2^31-1)"]
+)
 @pytest.mark.parametrize("dtype", [np.uint8, np.int32, np.int64])
 def test_reduce_rows_equals_np_mod(orders, dtype):
     # rows already in range skip the mod, so check both kinds, alone and mixed
@@ -686,8 +688,36 @@ def test_reduce_rows_equals_np_mod(orders, dtype):
     rows = rows[((rows >= info.min) & (rows <= info.max)).all(axis=1)].astype(dtype)
     group = make_group(list(orders))
     for ys in (*(r[None, :] for r in rows), rows):
+        kept = ys.copy()
         got = tower._reduce_rows(group, ys)
         assert got.dtype == np.int64 and np.array_equal(got, np.mod(ys.astype(np.int64), p))
+        assert np.array_equal(ys, kept)  # the caller's rows are never reduced in place
+
+
+INT64_EXTREMES = [-(2**63), -(2**62), -1, 0, 1, 2**62, 2**63 - 1]
+
+
+@given(
+    st.sampled_from([2, 7, 128, 2**31 - 1]),
+    st.lists(st.sampled_from(INT64_EXTREMES) | st.integers(-(2**63), 2**63 - 1), max_size=40),
+)
+def test_mod_exact_equals_np_mod(p, xs):
+    x = np.array(xs + INT64_EXTREMES + [p - 1, p, p + 1, -p, 1 - p], dtype=np.int64)
+    want = np.mod(x, p)
+    kept = x.copy()
+    assert np.array_equal(tower._mod_exact(x, p), want) and np.array_equal(x, kept)
+    out = tower._mod_exact(x, p, out=x)  # in place, as _settle reduces registers
+    assert out is x and np.array_equal(x, want)
+
+
+@pytest.mark.parametrize("p", [2, 7, 128, 2**31 - 1])
+def test_reduce_values_mod_equals_np_mod(p):
+    ski = sketch_new(ZI)
+    rng = np.random.default_rng(p)
+    ski.update_batch(rng.integers(0, 1 << 40, 500), rng.integers(-(2**31), 2**31, 500))
+    ski.registers[:2] = [[2**62 - 1, 1 - 2**62, -1], [0, p - 1, p]]
+    got = ski.reduce_values_mod(p).registers
+    assert got.dtype == np.int64 and np.array_equal(got, np.mod(ski.registers, p)[:, :, None])
 
 
 def test_project_examples():
@@ -764,6 +794,9 @@ def _filled(shape, at, value):
         (TowerSketch, Z2xZ128, _filled((16, 3, 2), (0, 0, 0), 2), GroupMismatchError),
         (TowerSketch, Z2xZ128, _filled((16, 3, 2), (9, 1, 1), 128), GroupMismatchError),
         (TowerSketch, Z2xZ128, _filled((16, 3, 2), (9, 1, 1), -1), GroupMismatchError),
+        # below the largest order, but not a residue of its own factor
+        (TowerSketch, Z2xZ128, _filled((16, 3, 2), (4, 0, 0), 5), GroupMismatchError),
+        (TowerSketch, Z2xZ128, _filled((16, 3, 2), (4, 0, 0), -1), GroupMismatchError),
         # integer registers at the 2^62 bound
         (IntegerTowerSketch, ZI, _filled((16, 3), (5, 2), 2**62), RegisterOverflowError),
         (IntegerTowerSketch, ZI, _filled((16, 3), (5, 2), -(2**62)), RegisterOverflowError),
@@ -776,7 +809,8 @@ def _filled(shape, at, value):
         "product-degree-short", "int-cell-short", "int-cell-extra", "int-axis-missing", "int-axis-extra",
         "group-half", "int-half", "group-nan", "int-nan", "int-string", "group-none", "int-2^64",
         "residue-7-in-Z7", "residue-minus-1", "residue-minus-2^63", "residue-2-in-Z2",
-        "residue-128-in-Z128", "residue-minus-1-in-Z128", "int-2^62", "int-minus-2^62",
+        "residue-128-in-Z128", "residue-minus-1-in-Z128", "residue-5-in-Z2-only",
+        "residue-minus-1-in-Z2", "int-2^62", "int-minus-2^62",
         "int-2^63-1", "int-minus-2^63",
     ],
 )

@@ -118,7 +118,7 @@ def _memoized_aggregates(cfg: SketchConfig, registers: np.ndarray, literal: bool
     """Aggregates of ``registers`` over ``cfg.group``; (nk, 3) integer registers are read mod its order."""
 
     def aggregate(snap: np.ndarray) -> np.ndarray:
-        reduced = snap if snap.ndim == 3 else _mod_exact(snap, cfg.group.orders[0])[:, :, None]
+        reduced = snap if snap.ndim == 3 else _mod_exact(snap, cfg.group.orders)[:, :, None]
         return _column_aggregates(cfg, reduced, literal).values
 
     return ColumnAggregates(cfg.group, cfg, _MEMO.get((cfg, literal), registers, aggregate), literal)

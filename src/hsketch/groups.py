@@ -203,15 +203,12 @@ class _Memo(list):
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     """Whether ``a`` and ``b`` have one shape, one dtype and the same bytes.
 
-    Arrays of 8-byte multiples, as the memos hold (C-contiguous int64
-    registers and complex128 tables), are compared in place as uint64 words:
-    -0.0 differs from 0.0 and equal NaN bits match.  Other dtypes are
-    compared through copies of their bytes.
+    For what the memos hold, C-contiguous int64 registers and complex128
+    tables: both are compared in place as uint64 words, so -0.0 differs from
+    0.0 and equal NaN bits match.
     """
     if a.shape != b.shape or a.dtype != b.dtype:
         return False
-    if a.dtype.itemsize % 8:
-        return a.tobytes() == b.tobytes()
     return not np.count_nonzero(np.not_equal(a.reshape(-1).view(np.uint64), b.reshape(-1).view(np.uint64)))
 
 

@@ -419,13 +419,17 @@ def _value_rows(group: GroupDescriptor | None, ys) -> np.ndarray:
     return arr
 
 
-def _mod_exact(x: np.ndarray, p: int, out: np.ndarray | None = None) -> np.ndarray:
-    """``np.mod(x, p)`` for int64 ``x`` and an order ``p`` >= 2, exact for every int64, into ``out``.
+def _mod_exact(x: np.ndarray, orders: tuple[int, ...], out: np.ndarray | None = None) -> np.ndarray:
+    """``np.mod(x, orders)`` for int64 ``x``, (..., d) or (...,) for one order, into ``out``.
 
-    A power of two is a mask; any other p is x - (x // p) * p, whose product
-    may wrap but whose difference, the residue, is exact modulo 2^64.  Both
-    cost a fraction of ``np.mod``'s integer loop.
+    Mixed orders take the broadcast ``np.mod``.  One order p is reduced
+    exactly for every int64 at a fraction of ``np.mod``'s cost: a power of two
+    is a mask, any other p is x - (x // p) * p, whose product may wrap but
+    whose difference, the residue, is exact modulo 2^64.
     """
+    if len(set(orders)) > 1:
+        return np.mod(x, np.array(orders, dtype=np.int64), out=out)
+    p = orders[0]
     if p & (p - 1) == 0:
         return np.bitwise_and(x, p - 1, out=out)
     q = np.floor_divide(x, p)
@@ -444,10 +448,8 @@ def _reduce_rows(group: GroupDescriptor | None, ys: np.ndarray) -> np.ndarray:
     # a min and a compare cost far less than the mod; rows already in range are only converted
     if ys.size and ys.min() >= 0 and (ys < orders).all():
         return ys.astype(np.int64, copy=False)
-    if len(set(group.orders)) > 1:
-        return np.mod(ys, orders, dtype=np.int64)
     wide = ys.astype(np.int64, copy=False)
-    return _mod_exact(wide, group.orders[0], out=None if wide is ys else wide)
+    return _mod_exact(wide, group.orders, out=None if wide is ys else wide)
 
 
 def _canonical_values(group: GroupDescriptor | None, ys) -> np.ndarray:
@@ -459,15 +461,13 @@ def _settle(config: SketchConfig, regs: np.ndarray) -> None:
     """Restore the register invariant of ``regs``, a view of a tower of ``config``, after a chunk.
 
     Integer registers must stay below 2^62 in magnitude; group registers are
-    reduced by the group orders, with :func:`_mod_exact` when they are all one order.
+    reduced by the group orders in place (:func:`_mod_exact`).
     """
     if config.group is None:
         if np.any((regs >= _INT_REGISTER_BOUND) | (regs <= -_INT_REGISTER_BOUND)):
             raise RegisterOverflowError("integer register exceeded the 2^62 workload bound")
-    elif len(set(config.group.orders)) == 1:
-        _mod_exact(regs, config.group.orders[0], out=regs)
     else:
-        regs %= np.array(config.group.orders, dtype=np.int64)
+        _mod_exact(regs, config.group.orders, out=regs)
 
 
 def _ingest(config: SketchConfig, regs: np.ndarray, vs: np.ndarray, ys: np.ndarray) -> None:
@@ -525,18 +525,6 @@ def _ingest_binomial(config: SketchConfig, regs: np.ndarray, vs: np.ndarray, ys:
     _scatter_add(regs, 3 * levels.reshape(-1).take(live) + col, terms)
 
 
-def _any_at_or_above(u: np.ndarray, orders: tuple[int, ...]) -> bool:
-    """Whether an entry of ``u``, (..., d) uint64, reaches the order of its factor.
-
-    One order is one max over the whole array.  Mixed orders take one strided
-    max per factor: a broadcast compare against the orders, or a max along
-    the rows, runs a d-long inner loop and measured 2-10 times slower.
-    """
-    if len(set(orders)) == 1:
-        return bool(u.max() >= orders[0])
-    return any(u[..., t].max() >= p for t, p in enumerate(orders))
-
-
 class _TowerBase:
     """Register storage, the one ingest path and the structural operations."""
 
@@ -561,8 +549,8 @@ class _TowerBase:
         self.config, self.registers = config, np.ascontiguousarray(regs)
         if integer:
             _settle(config, self.registers)
-        # unsigned, so a negative residue reads as >= 2^63
-        elif _any_at_or_above(self.registers.view(np.uint64), config.group.orders):
+        # one unsigned max per factor: a negative residue reads as >= 2^63
+        elif any(regs[..., t].view(np.uint64).max() >= p for t, p in enumerate(config.group.orders)):
             raise GroupMismatchError(f"registers must be residues in [0, p) of orders {config.group.orders}")
 
     def __eq__(self, other) -> bool:
@@ -670,7 +658,7 @@ class IntegerTowerSketch(_TowerBase):
     def reduce_values_mod(self, p: int) -> TowerSketch:
         """Group-valued view of the registers mod p (query-time reduction)."""
         cfg = _config_over(self.config, _cyclic_group(p))
-        return TowerSketch(cfg, _mod_exact(self.registers, cfg.group.orders[0])[:, :, None])
+        return TowerSketch(cfg, _mod_exact(self.registers, cfg.group.orders)[:, :, None])
 
 
 def sketch_new(config: SketchConfig) -> TowerSketch | IntegerTowerSketch:

@@ -705,8 +705,8 @@ def test_mod_exact_equals_np_mod(p, xs):
     x = np.array(xs + INT64_EXTREMES + [p - 1, p, p + 1, -p, 1 - p], dtype=np.int64)
     want = np.mod(x, p)
     kept = x.copy()
-    assert np.array_equal(tower._mod_exact(x, p), want) and np.array_equal(x, kept)
-    out = tower._mod_exact(x, p, out=x)  # in place, as _settle reduces registers
+    assert np.array_equal(tower._mod_exact(x, (p,)), want) and np.array_equal(x, kept)
+    out = tower._mod_exact(x, (p,), out=x)  # in place, as _settle reduces registers
     assert out is x and np.array_equal(x, want)
 
 

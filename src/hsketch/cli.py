@@ -181,13 +181,16 @@ def cmd_bench(args) -> int:
     t1 = time.perf_counter()
     rep = estimate_support(sk, p)
     t2 = time.perf_counter()
-    estimate_support(sk, p)  # the same query again: a memo hit
-    t3 = time.perf_counter()
+    warm = math.inf
+    for _ in range(100):  # the same query again, memo hits: the fastest is its cost
+        tw = time.perf_counter()
+        estimate_support(sk, p)
+        warm = min(warm, time.perf_counter() - tw)
     print(f"m={args.m} cells={3*(b-a)} updates={len(vs)}")
     print(f"generate: {t0-tg:.3f}s ({len(vs)/(t0-tg):.0f} updates/s)")
     print(f"ingest: {t1-t0:.3f}s ({len(vs)/(t1-t0):.0f} updates/s)")
     print(f"estimate: {t2-t1:.4f}s  support estimate {rep.estimate:.1f}")
-    print(f"warm estimate: {(t3-t2)*1e3:.3f}ms")
+    print(f"warm estimate: {warm*1e3:.3f}ms")
     return 0
 
 

@@ -37,8 +37,12 @@ which SIMD loop numpy dispatches ``np.exp`` to.
 A memo (``groups._Memo``, as for the transforms) keeps the last 8
 aggregations, each under its config (an integer sketch's over Z_p),
 ``literal`` flag and a snapshot of the registers it read (int64 for an
-integer sketch, so a hit reduces nothing); an equal query gets a copy of the
-stored values, and entries leave only by least-recently-used eviction.
+integer sketch, so a hit reduces nothing).  An entry holds the aggregates
+and their product over the three columns, both computed once on the miss
+and both read-only; entries leave only by least-recently-used eviction.
+:func:`estimate_f` reads an entry in place, and only
+:func:`column_aggregates`, which hands the aggregates to the user, copies
+them.
 
 A warm query builds no config, no group and no spectrum, and copies no
 register array: an integer sketch's config over Z_p comes from
@@ -49,7 +53,8 @@ a union comes from ``tower._product_group``; the spectra of
 :func:`modulo_spectrum` and the support are cached per (group, residue) and
 per group, read-only, after every input check; and the memo compares the
 registers with its snapshot in place.  A warm estimate pays for one compare
-of the registers, a copy of the stored aggregates and the weighted sum.
+of the registers and the weighted sum: a hit copies nothing and recomputes
+no product.
 """
 
 from __future__ import annotations
@@ -101,7 +106,7 @@ class ColumnAggregates:
         return self.group.total_size
 
 
-_MEMO = _Memo(8)  # entries (config, literal, registers, aggregates), oldest first
+_MEMO = _Memo(8)  # entries (config, literal, registers, (aggregates, product)), oldest first
 
 
 def column_aggregates(sketch: TowerSketch, literal: bool = False) -> ColumnAggregates:
@@ -111,17 +116,24 @@ def column_aggregates(sketch: TowerSketch, literal: bool = False) -> ColumnAggre
             "an integer sketch has no group to aggregate over: query it with estimate_f on a "
             "cyclic spectrum, or reduce it with reduce_values_mod(p) first"
         )
-    return _memoized_aggregates(sketch.config, sketch.registers, literal)
+    values, _ = _memoized_aggregates(sketch.config, sketch.registers, literal)
+    return ColumnAggregates(sketch.config.group, sketch.config, values.copy(), literal)
 
 
-def _memoized_aggregates(cfg: SketchConfig, registers: np.ndarray, literal: bool) -> ColumnAggregates:
-    """Aggregates of ``registers`` over ``cfg.group``; (nk, 3) integer registers are read mod its order."""
+def _memoized_aggregates(
+    cfg: SketchConfig, registers: np.ndarray, literal: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """The memo entry of ``registers`` over ``cfg.group``: the aggregates and their column product.
 
-    def aggregate(snap: np.ndarray) -> np.ndarray:
+    Both are read-only.  (nk, 3) integer registers are read mod the group's order.
+    """
+
+    def aggregate(snap: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         reduced = snap if snap.ndim == 3 else _mod_exact(snap, cfg.group.orders)[:, :, None]
-        return _column_aggregates(cfg, reduced, literal).values
+        values = _column_aggregates(cfg, reduced, literal).values
+        return _read_only(values), _read_only(values.prod(axis=0))
 
-    return ColumnAggregates(cfg.group, cfg, _MEMO.get((cfg, literal), registers, aggregate), literal)
+    return _MEMO.get((cfg, literal), registers, aggregate)
 
 
 @lru_cache(maxsize=16)
@@ -146,12 +158,19 @@ def _column_aggregates(cfg: SketchConfig, registers: np.ndarray, literal: bool) 
     return ColumnAggregates(group, cfg, agg, literal)
 
 
-def _resolve_aggregates(sketch, group: GroupDescriptor, literal: bool) -> ColumnAggregates:
-    """The aggregates of ``sketch`` over ``group``; every check comes before any aggregation."""
+def _resolve_aggregates(
+    sketch, group: GroupDescriptor, literal: bool
+) -> tuple[SketchConfig, np.ndarray, np.ndarray]:
+    """The config, aggregates and column product of ``sketch`` over ``group``.
+
+    Every check comes before any aggregation.  The arrays of a sketch are its
+    read-only memo entry; the product of a ``ColumnAggregates`` is computed here.
+    """
     if isinstance(sketch, IntegerTowerSketch):
         if group.degree != 1:
             raise GroupMismatchError(f"an integer sketch is read mod a cyclic order, not {group.orders}")
-        return _memoized_aggregates(_config_over(sketch.config, group), sketch.registers, literal)
+        cfg = _config_over(sketch.config, group)
+        return (cfg, *_memoized_aggregates(cfg, sketch.registers, literal))
     if not isinstance(sketch, (TowerSketch, ColumnAggregates)):
         raise TypeError(f"cannot aggregate {type(sketch).__name__}")
     if isinstance(sketch, ColumnAggregates) and sketch.literal != literal:
@@ -160,7 +179,9 @@ def _resolve_aggregates(sketch, group: GroupDescriptor, literal: bool) -> Column
         )
     if sketch.group != group:
         raise GroupMismatchError(f"sketch group {sketch.group.orders} is not the spectrum's {group.orders}")
-    return sketch if isinstance(sketch, ColumnAggregates) else column_aggregates(sketch, literal)
+    if isinstance(sketch, ColumnAggregates):
+        return sketch.config, sketch.values, sketch.values.prod(axis=0)
+    return (sketch.config, *_memoized_aggregates(sketch.config, sketch.registers, literal))
 
 
 def estimate_f(
@@ -174,10 +195,11 @@ def estimate_f(
 
     An integer sketch is read mod the order of ``s``'s group, which must be cyclic.
     """
-    agg = _resolve_aggregates(sketch, s.group, literal)
-    scale = agg.config.m**3 * _scale_constant()
-    terms = s.values * agg.values.prod(axis=0) / scale / agg.num_chars
-    total = terms.sum()
+    cfg, _, prod = _resolve_aggregates(sketch, s.group, literal)
+    terms = s.values * prod  # in place below: the operations of s.values * prod / scale / |G|
+    terms /= cfg.m**3 * _scale_constant()
+    terms /= s.group.total_size
+    total = np.add.reduce(terms)
     est = float(total.real)
     if clamp_nonnegative:
         est = max(0.0, est)

@@ -171,12 +171,13 @@ class _Memo(list):
     """The last ``size`` results of a computation on an array, least recently used first.
 
     Each entry is ``(*key, snapshot, result)``.  A lookup whose key equals an
-    entry's and whose array has the snapshot's shape, dtype and bytes (exact
-    for floats too, where 0.0 == -0.0) gets a copy of the stored result, so
-    callers never hold a reference into the memo.  The bytes are compared in
-    place (:func:`_same_bits`), so a lookup copies neither array.  A miss
-    computes from a snapshot of the array, so its entry matches what was
-    computed even if the caller's array changes meanwhile.
+    entry's and whose array has the snapshot's shape, dtype and bits (exact
+    for floats too, where 0.0 == -0.0) gets the stored result itself: a hit
+    copies nothing and recomputes nothing.  So ``compute`` returns read-only
+    arrays, and a caller that hands a result to the user copies it there.
+    The array is compared in place (:func:`_same_bits`).  A miss computes
+    from a snapshot of the array, so its entry matches what was computed
+    even if the caller's array changes meanwhile.
     """
 
     def __init__(self, size: int):
@@ -184,32 +185,35 @@ class _Memo(list):
         self.size = size
         self._lock = threading.Lock()
 
-    def get(self, key: tuple, data: np.ndarray, compute: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-        """``compute(snapshot of data)``, or a copy of the result stored for an equal (key, data)."""
+    def get(self, key: tuple, data: np.ndarray, compute: Callable[[np.ndarray], object]):
+        """``compute(snapshot of data)``, or the result stored for an equal (key, data)."""
         with self._lock:
             for i in range(len(self) - 1, -1, -1):  # newest first: a repeated query stops at once
                 entry = self[i]
                 if entry[:-2] == key and _same_bits(entry[-2], data):
                     self.append(self.pop(i))
-                    return entry[-1].copy()
+                    return entry[-1]
         snap = data.copy()
         result = compute(snap)
         with self._lock:
-            self.append((*key, snap, result.copy()))
+            self.append((*key, snap, result))
             del self[: -self.size]
         return result
 
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
-    """Whether ``a`` and ``b`` have one shape, one dtype and the same bytes.
+    """Whether ``a`` and ``b`` have one shape, one dtype and the same bits.
 
     For what the memos hold, C-contiguous int64 registers and complex128
-    tables: both are compared in place as uint64 words, so -0.0 differs from
-    0.0 and equal NaN bits match.
+    tables.  Equal integers have equal bits, so integer arrays are compared
+    as they are, with no per-call view; any other dtype is compared as
+    uint64 words, so -0.0 differs from 0.0 and equal NaN bits match.
     """
     if a.shape != b.shape or a.dtype != b.dtype:
         return False
-    return not np.count_nonzero(np.not_equal(a.reshape(-1).view(np.uint64), b.reshape(-1).view(np.uint64)))
+    if a.dtype.kind != "i":
+        a, b = a.reshape(-1).view(np.uint64), b.reshape(-1).view(np.uint64)
+    return not np.count_nonzero(np.not_equal(a, b))
 
 
 # -- tabulated functions and spectra ----------------------------------------
@@ -300,27 +304,32 @@ def _read_table_csv(path) -> np.ndarray:
 _TRANSFORM_MEMO = _Memo(8)
 
 
+def _transform(g: GroupDescriptor, direction: str, values: np.ndarray) -> np.ndarray:
+    """A copy of the memoized ``np.fft`` transform of ``values`` over ``g``."""
+    fft = np.fft.fftn if direction == "dft" else np.fft.ifftn
+    return _TRANSFORM_MEMO.get(
+        (g, direction), values, lambda v: _read_only(fft(v.reshape(g.orders)).ravel())
+    ).copy()
+
+
 def dft(g: GroupDescriptor, f: FunctionTable) -> SpectrumTable:
     """Forward transform: hat(f)(gamma) = sum_x f(x) * conj(chi(x, gamma)).
 
     ``np.fft.fftn`` over the factor axes: O(|G| log |G|).  Memoized with
-    :func:`idft`: the last 8 transforms are kept under (group, direction, a
-    snapshot of the input values), and a repeat gets a copy of the same bits.
+    :func:`idft`: the last 8 transforms are kept, read-only, under (group,
+    direction, a snapshot of the input values), and every call returns a
+    copy, so a repeat gets the same bits.
     """
     if f.group != g:
         raise GroupMismatchError("function table is over a different group")
-    return SpectrumTable(
-        g, _TRANSFORM_MEMO.get((g, "dft"), f.values, lambda v: np.fft.fftn(v.reshape(g.orders)).ravel())
-    )
+    return SpectrumTable(g, _transform(g, "dft", f.values))
 
 
 def idft(g: GroupDescriptor, s: SpectrumTable) -> FunctionTable:
     """Inverse transform: f(x) = (1/|G|) * sum_gamma hat(f)(gamma) * chi(x, gamma) (memoized as dft)."""
     if s.group != g:
         raise GroupMismatchError("spectrum table is over a different group")
-    return FunctionTable(
-        g, _TRANSFORM_MEMO.get((g, "idft"), s.values, lambda v: np.fft.ifftn(v.reshape(g.orders)).ravel())
-    )
+    return FunctionTable(g, _transform(g, "idft", s.values))
 
 
 def norms(f: FunctionTable, s: SpectrumTable) -> tuple[float, float]:

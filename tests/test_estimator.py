@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from _oracles import (
     add, aggregate_column, char_eval, column_aggregates_oracle, neg, oracle_close, variance_factor_oracle,
 )
-from hsketch import estimator
+from hsketch import estimator, groups
 from hsketch.errors import GroupMismatchError, InvalidConfigError, InvalidGroupError, InvalidRHatError
 from hsketch.estimator import (
     EstimateReport,
@@ -545,7 +545,7 @@ def test_memo_repeated_query_returns_the_fresh_bits(fresh_memo, literal):
     second = column_aggregates(sk, literal=literal)
     assert len(fresh_memo) == 1
     assert np.array_equal(first.values, want) and np.array_equal(second.values, want)
-    assert second.values is not first.values and second.values is not fresh_memo[0][3]
+    assert second.values is not first.values and second.values is not fresh_memo[0][3][0]
     assert second.literal == literal and second.config == sk.config
     # the other flag is its own entry: its trivial-character column differs
     other = column_aggregates(sk, literal=not literal)
@@ -615,7 +615,7 @@ def test_memo_entries_do_not_alias_callers(fresh_memo):
     column_aggregates(sk).values[:] = 0  # written into a miss's result
     column_aggregates(sk).values[:] = 0  # and into a hit's
     _mutate(sk, "register-write")
-    ((_, _, snap, values),) = fresh_memo
+    ((_, _, snap, (values, _)),) = fresh_memo
     assert np.array_equal(snap, regs) and np.array_equal(values, want)
     sk.registers[:] = regs
     assert np.array_equal(column_aggregates(sk).values, want)
@@ -632,7 +632,7 @@ def test_memo_integer_queries_reduce_only_on_a_miss(fresh_memo, monkeypatch, how
         raise AssertionError("an integer query built a reduced copy")
 
     def query(literal=False):
-        return estimator._resolve_aggregates(ski, Z7, literal).values
+        return estimator._resolve_aggregates(ski, Z7, literal)[1]
 
     monkeypatch.setattr(IntegerTowerSketch, "reduce_values_mod", refuse)
     first = query()
@@ -757,7 +757,7 @@ def test_memo_is_safe_across_threads(fresh_memo):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert bad == [] and len(fresh_memo) <= 8
-    for cfg, literal, snap, values in fresh_memo:
+    for cfg, literal, snap, (values, _) in fresh_memo:
         assert np.array_equal(values, _column_aggregates(cfg, snap, literal).values)
 
 
@@ -819,6 +819,136 @@ def test_warm_estimate_copies_no_registers(fresh_memo):
     # a byte copy of the registers for the memo compare alone would be 270 KB
     assert peak < sk.registers.nbytes // 4
     assert warm == cold and np.array_equal(warm.gamma_terms, cold.gamma_terms)
+
+
+def test_warm_estimate_allocates_the_compare_mask_and_its_terms_only(fresh_memo, monkeypatch):
+    z2_8 = make_group([2] * 8)
+    sk = sketch_new(SketchConfig(z2_8, 64, 320, 1728, 3, "binomial"))
+    rng = np.random.default_rng(11)
+    sk.update_batch(rng.integers(0, 1 << 40, 5000), rng.integers(0, 2, (5000, 8)))
+    spectrum = SpectrumTable(z2_8, rng.normal(size=256) + 1j * rng.normal(size=256))
+    cold = estimate_f(sk, spectrum)
+    same_bits, compares = groups._same_bits, []
+
+    def compare(a, b):  # the traced peak up to the end of the compare, then a fresh one
+        same = same_bits(a, b)
+        compares.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.reset_peak()
+        return same
+
+    monkeypatch.setattr(groups, "_same_bits", compare)
+    tracemalloc.start()
+    try:
+        warm = estimate_f(sk, spectrum)
+        after = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    mask, table = sk.registers.size, 16 * z2_8.total_size  # one bool per register, one complex row
+    assert mask == 33_792 and len(compares) == 1
+    assert max(compares[0], after) < mask + 3 * table
+    # past the compare, a hit holds its terms: no copy of the stored (3, |G|) aggregates, no product
+    assert after < 2 * table
+    assert _report_bits(warm) == _report_bits(cold)
+
+
+def _report_bits(report):
+    return np.array([report.estimate, report.imag_residual]).tobytes(), report.gamma_terms.tobytes()
+
+
+def _formula_bits(cfg, registers, s, literal):
+    """The estimate as ``s.values * prod / scale / |G|`` and ``.sum()``, from unmemoized aggregates."""
+    values = _column_aggregates(cfg, registers, literal).values
+    terms = s.values * values.prod(axis=0) / (cfg.m**3 * estimator._scale_constant()) / s.group.total_size
+    total = terms.sum()
+    return np.array([float(total.real), abs(float(total.imag))]).tobytes(), terms.tobytes()
+
+
+WARM_CASES = ["int-2", "int-7", "int-128", "Z7", "Z2^8", "product", "aggregates"]
+
+
+def _warm_case(case, rng):
+    """(sketch, spectrum, the (config, registers) the estimate reads, a register write) for a case."""
+    n = 300
+    ids = rng.integers(0, 1 << 40, n)
+    if case.startswith("int"):
+        p = int(case[4:])
+        sk = sketch_new(_cfg(group=None, m=8, a=0, b=64, seed=int(rng.integers(1 << 30))))
+        sk.update_batch(ids, rng.integers(-1000, 1000, n))
+        group = make_group([p])
+        read = lambda: (sk.reduce_values_mod(p).config, sk.reduce_values_mod(p).registers)  # noqa: E731
+    else:
+        group = make_group([2] * 8) if case == "Z2^8" else Z7
+        sk = sketch_new(_cfg(group=group, m=8, a=0, b=64, seed=int(rng.integers(1 << 30))))
+        sk.update_batch(ids, rng.integers(0, 2, (n, 8)) if case == "Z2^8" else rng.integers(-50, 50, n))
+        if case == "product":
+            other = sketch_new(sk.config)
+            other.update_batch(ids[::2], rng.integers(1, 7, n)[::2])
+            sk = combine_product(sk, other)
+            group = sk.group
+        read = lambda: (sk.config, sk.registers)  # noqa: E731
+    spectrum = SpectrumTable(group, rng.normal(size=group.total_size) + 1j * rng.normal(size=group.total_size))
+    return sk, spectrum, read
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(WARM_CASES), st.booleans(), st.integers(0, 2**32 - 1))
+def test_warm_estimate_equals_the_cold_one_bit_for_bit(case, literal, seed):
+    estimator._MEMO.clear()
+    rng = np.random.default_rng(seed)
+    sk, spectrum, read = _warm_case(case, rng)
+    orders = sk.config.group.orders if sk.config.group is not None else None
+
+    def query():
+        target = column_aggregates(sk, literal=literal) if case == "aggregates" else sk
+        return _report_bits(estimate_f(target, spectrum, literal=literal))
+
+    cold = query()  # a miss
+    assert cold == _formula_bits(*read(), spectrum, literal)
+    assert query() == cold and len(estimator._MEMO) == 1  # a hit
+    regs = sk.registers.copy()
+    cell = tuple(int(rng.integers(k)) for k in sk.registers.shape)
+    sk.registers[cell] = regs[cell] + 1 if orders is None else (regs[cell] + 1) % orders[cell[-1]]
+    written = query()  # a miss on the written registers
+    assert written == _formula_bits(*read(), spectrum, literal) and len(estimator._MEMO) == 2
+    assert query() == written
+    sk.registers[:] = regs
+    assert query() == cold and len(estimator._MEMO) == 2  # a hit again
+    estimator._MEMO.clear()
+
+
+@pytest.mark.parametrize("literal", [False, True])
+def test_memo_entries_are_read_only_and_exact(fresh_memo, literal):
+    z7 = _binomial_z7()
+    ski = sketch_new(replace(z7.config, group=None))
+    rng = np.random.default_rng(4)
+    ski.update_batch(rng.integers(0, 1 << 40, 2000), rng.integers(-1000, 1000, 2000))
+    column_aggregates(z7, literal=literal)
+    estimate_support(ski, 128, literal=literal)
+    assert len(fresh_memo) == 2
+    for cfg, lit, snap, (values, prod) in fresh_memo:
+        reduced = snap if snap.ndim == 3 else ski.reduce_values_mod(cfg.group.orders[0]).registers
+        want = _column_aggregates(cfg, reduced, lit).values
+        assert values.tobytes() == want.tobytes() and prod.tobytes() == want.prod(axis=0).tobytes()
+        for arr in (values, prod):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[..., 0] = 0
+
+
+def test_writes_into_results_leave_the_next_estimate_unchanged(fresh_memo):
+    z7, z2_8 = _binomial_z7(), sketch_new(_cfg(group=make_group([2] * 8), m=8, a=0, b=64, seed=5))
+    rng = np.random.default_rng(6)
+    z2_8.update_batch(rng.integers(0, 1 << 40, 500), rng.integers(0, 2, (500, 8)))
+    table = FunctionTable(z2_8.group, rng.normal(size=256) + 0j)
+    spectrum = modulo_spectrum(7, 3)
+    before = [_report_bits(estimate_f(z7, spectrum)), _report_bits(estimate_f(z2_8, dft(z2_8.group, table)))]
+    column_aggregates(z7).values[:] = 0
+    column_aggregates(z2_8).values[:] = 0
+    estimate_f(z7, spectrum).gamma_terms[:] = 0
+    estimate_f(z2_8, dft(z2_8.group, table)).gamma_terms[:] = 0
+    dft(z2_8.group, table).values[:] = 0
+    assert _report_bits(estimate_f(z7, spectrum)) == before[0]
+    assert _report_bits(estimate_f(z2_8, dft(z2_8.group, table))) == before[1]
 
 
 @pytest.mark.parametrize("p", [2, 7, 128])

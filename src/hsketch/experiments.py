@@ -6,10 +6,13 @@ written workload-major, then in trial order, whatever the completion order,
 so identical configs produce byte-identical output.  ``HSKETCH_THREADS``
 caps worker processes; 1 disables multiprocessing.
 
-Every Fourier tower comes from ``_fourier_towers``, on the trial's seed, and
-every scheme at one m queries the same tower.  Streams over G with the same
-ids are the coordinates of one Poisson tower over G^K, fed (n, K) value rows,
-and each stream gets its coordinate's projection.  The union trial's two
+Every task runs ``_trial``, which generates the streams, builds the Fourier
+towers and formats the rows; an experiment supplies only its query list (per
+quantity a name, a spectrum and a truth) and its sampler estimates.  A
+Fourier row is one ``estimate_f`` on a tower from ``_fourier_towers``, on the
+trial's seed; every scheme at one m queries the same tower.  Streams over G
+with the same ids are the coordinates of one tower over G^K, fed (n, K) value
+rows, and each gets its coordinate's projection; the union workload's two
 streams are the coordinates of one Z_p x Z_p stream over the union's ids.
 """
 
@@ -19,6 +22,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -32,7 +36,7 @@ from .errors import (
     SchemaError,
     _checked_int,
 )
-from .estimator import _support_spectrum, estimate_f, estimate_modulo, estimate_support
+from .estimator import _support_spectrum, estimate_f, modulo_spectrum
 from .groups import MAX_TOTAL_SIZE, FunctionTable, GroupDescriptor, _read_csv, _write_csv, dft, make_group
 from .sampler import SamplerSketch, equal_memory_m_prime, sample_f_moment
 from .tower import SketchConfig, TowerSketch, default_window
@@ -83,6 +87,12 @@ class ExperimentConfig:
         # trial t's tower seed is base_seed + t, which must stay below 2^64
         for name, lo, hi in (("trials", 1, None), ("base_seed", 0, (1 << 64) - self.trials), ("p", 2, None)):
             object.__setattr__(self, name, _checked_int(name, getattr(self, name), lo, hi, SchemaError))
+        for name in ("workloads", "schemes"):
+            if not getattr(self, name):
+                raise SchemaError(f"{name} must not be empty")
+        names = [wl.name for wl in self.workloads]
+        if len(set(names)) < len(names):  # summarize would merge their rows
+            raise SchemaError(f"workload names {names} repeat")
 
 
 def thread_budget() -> int:
@@ -111,11 +121,15 @@ def write_rows(path, rows: Iterable[Sequence]) -> None:
     _write_csv(path, CSV_HEADER, rows)
 
 
-def _run_trials(trial_fn: Callable, config: ExperimentConfig, out_path) -> None:
+def _run_trials(trial_fn: Callable, config: ExperimentConfig, out_path, kind: type) -> None:
     """Map ``trial_fn`` over one (workloads, schemes, config.p, trial, seed) task per trial seed.
 
     It returns each workload's rows; the CSV lists workloads in order, each in trial order.
+    Every workload must be a ``kind``, checked before any task is mapped.
     """
+    for wl in config.workloads:
+        if not isinstance(wl, kind):
+            raise SchemaError(f"this experiment runs {kind.__name__}s, not a {type(wl).__name__}")
     args = [
         (config.workloads, config.schemes, config.p, trial, config.base_seed + trial)
         for trial in range(config.trials)
@@ -151,10 +165,6 @@ def _fourier_towers(
     return towers
 
 
-def _fourier_opts(scheme: SchemeSpec) -> dict:
-    return dict(clamp_nonnegative=scheme.clamp_nonnegative, literal=scheme.literal_truncation)
-
-
 def _sampler_for(scheme: SchemeSpec, group: GroupDescriptor, seed: int) -> SamplerSketch:
     """The baseline sampler of a non-fourier scheme at the tower's memory budget."""
     if scheme.kind == "ideal-oracle":
@@ -163,55 +173,69 @@ def _sampler_for(scheme: SchemeSpec, group: GroupDescriptor, seed: int) -> Sampl
     return SamplerSketch(group, m_prime, seed, r=scheme.r, mode="fingerprint")
 
 
-# -- modulo-distribution experiment -------------------------------------------
+def _trial(queries: Callable, args) -> list[list[list]]:
+    """One trial seed over every workload: the rows of each workload, in workload order.
 
-
-def _modulo_estimates(scheme: SchemeSpec, tower, vs, ys, group: GroupDescriptor, seed: int) -> list:
-    """(estimate, imaginary residual) of lambda_0 .. lambda_{p-1} under one scheme."""
-    p = group.orders[0]
-    if scheme.kind == "fourier":
-        opts = _fourier_opts(scheme)
-        # one aggregation: each query after the first is a memo hit
-        reps = [estimate_support(tower, p, **opts)]
-        reps += [estimate_modulo(tower, p, j, **opts) for j in range(1, p)]
-        return [(rep.estimate, rep.imag_residual) for rep in reps]
-    sampler = _sampler_for(scheme, group, seed)
-    sampler.update_batch(vs, ys)
-    codes, values = sampler.classify_levels()  # one classification per trial
-    try:
-        lam0 = sampler._support(codes)
-    except SaturatedError:
-        lam0 = math.nan
-    counts = np.bincount(values[codes == 1, 0], minlength=p).tolist()  # singletons per residue
-    total = sum(counts)
-    if total == 0 or math.isnan(lam0):
-        return [(lam0, 0.0)] + [(math.nan, 0.0)] * (p - 1)
-    return [(lam0, 0.0)] + [(lam0 * counts[j] / total, 0.0) for j in range(1, p)]
-
-
-def _modulo_trial(args) -> list[list[list]]:
-    """One trial seed over every workload: the rows of each workload, in workload order."""
+    ``queries(group, truths)`` gives each workload's (quantity, spectrum, truth)
+    list and the function that estimates those quantities from a sampler.
+    """
     workloads, schemes, p, trial, seed = args
-    streams = [gen_stream(spec) for spec in workloads]
-    group = make_group([p])
+    # (ids, values, truth) of each workload
+    streams = [(*wl.stream(), wl.union_size) if isinstance(wl, UnionWorkload) else gen_stream(wl)
+               for wl in workloads]
+    group = make_group([p, p] if isinstance(workloads[0], UnionWorkload) else [p])
     towers = _fourier_towers(streams, schemes, group, seed)
+    per_workload, sampled = queries(group, [truth for *_, truth in streams])
     out = []
-    for spec, (vs, ys, truth), sketches in zip(workloads, streams, towers):
-        residues = truth.residue_counts(p)
-        truths = [truth.support_size_mod(p)] + [residues[j] for j in range(1, p)]
+    for wl, (vs, ys, _), sketches, qs in zip(workloads, streams, towers, per_workload):
         rows: list[list] = []
         for scheme in schemes:
-            estimates = _modulo_estimates(scheme, sketches.get(scheme.m), vs, ys, group, seed)
+            if scheme.kind == "fourier":
+                opts = dict(clamp_nonnegative=scheme.clamp_nonnegative, literal=scheme.literal_truncation)
+                reps = (estimate_f(sketches[scheme.m], spectrum, **opts) for _, spectrum, _ in qs)
+                estimates = [(rep.estimate, rep.imag_residual) for rep in reps]
+            else:
+                sampler = _sampler_for(scheme, group, seed)
+                sampler.update_batch(vs, ys)
+                try:
+                    estimates = [(est, 0.0) for est in sampled(sampler)]
+                except (NoSamplesError, SaturatedError):
+                    estimates = [(math.nan, 0.0)] * len(qs)
             rows += [
-                [spec.name, scheme.label(), f"lambda{j}", trial, seed, _fmt(est), _fmt(imag), _fmt(tr)]
-                for j, ((est, imag), tr) in enumerate(zip(estimates, truths))
+                [wl.name, scheme.label(), quantity, trial, seed, _fmt(est), _fmt(imag), _fmt(truth)]
+                for (quantity, _, truth), (est, imag) in zip(qs, estimates)
             ]
         out.append(rows)
     return out
 
 
+# -- modulo-distribution experiment -------------------------------------------
+
+
+def _modulo_queries(group: GroupDescriptor, truths: list) -> tuple[list, Callable]:
+    """lambda_0 (the support) .. lambda_{p-1} (the count of each residue) of every workload."""
+    p = group.orders[0]
+    spectra = [_support_spectrum(group)] + [modulo_spectrum(p, j) for j in range(1, p)]
+    counts = [[truth.support_size_mod(p)] + list(truth.residue_counts(p).values())[1:] for truth in truths]
+    queries = [[(f"lambda{j}", s, c) for j, (s, c) in enumerate(zip(spectra, cs))] for cs in counts]
+    return queries, _modulo_sampled
+
+
+def _modulo_sampled(sampler: SamplerSketch) -> list[float]:
+    """lambda_0 (the support) and its share in each residue among the singletons, from one classification."""
+    p = sampler.group.orders[0]
+    codes, values = sampler.classify_levels()
+    lam0 = sampler._support(codes)
+    counts = np.bincount(values[codes == 1, 0], minlength=p).tolist()  # singletons per residue
+    total = sum(counts)
+    return [lam0] + [lam0 * counts[j] / total if total else math.nan for j in range(1, p)]
+
+
+_modulo_trial = partial(_trial, _modulo_queries)
+
+
 def run_modulo_experiment(config: ExperimentConfig, out_path) -> None:
-    _run_trials(_modulo_trial, config, out_path)
+    _run_trials(_modulo_trial, config, out_path, WorkloadSpec)
 
 
 # -- L2-style moment experiment ------------------------------------------------
@@ -224,40 +248,23 @@ def squared_rep_table(modulus: int) -> FunctionTable:
     )
 
 
-def _l2_trial(args) -> list[list[list]]:
-    """One trial seed over every workload: the rows of each workload, in workload order."""
-    workloads, schemes, modulus, trial, seed = args
-    streams = [gen_stream(spec) for spec in workloads]
-    group = make_group([modulus])
-    towers = _fourier_towers(streams, schemes, group, seed)
+def _l2_queries(group: GroupDescriptor, truths: list) -> tuple[list, Callable]:
+    """The sum over the support of the squared signed representative mod p, per workload."""
+    modulus = group.orders[0]
     ftable = squared_rep_table(modulus)
-    struth = dft(group, ftable)
-    out = []
-    for spec, (vs, ys, truth), sketches in zip(workloads, streams, towers):
-        exact = truth.moment_mod(modulus, ftable)
-        rows: list[list] = []
-        for scheme in schemes:
-            if scheme.kind == "fourier":
-                rep = estimate_f(sketches[scheme.m], struth, **_fourier_opts(scheme))
-                est, imag = rep.estimate, rep.imag_residual
-            else:
-                sampler = _sampler_for(scheme, group, seed)
-                sampler.update_batch(vs, ys)
-                try:
-                    est = sample_f_moment(sampler, ftable)
-                except (NoSamplesError, SaturatedError):
-                    est = math.nan
-                imag = 0.0
-            rows.append([spec.name, scheme.label(), "l2", trial, seed, _fmt(est), _fmt(imag), _fmt(exact)])
-        out.append(rows)
-    return out
+    spectrum = dft(group, ftable)
+    queries = [[("l2", spectrum, truth.moment_mod(modulus, ftable))] for truth in truths]
+    return queries, lambda sampler: [sample_f_moment(sampler, ftable)]
+
+
+_l2_trial = partial(_trial, _l2_queries)
 
 
 def run_l2_experiment(config: ExperimentConfig, out_path, modulus: int | None = None) -> None:
     """The L2 moment over Z_{config.p}; ``modulus``, if given, must equal ``config.p``."""
     if modulus is not None and modulus != config.p:
         raise SchemaError(f"modulus {modulus!r} differs from the config's p = {config.p}")
-    _run_trials(_l2_trial, config, out_path)
+    _run_trials(_l2_trial, config, out_path, WorkloadSpec)
 
 
 # -- union experiment -----------------------------------------------------------
@@ -297,13 +304,12 @@ class UnionWorkload:
         return ids, ys
 
 
-def _union_trial(args) -> list[list[list]]:
-    """One trial seed of the union workload under its one fourier scheme."""
-    (wl,), (scheme,), p, trial, seed = args
-    tower = _fourier_towers([wl.stream()], [scheme], make_group([p, p]), seed)[0][scheme.m]
-    rep = estimate_f(tower, _support_spectrum(tower.group), **_fourier_opts(scheme))
-    return [[[wl.name, "fourier", "union", trial, seed, _fmt(rep.estimate),
-              _fmt(rep.imag_residual), _fmt(wl.union_size)]]]
+def _union_queries(group: GroupDescriptor, truths: list) -> tuple[list, None]:
+    """The union's size: the support of its Z_p x Z_p stream; it has no sampler scheme."""
+    return [[("union", _support_spectrum(group), truth)] for truth in truths], None
+
+
+_union_trial = partial(_trial, _union_queries)
 
 
 def run_union_experiment(
@@ -314,7 +320,7 @@ def run_union_experiment(
         "fourier", m, clamp_nonnegative=clamp_nonnegative, literal_truncation=literal_truncation
     )
     config = ExperimentConfig("union", (wl,), (scheme,), trials, base_seed, p=wl.p)
-    _run_trials(_union_trial, config, out_path)
+    _run_trials(_union_trial, config, out_path, UnionWorkload)
 
 
 # -- summaries -------------------------------------------------------------------

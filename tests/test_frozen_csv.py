@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from hsketch.cli import main as cli_main
 from hsketch.experiments import (
     ExperimentConfig,
     SchemeSpec,
@@ -32,6 +33,9 @@ FROZEN = {
     "modulo_shared_ids": "639edfd88d299559d9b459b83028622d174ce03c2f3e3d32b03f0c29e13e7e54",
     "l2_shared_ids": "6329d10c8936d0d5815469e931a3f56ddaf2dbb4cc64a47466ec7073fda2bde9",
     "l2_split_towers": "31b444967cf22ee387739c5be6085f3b69f260cee912a1dad355b8f27bd8f491",
+    "cli_modulo7": "29fc8b179d9fe112dfb4c29ba636fbc6e6fe1ab5a3e9a15b18eae14e4663f2a1",
+    "cli_l2": "bf37a627f884310b39298ac0b7066926307927f7e6418a665910ecb17e993fee",
+    "cli_union": "f34e389b696c78249208333517b408cdf098921165536bfeb8d8ed284901aa62",
 }
 
 
@@ -139,6 +143,16 @@ def test_union_csv_bytes_frozen(tmp_path):
     out = tmp_path / "union.csv"
     run_union_experiment(wl, 8, 3, 31, out, literal_truncation=True)
     assert _sha256(out) == FROZEN["union"]
+
+
+def test_cli_csv_bytes_frozen(tmp_path, monkeypatch):
+    # the CLI's default workloads and schemes (fingerprint r=2..6 in modulo7), in process and pooled
+    for threads in ("1", "2"):
+        monkeypatch.setenv("HSKETCH_THREADS", threads)
+        for command in ("modulo7", "l2", "union"):
+            out = tmp_path / f"{command}-{threads}.csv"
+            assert cli_main([command, "--trials", "2", "--m", "16", "--out", str(out)]) == 0
+            assert _sha256(out) == FROZEN[f"cli_{command}"], (command, threads)
 
 
 def test_pins_hold_with_numpy_avx512_dispatch_disabled():

@@ -202,6 +202,9 @@ def test_csv_bytes_independent_of_parallelism(tmp_path):
         # trial 2's seed would be 2^64
         ({"trials": 3, "base_seed": (1 << 64) - 2}, f"must be >= 0 and < {(1 << 64) - 3}"),
         ({"p": 1}, "p=1 must be >= 2"),
+        # an empty config used to write a header-only CSV
+        ({"schemes": (SchemeSpec("fourier", 8),)}, "workloads must not be empty"),
+        ({"workloads": (WorkloadSpec("w", {1: 10}, 1 << 12),)}, "schemes must not be empty"),
     ],
 )
 def test_experiment_config_rejects_a_bad_trial_count_seed_or_p(field, message):
@@ -234,6 +237,25 @@ def test_fingerprint_scheme_with_r_0_is_a_config_error(run, tmp_path, monkeypatc
     config = ExperimentConfig("bad", (wl,), (SchemeSpec("fingerprint", 8, r=0),), trials=1, base_seed=5)
     with pytest.raises(InvalidConfigError, match="r=0 must be >= 1"):
         run(config, tmp_path / "rows.csv")
+
+
+def test_experiment_config_rejects_repeated_workload_names():
+    # summarize used to merge the two workloads' rows into one, under the first truth
+    workloads = tuple(WorkloadSpec("x", {1: n}, 1 << 12) for n in (300, 900))
+    with pytest.raises(SchemaError, match="repeat"):
+        ExperimentConfig("dup", workloads, (SchemeSpec("fourier", 8),), trials=2, base_seed=0)
+
+
+@pytest.mark.parametrize("run", [run_modulo_experiment, run_l2_experiment])
+def test_a_union_workload_in_a_per_stream_experiment_is_a_schema_error(run, tmp_path, monkeypatch):
+    # it used to raise AttributeError from inside the trial
+    mapped = []
+    monkeypatch.setattr(experiments, "_map_trials", lambda fn, args: mapped.append(args) or [])
+    wl = UnionWorkload("u", only_first=10, only_second=10, overlap=5)
+    config = ExperimentConfig("bad", (wl,), (SchemeSpec("fourier", 8),), trials=1, base_seed=0)
+    with pytest.raises(SchemaError, match="runs WorkloadSpecs, not a UnionWorkload"):
+        run(config, tmp_path / "rows.csv")
+    assert mapped == [] and not (tmp_path / "rows.csv").exists()
 
 
 def test_scheme_spec_rejects_an_unknown_kind_at_construction():

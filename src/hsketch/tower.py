@@ -23,16 +23,19 @@ the integer thresholds.  The few words it misses are searched
 
 Poisson ingest is blocked: one table per (m, a, b) holds every cell's PRF keys
 and integer thresholds, and each block draws the words of many cells at once,
-(cells, 3, updates) with at most ``_BLOCK_WORDS`` words.  The draw is
-mix64(state ^ key), split as head, core and tail (see ``prf``).  The head
-distributes over XOR, so the table holds the keys already through it, each
-chunk passes its states through it once, and a block starts at the core.
-Dense cells (P(count = 0) < 0.5, a prefix of the window) finish every word
-and search their threshold rows.  Sparse cells screen the words before the
-tail, which keeps bits 63..33: a word that reaches the first threshold t0
-reaches (t0 >> 22) << 33 first.  Only the words that pass (about 3% at m=64)
-are finished; sparse rows rise strictly, so a word that reaches column c has
-c + 1 copies, and the hits go to the registers with one scatter-add per block.
+at most ``_BLOCK_WORDS`` of them: (cells, 3, updates), or (updates, 3 *
+cells) when a block has more register rows than updates, so that numpy's
+broadcasts run along the longer axis.  The draw is mix64(state ^ key), split
+as head, core and tail (see ``prf``).  The head distributes over XOR, so the
+table holds the keys already through it, each chunk passes its states through
+it once, and a block starts at the core.  Dense cells (P(count = 0) < 0.5, a
+prefix of the window) finish every word and invert it with a guide table: one
+lookup, a few steps up the threshold row, and one search for the rare word
+still short of its count.  Sparse cells screen the words before the tail,
+which keeps bits 63..33: a word that reaches the first threshold t0 reaches
+(t0 >> 22) << 33 first.  Only the words that pass (about 3% at m=64) are
+finished; sparse rows rise strictly, so a word that reaches column c has c + 1
+copies, and the hits go to the registers with one scatter-add per block.
 
 Every register array, towers of both modes and both sampler modes, is
 updated by one flat scatter-add, :func:`_scatter_add`.
@@ -79,6 +82,7 @@ _BLOCK_WORDS = 1 << 16  # PRF words per Poisson block: cells * 3 * updates
 # wrap between the per-chunk register checks.
 _CHUNK_UPDATES = _BLOCK_WORDS // 3
 _U53_END = np.uint64(1 << 53)  # above every 53-bit word
+_GUIDE_STEPS = 4  # guide refinements of a dense word before it is searched
 _COLUMNS = np.arange(1, 4, dtype=np.int64)[:, None]  # j = 1, 2, 3 against (n,) updates
 
 MAGIC = b"FTWR"
@@ -200,10 +204,17 @@ class _CellTable:
     """Per-(m, a, b) constants of blocked Poisson ingest.
 
     ``keys[i]`` holds the PRF keys of cell a+i in columns 1..3, folded
-    through ``prf._mix64_head``.  The first ``len(dense)`` cells are dense and
-    ``dense[i]`` is cell i's full integer threshold row.  Row s of ``thr`` is
-    the row of sparse cell ``len(dense) + s``, padded with 2^53 (above every
-    53-bit word).  Its cdf[0] >= 0.5, so its CDF values are multiples of 2^-53
+    through ``prf._mix64_head``.  The first ``len(dense)`` cells are dense:
+    row i of ``dense`` is cell i's integer threshold row, padded with 2^53
+    (above every 53-bit word) to one more column than the longest row, and
+    ``guide`` is the rows' guide table (Chen and Asau 1974; Devroye 1986,
+    ch. III).  With 2^g buckets per row, the smallest power of two at least
+    the padded width, entry (i << g) + b is the flat position in ``dense`` of
+    the first threshold of row i above b << (53 - g), the smallest word of
+    bucket b; so the guide holds fewer than two int64s per padded threshold.
+
+    Row s of ``thr`` is the row of sparse cell ``len(dense) + s``, padded
+    with 2^53.  Its cdf[0] >= 0.5, so its CDF values are multiples of 2^-53
     in [0.5, 1]: ceil(cdf * 2^53) is exact, the row rises strictly as
     ``_poisson_cdf`` appends only rising values, and a word that reaches
     column c has exactly c + 1 copies.  ``screen[s]`` is (t0 >> 22) << 33 for
@@ -212,9 +223,19 @@ class _CellTable:
     """
 
     keys: np.ndarray  # (nk, 3) uint64
-    dense: tuple[np.ndarray, ...]
+    dense: np.ndarray  # (nd, width) uint64
+    guide: np.ndarray  # (nd << g,) int64
     screen: np.ndarray  # (nk - nd,) uint64
     thr: np.ndarray  # (nk - nd, width) uint64
+
+
+def _padded_rows(rows: list[np.ndarray], width: int) -> np.ndarray:
+    """Threshold rows as one (len(rows), width) uint64 array, padded with 2^53."""
+    lens = np.array([len(r) for r in rows], dtype=np.int64)
+    out = np.full((len(rows), width), _U53_END)
+    if rows:  # np.concatenate needs at least one row
+        out[np.arange(width) < lens[:, None]] = np.concatenate(rows)
+    return out
 
 
 @lru_cache(maxsize=16)
@@ -222,57 +243,117 @@ def _cell_table(m: int, a: int, b: int) -> _CellTable:
     cdfs = [_poisson_cdf(m, k) for k in range(a, b)]
     # P(count = 0) grows with k, so the dense cells are a prefix of the window
     nd = sum(1 for cdf in cdfs if cdf[0] < 0.5)
-    dense = tuple(_u53_thresholds(cdf) for cdf in cdfs[:nd])
+    rows = [_u53_thresholds(cdf) for cdf in cdfs[:nd]]
+    dense = _padded_rows(rows, 1 + max(map(len, rows), default=0))
+    g = (dense.shape[1] - 1).bit_length()
+    edges = np.arange(1 << g, dtype=np.uint64) << np.uint64(53 - g)
+    guide = np.array(
+        [i * dense.shape[1] + np.searchsorted(row, edges, side="right") for i, row in enumerate(rows)],
+        dtype=np.int64,
+    ).reshape(-1)
     sparse = cdfs[nd:]
-    lens = np.array([len(cdf) for cdf in sparse], dtype=np.int64)
-    thr = np.full((len(sparse), lens.max(initial=1)), _U53_END)
-    if sparse:  # np.concatenate needs at least one row
-        thr[np.arange(thr.shape[1]) < lens[:, None]] = _u53_thresholds(np.concatenate(sparse))
+    thr = _padded_rows([_u53_thresholds(cdf) for cdf in sparse], max(map(len, sparse), default=1))
     # clipped, as the pad 2^53 of a cell that is never hit would wrap to 0
     screen = (np.minimum(thr[:, 0], _U53_END - np.uint64(1)) >> np.uint64(22)) << np.uint64(33)
     keys = prf.tuple_key(j=_COLUMNS.T, k=np.arange(a, b, dtype=np.int64)[:, None])
     prf._mix64_head(keys)
-    for arr in (keys, screen, thr, *dense):
+    for arr in (keys, dense, guide, screen, thr):
         arr.setflags(write=False)
-    return _CellTable(keys, dense, screen, thr)
+    return _CellTable(keys, dense, guide, screen, thr)
 
 
-def _cell_words(state: np.ndarray, keys: np.ndarray, buf: np.ndarray) -> np.ndarray:
-    """PRF words of (cell, column, update) before the tail: keys (B, 3), state (n,) -> (B, 3, n).
+def _cell_words(state: np.ndarray, keys: np.ndarray, buf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """PRF words before the tail of cells ``keys`` (B, 3), and scratch of their shape.
 
     The tail is ``prf._mix64_tail``.  ``keys`` and ``state`` are folded
-    through ``prf._mix64_head``, so their XOR is the head of their draw.  The
-    words are written into ``buf[0]`` and ``buf[1]`` is scratch; both have
-    room for at least B cells.
+    through ``prf._mix64_head``, so their XOR is the head of their draw.
+    ``state`` is the (n,) updates' states, and the words are cell-major, (B,
+    3, n); or it is each state repeated along a row, (n, >= 3B), and the words
+    are update-major, (n, 3B).  The words are written into ``buf[0]``;
+    ``buf[1]`` is the scratch.
     """
-    z = buf[0, : len(keys)]
-    np.bitwise_xor(keys[:, :, None], state[None, None, :], out=z)
-    prf._mix64_core(z, buf[1, : len(keys)])
-    return z
+    n, r = len(state), keys.size
+    z, tmp = buf[0, : n * r], buf[1, : n * r]
+    if state.ndim == 2:
+        z, tmp = z.reshape(n, r), tmp.reshape(n, r)
+        z[...] = keys.reshape(-1)
+        z ^= state[:, :r]
+    else:
+        z, tmp = z.reshape(-1, 3, n), tmp.reshape(-1, 3, n)
+        np.bitwise_xor(keys[:, :, None], state, out=z)
+    prf._mix64_core(z, tmp)
+    return z, tmp
 
 
-def _dense_counts(u: np.ndarray, rows: tuple[np.ndarray, ...]) -> np.ndarray:
-    """Counts of a block of dense cells: (B, 3, n) 53-bit words against their threshold rows."""
-    return np.stack([np.searchsorted(t, w, side="right") for t, w in zip(rows, u)])
+def _guide_counts(u: np.ndarray, rows, tab: _CellTable) -> np.ndarray:
+    """Counts #{c : dense[r, c] <= u} of 53-bit words ``u`` in dense rows ``rows``, as int64.
+
+    ``rows`` broadcasts against ``u``.  A word starts at its bucket's guide
+    entry and steps up while it reaches the threshold there, at most
+    ``_GUIDE_STEPS`` times; each step passes on only the words that still
+    move.  A row never falls and ends in 2^53, so a word stops at its count.
+    The few words still moving after that, in buckets that hold many
+    thresholds at the ends of long rows, take one exact search
+    (:func:`_row_search`).
+    """
+    width = tab.dense.shape[1]
+    buckets = len(tab.guide) // len(tab.dense)
+    pos = (u >> np.uint64(54 - buckets.bit_length())).view(np.int64)
+    pos += rows * buckets
+    pos = tab.guide.take(pos)
+    flat, w, p = tab.dense.reshape(-1), u.reshape(-1), pos.reshape(-1)
+    live = np.flatnonzero(w >= flat.take(p))
+    for _ in range(_GUIDE_STEPS):
+        if not live.size:
+            break
+        p[live] += 1
+        live = live[w.take(live) >= flat.take(p.take(live))]
+    if live.size:
+        p[live] = _row_search(w.take(live), p.take(live) // width, tab.dense)
+    pos -= rows * width
+    return pos
+
+
+def _row_search(w: np.ndarray, rows: np.ndarray, dense: np.ndarray) -> np.ndarray:
+    """Flat positions in ``dense`` of the first threshold above each word ``w[i]`` in row ``rows[i]``.
+
+    One ``searchsorted`` over the words' distinct rows, keyed (rank of the
+    row, threshold) as complex numbers: numpy orders them by real part, then
+    imaginary, and both parts are exact in float64, as thresholds are
+    integers up to 2^53.  So it is exact for any number of rows, where
+    offsets of rank * 2^53 in uint64 would wrap past 2^11 rows.
+    """
+    uniq, rank = np.unique(rows, return_inverse=True)
+    width = dense.shape[1]
+    keys = np.empty((len(uniq), width), dtype=np.complex128)
+    keys.real = np.arange(len(uniq))[:, None]
+    keys.imag = dense[uniq]
+    q = np.empty(len(w), dtype=np.complex128)
+    q.real, q.imag = rank, w
+    return np.searchsorted(keys.reshape(-1), q, side="right") + (uniq - np.arange(len(uniq))).take(rank) * width
 
 
 def _sparse_hits(z: np.ndarray, screen: np.ndarray, thr: np.ndarray):
     """Counts of the words of a block of sparse cells that pass the screen.
 
-    ``z`` holds the block's (B, 3, n) words before ``prf._mix64_tail``,
-    ``screen`` its (B,) screens and ``thr`` its (B, width) threshold rows.
-    Only the words that pass the screen are finished and resolved.  Returns
-    each one's row in the block's (B * 3) registers, its count and its update
-    index.  A word that passes the screen but stays below its cell's first
-    threshold counts 0 (its u53 lies within 2^22 below the threshold), so
-    nearly every word returned is a hit, and a zero count adds nothing.
+    ``z`` holds the block's words before ``prf._mix64_tail``, (B, 3, n) or
+    (n, 3B) (see :func:`_cell_words`), ``screen`` its (B,) screens and
+    ``thr`` its (B, width) threshold rows.  Only the words that pass the
+    screen are finished and resolved.  Returns each one's row in the block's
+    (B * 3) registers, its count and its update index.  A word that passes
+    the screen but stays below its cell's first threshold counts 0 (its u53
+    lies within 2^22 below the threshold), so nearly every word returned is a
+    hit, and a zero count adds nothing.
     """
-    n = z.shape[2]
-    cand = np.flatnonzero(z >= screen[:, None, None])
+    if z.ndim == 2:  # update-major: one screen per (cell, column), along the rows
+        cand = np.flatnonzero(z >= np.repeat(screen, 3))
+        v, row = np.divmod(cand, z.shape[1])
+    else:
+        cand = np.flatnonzero(z >= screen[:, None, None])
+        row, v = np.divmod(cand, z.shape[2])
     uh = z.ravel()[cand]
     prf._mix64_tail(uh)
     uh = prf.u53(uh)
-    row, v = np.divmod(cand, n)
     cell = row // 3
     # 1-D takes from the table's columns: a 2-D fancy index costs several times more
     cnt = (uh >= thr[:, 0].take(cell)).astype(np.int64)
@@ -492,25 +573,32 @@ def _ingest_poisson(config: SketchConfig, regs: np.ndarray, vs: np.ndarray, ys: 
     per = min(max(1, _BLOCK_WORDS // (3 * n)), config.num_cells)
     # one word buffer for every block of the call: a fresh block-sized
     # allocation per block would page-fault it in again each time
-    buf = np.empty((2, per, 3, n), dtype=np.uint64)
+    buf = np.empty((2, per * 3 * n), dtype=np.uint64)
+    if 3 * per > n:  # blocks have more register rows than updates: draw them update-major
+        state = np.repeat(state, 3 * per).reshape(n, 3 * per)
     for lo in range(0, nd, per):
         hi = min(lo + per, nd)
-        words = _cell_words(state, tab.keys[lo:hi], buf)
-        prf._mix64_tail(words, buf[1, : hi - lo])
+        words, tmp = _cell_words(state, tab.keys[lo:hi], buf)
+        prf._mix64_tail(words, tmp)
         words >>= np.uint64(11)
-        regs[lo:hi] += _dense_counts(words, tab.dense[lo:hi]) @ ys
+        if words.ndim == 2:  # (n, 3B): word (v, 3i + j) is in cell lo + i
+            cnt = _guide_counts(words, np.arange(3 * lo, 3 * hi) // 3, tab).T
+        else:
+            cnt = _guide_counts(words, np.arange(lo, hi)[:, None, None], tab)
+        regs[lo:hi] += (cnt.reshape(-1, n) @ ys).reshape(hi - lo, 3, -1)
     for lo in range(nd, config.num_cells, per):
-        _add_sparse(regs, _cell_words(state, tab.keys[lo : lo + per], buf), ys, tab, lo)
+        hi = min(lo + per, config.num_cells)
+        _add_sparse(regs, _cell_words(state, tab.keys[lo:hi], buf)[0], ys, tab, lo, hi)
 
 
-def _add_sparse(regs: np.ndarray, words: np.ndarray, ys: np.ndarray, tab: _CellTable, lo: int) -> None:
-    """Add the counts of sparse cells lo, lo + 1, ... with one scatter-add.
+def _add_sparse(regs: np.ndarray, words: np.ndarray, ys: np.ndarray, tab: _CellTable, lo: int, hi: int) -> None:
+    """Add the counts of sparse cells lo, ..., hi - 1 with one scatter-add.
 
     A function of its own so that a block's hit arrays are freed before the
     next block.
     """
     nd = len(tab.dense)
-    s = slice(lo - nd, lo + len(words) - nd)
+    s = slice(lo - nd, hi - nd)
     row, cnt, v = _sparse_hits(words, tab.screen[s], tab.thr[s])
     _scatter_add(regs, 3 * lo + row, cnt[:, None] * ys.take(v, axis=0))
 

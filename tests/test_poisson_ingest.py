@@ -17,7 +17,7 @@ from hsketch.tower import (
     _CHUNK_UPDATES,
     SketchConfig,
     _cell_table,
-    _dense_counts,
+    _guide_counts,
     _poisson_cdf,
     _sparse_hits,
     _u53_thresholds,
@@ -33,7 +33,9 @@ GROUPS = {
     "Z2^10": make_group([2] * 10),
     "Z(2^31-1)": make_group([2**31 - 1]),
 }
-SIZES = [1, 63, 64, 65, _BLOCK_WORDS // 3 - 1, _BLOCK_WORDS // 3 + 1, 10_000]
+# 254 and 255 updates: the last batch whose blocks are drawn update-major and
+# the first drawn cell-major (a block holds _BLOCK_WORDS // (3 n) cells)
+SIZES = [1, 63, 64, 65, 254, 255, _BLOCK_WORDS // 3 - 1, _BLOCK_WORDS // 3 + 1, 10_000]
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -75,6 +77,18 @@ def test_blocked_ingest_matches_oracle_on_other_windows(name, m, a, b):
     assert np.array_equal(sk.registers, poisson_registers_oracle(cfg, vs, ys))
 
 
+def test_blocked_ingest_matches_oracle_past_2_11_dense_rows():
+    # 2,500 long dense rows in one block: the words that the guide steps leave
+    # to the search include words of rows past 2^11, where offsets of
+    # row * 2^53 in uint64 would wrap
+    cfg = SketchConfig(None, 1000, -6500, -4000, 5, "poisson")
+    assert len(_cell_table(cfg.m, cfg.a, cfg.b).dense) == cfg.num_cells > 1 << 11
+    vs, ys = _random_batch(None, 10, 3)
+    sk = sketch_new(cfg)
+    sk.update_batch(vs, ys)
+    assert np.array_equal(sk.registers, poisson_registers_oracle(cfg, vs, ys))
+
+
 def _random_batch(group, n: int, seed: int):
     rng = np.random.default_rng(seed)
     vs = rng.integers(0, 1 << 40, n)
@@ -108,22 +122,27 @@ def test_blocked_ingest_matches_oracle_property(case):
     assert np.array_equal(sk.registers, poisson_registers_oracle(cfg, vs, ys))
 
 
-@pytest.mark.parametrize("m,a,b", [(4, 0, 88), (64, 0, 1408), (4, -26, 3), (2, 60, 90)])
+@pytest.mark.parametrize(
+    "m,a,b", [(4, 0, 88), (64, 0, 1408), (4, -26, 3), (2, 60, 90), (32, -192, 800)]
+)
 def test_threshold_table_counts_match_float_cdf(m, a, b):
     # probe every cell at t - 1, t and the largest word, for each raw
-    # threshold t, duplicates included; sparse cells take words before
-    # mix64's last xorshift, at both ends of each 53-bit value and at both
-    # sides of the cell's screen S
+    # threshold t, duplicates included, and dense cells also at both sides of
+    # every guide bucket edge; sparse cells take words before mix64's last
+    # xorshift, at both ends of each 53-bit value and at both sides of the
+    # cell's screen S
     tab = _cell_table(m, a, b)
     nd = len(tab.dense)
     top = (1 << 53) - 1
+    buckets = len(tab.guide) // max(nd, 1)
+    edges = np.arange(buckets, dtype=np.int64) << (54 - buckets.bit_length())
     for i, k in enumerate(range(a, b)):
         cdf = _poisson_cdf(m, k)
         t = np.ceil(cdf * 2.0**53).astype(np.int64)
-        u = np.unique(np.concatenate([t - 1, t, [top]]))
+        u = np.unique(np.concatenate([t - 1, t, [top]] + ([edges - 1, edges] if i < nd else [])))
         u = u[(u >= 0) & (u <= top)].astype(np.uint64)
         if i < nd:
-            got = _dense_counts(u[None, None, :], tab.dense[i : i + 1])[0, 0]
+            got = _guide_counts(u, i, tab)
         else:
             s = slice(i - nd, i - nd + 1)
             full = u << np.uint64(11)
@@ -136,6 +155,18 @@ def test_threshold_table_counts_match_float_cdf(m, a, b):
             got[v] = cnt
         want = np.searchsorted(cdf, u.astype(np.float64) * 2.0**-53, side="right")
         assert np.array_equal(got, want), (m, k)
+
+
+@pytest.mark.parametrize("m,a,b", [(4, -26, 3), (32, -192, 800)])
+def test_guide_is_a_small_fixed_multiple_of_the_dense_thresholds(m, a, b):
+    # the bucket count follows from the widest dense row: the smallest power
+    # of two at least the padded width, one int64 entry per bucket and row
+    tab = _cell_table(m, a, b)
+    nd, width = tab.dense.shape
+    buckets = len(tab.guide) // nd
+    assert len(tab.guide) == nd * buckets and buckets & (buckets - 1) == 0
+    assert width <= buckets < 2 * width
+    assert tab.guide.nbytes < 2 * tab.dense.nbytes
 
 
 @pytest.mark.parametrize(

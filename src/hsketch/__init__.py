@@ -39,7 +39,6 @@ from .groups import (
     dft,
     idft,
     make_group,
-    norms,
 )
 from .sampler import (
     SamplerSketch,

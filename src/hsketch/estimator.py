@@ -44,12 +44,12 @@ and both read-only; entries leave only by least-recently-used eviction.
 :func:`column_aggregates`, which hands the aggregates to the user, copies
 them.
 
-A warm query builds no config, no group and no spectrum, and copies no
-register array: an integer sketch's config over Z_p comes from
-``tower._config_over``, cached per (config, group); :func:`modulo_spectrum`
-and :func:`estimate_support` share one Z_p descriptor per integer order
-(``groups._cyclic_group``), whose roots are built once; the product group of
-a union comes from ``tower._product_group``; the spectra of
+A warm query builds no config and no spectrum, and copies no register
+array: a config over a group comes from ``tower._config_over``, cached per
+(config, group), so a union builds only its product's small descriptor and
+gets back the cached config; :func:`modulo_spectrum` and
+:func:`estimate_support` share one Z_p descriptor per integer order
+(``groups._cyclic_group``), whose roots are built once; the spectra of
 :func:`modulo_spectrum` and the support are cached per (group, residue) and
 per group, read-only, after every input check; and the memo compares the
 registers with its snapshot in place.  A warm estimate pays for one compare
@@ -72,10 +72,7 @@ from .special import gamma_fn
 from .tower import IntegerTowerSketch, SketchConfig, TowerSketch, _config_over, _mod_exact, combine_product
 
 
-@lru_cache(maxsize=None)
-def _scale_constant() -> float:
-    """|Gamma(-1/3)|^3, derived from the shared Gamma routine."""
-    return abs(gamma_fn(-1.0 / 3.0)) ** 3
+_SCALE = abs(gamma_fn(-1.0 / 3.0)) ** 3  # |Gamma(-1/3)|^3, from the shared Gamma routine
 
 
 def truncation_tail(m: int, a: int) -> float:
@@ -100,10 +97,6 @@ class ColumnAggregates:
     config: SketchConfig
     values: np.ndarray  # (3, |dual|) complex
     literal: bool
-
-    @property
-    def num_chars(self) -> int:
-        return self.group.total_size
 
 
 _MEMO = _Memo(8)  # entries (config, literal, registers, (aggregates, product)), oldest first
@@ -197,7 +190,7 @@ def estimate_f(
     """
     cfg, _, prod = _resolve_aggregates(sketch, s.group, literal)
     terms = s.values * prod  # in place below: the operations of s.values * prod / scale / |G|
-    terms /= cfg.m**3 * _scale_constant()
+    terms /= cfg.m**3 * _SCALE
     terms /= s.group.total_size
     total = np.add.reduce(terms)
     est = float(total.real)

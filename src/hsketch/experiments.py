@@ -347,11 +347,15 @@ def read_rows(path) -> list[dict]:
 
 
 def summarize(path) -> list[SummaryRow]:
-    """Per-(workload, scheme, quantity) mean/std/bias/RMSE against truth."""
-    rows = read_rows(path)
+    """Per-(workload, scheme, quantity) mean/std/bias/RMSE against truth; a repeated trial raises."""
     groups: dict[tuple[str, str, str], list[dict]] = {}
-    for row in rows:
-        groups.setdefault((row["workload"], row["scheme"], row["quantity"]), []).append(row)
+    seen = set()
+    for row in read_rows(path):
+        key = (row["workload"], row["scheme"], row["quantity"], row["trial"])
+        if key in seen:
+            raise SchemaError(f"(workload, scheme, quantity, trial) {key} repeats: do two schemes share a label?")
+        seen.add(key)
+        groups.setdefault(key[:3], []).append(row)
     out = []
     for (wl, scheme, quantity), items in sorted(groups.items()):
         est = np.array([r["estimate"] for r in items])

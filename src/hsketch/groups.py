@@ -97,9 +97,9 @@ class GroupDescriptor:
         p = self.orders[0]
         return _read_only(np.exp(2j * np.pi * np.arange(p) / p))
 
-    @cached_property
+    @property
     def residue_matrix(self) -> np.ndarray:
-        """(total_size, d) int64 matrix of all elements in enumeration order."""
+        """(total_size, d) int64 matrix of all elements in enumeration order, built per call."""
         n, d = self.total_size, self.degree
         out = np.empty((n, d), dtype=np.int64)
         idx = np.arange(n)
@@ -110,12 +110,16 @@ class GroupDescriptor:
     # -- element handling -------------------------------------------------
 
     def element(self, residues: Sequence[int]) -> GroupElement:
-        """Canonicalize a residue sequence into an element of this group."""
+        """Canonicalize a residue sequence into an element of this group; every residue is an integer."""
         if len(residues) != self.degree:
             raise GroupMismatchError(
                 f"element has {len(residues)} residues, group has {self.degree} factors"
             )
-        return tuple(int(r) % p for r, p in zip(residues, self.orders))
+        try:  # int() would read 2.9 as 2 and '3' as 3; np.bool_ has no __index__, its .item() has
+            return tuple(operator.index(r.item() if isinstance(r, np.generic) else r) % p
+                         for r, p in zip(residues, self.orders))
+        except TypeError:
+            raise GroupMismatchError(f"element {tuple(residues)!r} has a non-integer residue") from None
 
     def index_of(self, x: GroupElement) -> int:
         return sum(r * w for r, w in zip(self.element(x), self.index_weights))
@@ -331,18 +335,3 @@ def idft(g: GroupDescriptor, s: SpectrumTable) -> FunctionTable:
         raise GroupMismatchError("spectrum table is over a different group")
     return FunctionTable(g, _transform(g, "idft", s.values))
 
-
-def norms(f: FunctionTable, s: SpectrumTable) -> tuple[float, float]:
-    """(sup norm of f, Haar-weighted 1-norm of its transform).
-
-    The sup norm can never exceed the transform's 1-norm; this is asserted
-    because every error bound in the estimators leans on it.
-    """
-    norm_inf = float(np.max(np.abs(f.values))) if f.values.size else 0.0
-    hat_norm_1 = float(np.sum(np.abs(s.values)) / s.group.total_size)
-    if norm_inf > hat_norm_1 + 1e-9:
-        raise AssertionError(
-            f"sup norm {norm_inf} exceeds transform 1-norm {hat_norm_1}; "
-            "tables are not a transform pair"
-        )
-    return norm_inf, hat_norm_1

@@ -172,7 +172,6 @@ def theoretical_window(m: int, lam: float) -> tuple[int, int]:
     return lo, max(hi, lo + 1)
 
 
-@lru_cache(maxsize=65536)
 def _poisson_cdf(m: int, k: int) -> np.ndarray:
     """CDF thresholds P(X <= c) for X ~ Poisson(e^{-k/m}), ending where the float sum stops rising."""
     mu = math.exp(-k / m)
@@ -533,11 +532,6 @@ def _reduce_rows(group: GroupDescriptor | None, ys: np.ndarray) -> np.ndarray:
     return _mod_exact(wide, group.orders, out=None if wide is ys else wide)
 
 
-def _canonical_values(group: GroupDescriptor | None, ys) -> np.ndarray:
-    """Update values as int64: (n,) integers, or (n, d) canonical residues of ``group``."""
-    return _reduce_rows(group, _value_rows(group, ys))
-
-
 def _settle(config: SketchConfig, regs: np.ndarray) -> None:
     """Restore the register invariant of ``regs``, a view of a tower of ``config``, after a chunk.
 
@@ -730,14 +724,8 @@ def combine_product(s1: TowerSketch, s2: TowerSketch) -> TowerSketch:
         raise CannotCombineError("integer sketches have no group to pair; reduce them first")
     if _SHARED_FIELDS(c1) != _SHARED_FIELDS(c2):
         raise CannotCombineError("sketches must share m, a, b, seed and mode")
-    cfg = _config_over(c1, _product_group(c1.group, c2.group))
+    cfg = _config_over(c1, c1.group.product(c2.group))
     return TowerSketch(cfg, np.concatenate([s1.registers, s2.registers], axis=2))
-
-
-@lru_cache(maxsize=16)
-def _product_group(g1: GroupDescriptor, g2: GroupDescriptor) -> GroupDescriptor:
-    """``g1 x g2``, built and validated once per pair, then shared by every combine."""
-    return g1.product(g2)
 
 
 class IntegerTowerSketch(_TowerBase):

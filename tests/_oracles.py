@@ -67,10 +67,11 @@ from hsketch.tower import (
     SketchConfig,
     TowerSketch,
     _binomial_levels_batch,
-    _canonical_values,
     _level_cdf,
     _poisson_cdf,
+    _reduce_rows,
     _u53_thresholds,
+    _value_rows,
 )
 from hsketch.workloads import TruthTable, WorkloadSpec
 
@@ -88,7 +89,7 @@ def poisson_registers_oracle(config: SketchConfig, vs, ys) -> np.ndarray:
     """
     cfg = config
     vs = np.asarray(vs, dtype=np.int64)
-    ys = _canonical_values(cfg.group, ys)
+    ys = _reduce_rows(cfg.group, _value_rows(cfg.group, ys))
     regs = np.zeros((cfg.num_cells, 3) + ys.shape[1:], dtype=np.int64)
     state = prf.stream_state(cfg.seed, prf.DOMAIN_CELL, vs)  # (n,)
     jkeys = prf.tuple_key(
@@ -351,7 +352,7 @@ class FingerprintBucket:
 
 def splitter_update(bucket: FingerprintBucket, v: int, y, seed: int) -> None:
     """Add y into one PRF-chosen slot per column for element v."""
-    yr = _canonical_values(bucket.group, [y])[0]
+    yr = _reduce_rows(bucket.group, _value_rows(bucket.group, [y]))[0]
     width = splitter_width(bucket.group)
     for c in range(bucket.r):
         u = prf.draw(prf.stream_state(seed, prf.DOMAIN_SLOT, v), prf.tuple_key(j=c))
@@ -379,7 +380,7 @@ def ideal_levels_oracle(group: GroupDescriptor, m_prime: int, seed: int, batches
     tally: list[dict[int, tuple[int, ...]]] = [{} for _ in range(num_levels)]
     for vs, ys in batches:
         vs = np.asarray(vs, dtype=np.int64)
-        yr = _canonical_values(group, ys)
+        yr = _reduce_rows(group, _value_rows(group, ys))
         for v, lv, y in zip(vs.tolist(), probe._levels(vs).tolist(), yr.tolist()):
             cur = tally[lv].get(v, (0,) * group.degree)
             tally[lv][v] = tuple((a + b) % p for a, b, p in zip(cur, y, group.orders))

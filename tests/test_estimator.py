@@ -404,6 +404,24 @@ def test_variance_factor_zero_function():
     assert predict_variance(spectrum, rhat, 1000.0, 64) == 0.0
 
 
+def test_predict_variance_leaves_no_residue_matrix_on_the_group():
+    # a descriptor held by any cache would pin |G| * d int64 (369 MB at Z_7^8)
+    group = make_group([7, 7, 7])
+    rhat = rhat_from_pmf(group, {(1, 2, 3): 0.5, (0, 0, 4): 0.5})
+    assert predict_variance(SpectrumTable(group, np.full(343, -1.0 + 0j)), rhat, 1000.0, 64) > 0
+    assert "residue_matrix" not in group.__dict__
+
+
+def test_rhat_from_pmf_rejects_non_integer_residues():
+    # int() read 2.5 as residue 2 and "3" as 3
+    for x in (2.5, "3", (1.0,), np.float64(2.0)):
+        with pytest.raises(GroupMismatchError):
+            rhat_from_pmf(Z7, {x: 1.0})
+    want = rhat_from_pmf(Z7, {1: 1.0}).values
+    for x in (np.int64(8), np.uint8(1), True, np.True_):
+        assert np.array_equal(rhat_from_pmf(Z7, {x: 1.0}).values, want)
+
+
 def test_rhat_validation():
     with pytest.raises(InvalidRHatError):
         rhat_from_pmf(Z7, {1: 0.7, 2: 0.7})
@@ -861,7 +879,7 @@ def _formula_bits(sk, s, literal):
         sk = sk.reduce_values_mod(s.group.orders[0])
     cfg = sk.config
     values = _column_aggregates(cfg, sk.registers, literal).values
-    terms = s.values * values.prod(axis=0) / (cfg.m**3 * estimator._scale_constant()) / s.group.total_size
+    terms = s.values * values.prod(axis=0) / (cfg.m**3 * estimator._SCALE) / s.group.total_size
     total = terms.sum()
     return np.array([float(total.real), abs(float(total.imag))]).tobytes(), terms.tobytes()
 

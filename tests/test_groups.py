@@ -12,7 +12,6 @@ from hsketch.groups import (
     dft,
     idft,
     make_group,
-    norms,
 )
 
 
@@ -152,6 +151,16 @@ def test_large_group_round_trip_and_parseval(orders):
     assert np.sum(np.abs(s.values) ** 2) / g.total_size == pytest.approx(energy, rel=1e-12)
 
 
+def test_table_lookup_rejects_non_integer_residues():
+    # int() read (2.9,) as element 2 and ("3",) as 3
+    g = make_group([7, 2])
+    f = FunctionTable(g, np.arange(14.0))
+    for x in ((2.9, 0), ("3", 1), (1, np.float64(1.0)), (None, 0)):
+        with pytest.raises(GroupMismatchError):
+            f[x]
+    assert f[(np.int64(9), np.True_)] == f[(2, 1)] == f[(-5, True)] == 5.0
+
+
 def test_idft_examples():
     p = 7
     g = make_group([p])
@@ -160,43 +169,6 @@ def test_idft_examples():
     assert np.allclose(f.values, np.ones(p), atol=1e-12)
     zero = idft(g, SpectrumTable(g, np.zeros(p)))
     assert np.allclose(zero.values, 0.0)
-
-
-def test_norms_examples():
-    p = 7
-    g = make_group([p])
-    f = FunctionTable.from_function(g, lambda x: 1.0 if x[0] == 3 else 0.0)
-    got = norms(f, dft(g, f))
-    assert got == pytest.approx((1.0, 1.0), abs=1e-12)
-
-    zero = FunctionTable(g, np.zeros(p))
-    assert norms(zero, dft(g, zero)) == (0.0, 0.0)
-
-    g2 = make_group([p, p])
-    f_cap = FunctionTable.from_function(g2, lambda x: 1.0 if x[0] != 0 and x[1] != 0 else 0.0)
-    inf_n, hat1 = norms(f_cap, dft(g2, f_cap))
-    assert inf_n == pytest.approx(1.0, abs=1e-12)
-    assert hat1 == pytest.approx(4 * (p - 1) ** 2 / p**2, abs=1e-9)
-    assert hat1 < 4.0
-
-
-def test_norms_inequality_random_tables():
-    rng = np.random.default_rng(3)
-    for orders in ([7], [6], [2, 3, 5], [128]):
-        g = make_group(orders)
-        for _ in range(5):
-            vals = rng.standard_normal(g.total_size) + 1j * rng.standard_normal(g.total_size)
-            f = FunctionTable(g, vals)
-            inf_n, hat1 = norms(f, dft(g, f))  # raises if the inequality fails
-            assert inf_n <= hat1 + 1e-9
-
-
-def test_norms_rejects_non_transform_pair():
-    g = make_group([7])
-    f = FunctionTable(g, np.full(7, 5.0))
-    s = SpectrumTable(g, np.zeros(7))
-    with pytest.raises(AssertionError):
-        norms(f, s)
 
 
 def test_table_csv_round_trip(tmp_path):

@@ -305,6 +305,15 @@ def test_summarize_hand_computed(tmp_path):
     assert "lambda1" in format_summary(list(rows.values()))
 
 
+def test_summarize_rejects_schemes_that_share_a_label(tmp_path):
+    # two fourier schemes used to merge into one row, with trials=4 over 2 trials
+    out = tmp_path / "rows.csv"
+    rows = [["w", "fourier", "lambda0", t, 10 + t, "4.0", "0.0", "5.0"] for t in (0, 1, 0, 1)]
+    write_rows(out, rows)
+    with pytest.raises(SchemaError, match="'w', 'fourier', 'lambda0', 0"):
+        summarize(out)
+
+
 def test_read_rows_schema_errors(tmp_path):
     good = "w,fourier,lambda1,0,10,4.0,0.0,5.0"
     bad_rows = [
@@ -570,13 +579,13 @@ def test_public_names_are_pinned():
         "column_aggregates", "combine_product", "default_window", "deserialize", "dft",
         "equal_memory_m_prime", "errors", "estimate_f", "estimate_modulo",
         "estimate_support", "estimate_union", "estimator", "gamma_fn",
-        "gen_stream", "groups", "idft", "make_group", "modulo_spectrum", "norms",
+        "gen_stream", "groups", "idft", "make_group", "modulo_spectrum",
         "predict_variance", "prf", "rhat_from_pmf", "sample_f_moment", "sampler",
         "signed_representative", "sketch_new", "special", "tau_gra_density",
         "tau_gra_estimate", "theoretical_window", "tower", "truncation_tail",
         "variance_factor", "workloads",
     ]
-    assert len(expect) == 59
+    assert len(expect) == 58
     assert sorted(names) == expect
 
 

@@ -457,6 +457,16 @@ def test_combine_product_groups_are_validated_like_any_other():
     assert GroupDescriptor([np.int64(7)]) == make_group([7]) == GroupDescriptor((7,))
 
 
+def test_repeated_combines_of_a_pair_share_one_config():
+    # the product group is built per call; the config cache alone hands back one config
+    s1, s2 = sketch_new(_cfg(group=make_group([7, 3]))), sketch_new(_cfg(group=make_group([5])))
+    first = combine_product(s1, s2).config
+    hits = tower._config_over.cache_info().hits
+    second = combine_product(s1, s2).config
+    assert second is first and second.group is first.group
+    assert tower._config_over.cache_info().hits == hits + 1
+
+
 def test_window_shares_cells():
     cfg = _cfg(seed=31, a=-4, b=20, m=4)
     sk = sketch_new(cfg)

@@ -34,15 +34,14 @@ over x != 0 makes the aggregate a character sum,
 that is one unnormalized inverse FFT over the group.  The weights come from
 libm (``math.exp``), cached per (m, a, b), so estimates do not depend on
 which SIMD loop numpy dispatches ``np.exp`` to.
-A memo (``groups._Memo``, as for the transforms) keeps the last 8
-aggregations, each under its config (an integer sketch's over Z_p),
-``literal`` flag and a snapshot of the registers it read (int64 for an
-integer sketch, so a hit reduces nothing).  An entry holds the aggregates
-and their product over the three columns, both computed once on the miss
-and both read-only; entries leave only by least-recently-used eviction.
-:func:`estimate_f` reads an entry in place, and only
-:func:`column_aggregates`, which hands the aggregates to the user, copies
-them.
+A memo (``groups._Memo``, as for the transforms) keeps the column products
+of the last 8 aggregations, each under its config (an integer sketch's over
+Z_p), ``literal`` flag and a snapshot of the registers it read (int64 for an
+integer sketch, so a hit reduces nothing).  The product over the three
+columns is computed once on the miss and stored read-only; entries leave only
+by least-recently-used eviction, and :func:`estimate_f` reads an entry in
+place.  :func:`column_aggregates` neither reads nor fills the memo: it
+computes fresh aggregates on each call.
 
 A warm query builds no config and no spectrum, and copies no register
 array: a config over a group comes from ``tower._config_over``, cached per
@@ -66,10 +65,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import GroupMismatchError, InvalidConfigError, InvalidRHatError
+from .errors import GroupMismatchError, InvalidConfigError, InvalidRHatError, _checked_int
 from .groups import FunctionTable, GroupDescriptor, SpectrumTable, _cyclic_group, _Memo, _read_only, dft
 from .special import gamma_fn
-from .tower import IntegerTowerSketch, SketchConfig, TowerSketch, _config_over, _mod_exact, combine_product
+from .tower import (
+    IntegerTowerSketch, SketchConfig, TowerSketch, _FIELD_RANGES, _config_over, _mod_exact, combine_product,
+)
 
 
 _SCALE = abs(gamma_fn(-1.0 / 3.0)) ** 3  # |Gamma(-1/3)|^3, from the shared Gamma routine
@@ -77,6 +78,7 @@ _SCALE = abs(gamma_fn(-1.0 / 3.0)) ** 3  # |Gamma(-1/3)|^3, from the shared Gamm
 
 def truncation_tail(m: int, a: int) -> float:
     """tau2 = e^{(a-1)/(3m)} / (1 - e^{-1/(3m)}), the low-cell correction."""
+    m = _checked_int("m", m, *_FIELD_RANGES["m"])
     return math.exp((a - 1) / (3.0 * m)) / (1.0 - math.exp(-1.0 / (3.0 * m)))
 
 
@@ -99,34 +101,30 @@ class ColumnAggregates:
     literal: bool
 
 
-_MEMO = _Memo(8)  # entries (config, literal, registers, (aggregates, product)), oldest first
+_MEMO = _Memo(8)  # entries (config, literal, registers, column product), oldest first
 
 
 def column_aggregates(sketch: TowerSketch, literal: bool = False) -> ColumnAggregates:
-    """All (column, character) aggregates of a group-valued sketch at once (memoized)."""
+    """All (column, character) aggregates of a group-valued sketch at once, computed on each call."""
     if isinstance(sketch, IntegerTowerSketch):
         raise GroupMismatchError(
             "an integer sketch has no group to aggregate over: query it with estimate_f on a "
             "cyclic spectrum, or reduce it with reduce_values_mod(p) first"
         )
-    values, _ = _memoized_aggregates(sketch.config, sketch.registers, literal)
-    return ColumnAggregates(sketch.config.group, sketch.config, values.copy(), literal)
+    return _column_aggregates(sketch.config, sketch.registers, literal)
 
 
-def _memoized_aggregates(
-    cfg: SketchConfig, registers: np.ndarray, literal: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """The memo entry of ``registers`` over ``cfg.group``: the aggregates and their column product.
+def _memoized_product(cfg: SketchConfig, registers: np.ndarray, literal: bool) -> np.ndarray:
+    """The memo entry of ``registers`` over ``cfg.group``: the read-only column product of the aggregates.
 
-    Both are read-only.  (nk, 3) integer registers are read mod the group's order.
+    (nk, 3) integer registers are read mod the group's order.
     """
 
-    def aggregate(snap: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def product(snap: np.ndarray) -> np.ndarray:
         reduced = snap if snap.ndim == 3 else _mod_exact(snap, cfg.group.orders)[:, :, None]
-        values = _column_aggregates(cfg, reduced, literal).values
-        return _read_only(values), _read_only(values.prod(axis=0))
+        return _read_only(_column_aggregates(cfg, reduced, literal).values.prod(axis=0))
 
-    return _MEMO.get((cfg, literal), registers, aggregate)
+    return _MEMO.get((cfg, literal), registers, product)
 
 
 @lru_cache(maxsize=16)
@@ -151,19 +149,17 @@ def _column_aggregates(cfg: SketchConfig, registers: np.ndarray, literal: bool) 
     return ColumnAggregates(group, cfg, agg, literal)
 
 
-def _resolve_aggregates(
-    sketch, group: GroupDescriptor, literal: bool
-) -> tuple[SketchConfig, np.ndarray, np.ndarray]:
-    """The config, aggregates and column product of ``sketch`` over ``group``.
+def _resolve_aggregates(sketch, group: GroupDescriptor, literal: bool) -> tuple[SketchConfig, np.ndarray]:
+    """The config of ``sketch`` over ``group`` and the column product of its aggregates.
 
-    Every check comes before any aggregation.  The arrays of a sketch are its
-    read-only memo entry; the product of a ``ColumnAggregates`` is computed here.
+    Every check comes before any aggregation.  The product of a sketch is its
+    read-only memo entry; that of a ``ColumnAggregates`` is computed here.
     """
     if isinstance(sketch, IntegerTowerSketch):
         if group.degree != 1:
             raise GroupMismatchError(f"an integer sketch is read mod a cyclic order, not {group.orders}")
         cfg = _config_over(sketch.config, group)
-        return (cfg, *_memoized_aggregates(cfg, sketch.registers, literal))
+        return cfg, _memoized_product(cfg, sketch.registers, literal)
     if not isinstance(sketch, (TowerSketch, ColumnAggregates)):
         raise TypeError(f"cannot aggregate {type(sketch).__name__}")
     if isinstance(sketch, ColumnAggregates) and sketch.literal != literal:
@@ -173,8 +169,8 @@ def _resolve_aggregates(
     if sketch.group != group:
         raise GroupMismatchError(f"sketch group {sketch.group.orders} is not the spectrum's {group.orders}")
     if isinstance(sketch, ColumnAggregates):
-        return sketch.config, sketch.values, sketch.values.prod(axis=0)
-    return (sketch.config, *_memoized_aggregates(sketch.config, sketch.registers, literal))
+        return sketch.config, sketch.values.prod(axis=0)
+    return sketch.config, _memoized_product(sketch.config, sketch.registers, literal)
 
 
 def estimate_f(
@@ -188,7 +184,7 @@ def estimate_f(
 
     An integer sketch is read mod the order of ``s``'s group, which must be cyclic.
     """
-    cfg, _, prod = _resolve_aggregates(sketch, s.group, literal)
+    cfg, prod = _resolve_aggregates(sketch, s.group, literal)
     terms = s.values * prod  # in place below: the operations of s.values * prod / scale / |G|
     terms /= cfg.m**3 * _SCALE
     terms /= s.group.total_size
@@ -347,6 +343,9 @@ def variance_factor(s: SpectrumTable, rhat: RHatTable) -> complex:
 
 def predict_variance(s: SpectrumTable, rhat: RHatTable, lam: float, m: int) -> float:
     """Leading-order variance of the moment estimate at support size lam."""
+    m = _checked_int("m", m, *_FIELD_RANGES["m"])
+    if not (isinstance(lam, numbers.Real) and 0 <= lam < math.inf):
+        raise InvalidConfigError(f"support size must be finite and nonnegative, got {lam!r}")
     alpha = variance_factor(s, rhat)
     g13 = gamma_fn(-1.0 / 3.0)
     g23 = gamma_fn(-2.0 / 3.0)

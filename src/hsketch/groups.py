@@ -25,7 +25,7 @@ Repeated query work is served from caches keyed by content.  A cyclic group
 of a validated integer order has one shared descriptor (``_cyclic_group``),
 so its tables are built once.  :func:`dft` and :func:`idft` remember their
 last 8 results in a :class:`_Memo`, the least-recently-used store that the
-``column_aggregates`` memo uses too.
+estimator's column-product memo uses too.
 """
 
 from __future__ import annotations
@@ -111,10 +111,12 @@ class GroupDescriptor:
 
     def element(self, residues: Sequence[int]) -> GroupElement:
         """Canonicalize a residue sequence into an element of this group; every residue is an integer."""
-        if len(residues) != self.degree:
-            raise GroupMismatchError(
-                f"element has {len(residues)} residues, group has {self.degree} factors"
-            )
+        try:
+            n = len(residues)
+        except TypeError:  # a bare scalar such as 3 or np.int64(3)
+            raise GroupMismatchError(f"element {residues!r} is not a sequence of residues") from None
+        if n != self.degree:
+            raise GroupMismatchError(f"element has {n} residues, group has {self.degree} factors")
         try:  # int() would read 2.9 as 2 and '3' as 3; np.bool_ has no __index__, its .item() has
             return tuple(operator.index(r.item() if isinstance(r, np.generic) else r) % p
                          for r, p in zip(residues, self.orders))

@@ -404,6 +404,26 @@ def test_variance_factor_zero_function():
     assert predict_variance(spectrum, rhat, 1000.0, 64) == 0.0
 
 
+@pytest.mark.parametrize(
+    "m,lam",
+    [(-5, 1000.0), (2.5, 1000.0), (0, 1000.0), (1, 1000.0), (1 << 32, 1000.0), ("64", 1000.0),
+     (64, math.nan), (64, -3.0), (64, math.inf), (64, "1000"), (64, 1j)],
+    ids=["m-negative", "m-float", "m-0", "m-1", "m-2^32", "m-str",
+         "lam-nan", "lam-negative", "lam-inf", "lam-str", "lam-complex"],
+)
+def test_predict_variance_rejects_invalid_m_and_lambda(m, lam):
+    # unchecked, m=-5 yields a negative variance, m=0 a ZeroDivisionError and lam=nan a nan
+    rhat = rhat_from_pmf(Z7, {j: 1 / 6 for j in range(1, 7)})
+    spectrum = _support_spectrum(Z7)
+    with pytest.raises(InvalidConfigError):
+        predict_variance(spectrum, rhat, lam, m)
+    if not isinstance(m, int) or not 2 <= m < 1 << 32:
+        with pytest.raises(InvalidConfigError):
+            truncation_tail(m, 0)
+    assert predict_variance(spectrum, rhat, 0, 64) == 0.0  # an empty support has no spread
+    assert predict_variance(spectrum, rhat, np.float64(1000.0), np.int64(64)) > 0
+
+
 def test_predict_variance_leaves_no_residue_matrix_on_the_group():
     # a descriptor held by any cache would pin |G| * d int64 (369 MB at Z_7^8)
     group = make_group([7, 7, 7])
@@ -555,21 +575,28 @@ def _fresh(sk, literal=False):
     return want
 
 
+def _memo_product(sk, literal=False):
+    """The column product a query of the group-valued ``sk`` reads: its memo entry's."""
+    return estimator._resolve_aggregates(sk, sk.config.group, literal)[1]
+
+
 @pytest.mark.parametrize("literal", [False, True])
 def test_memo_repeated_query_returns_the_fresh_bits(fresh_memo, literal):
     sk = _binomial_z7()
-    want = _fresh(sk, literal)
-    first = column_aggregates(sk, literal=literal)
-    second = column_aggregates(sk, literal=literal)
+    want = _fresh(sk, literal).prod(axis=0)
+    spectrum = modulo_spectrum(7, 3)
+    first = estimate_f(sk, spectrum, literal=literal)
+    second = estimate_f(sk, spectrum, literal=literal)
     assert len(fresh_memo) == 1
-    assert np.array_equal(first.values, want) and np.array_equal(second.values, want)
-    assert second.values is not first.values and second.values is not fresh_memo[0][3][0]
-    assert second.literal == literal and second.config == sk.config
-    # the other flag is its own entry: its trivial-character column differs
-    other = column_aggregates(sk, literal=not literal)
+    assert np.array_equal(_memo_product(sk, literal), want) and np.array_equal(fresh_memo[0][3], want)
+    assert _report_bits(first) == _report_bits(second) == _formula_bits(sk, spectrum, literal)
+    assert second.gamma_terms is not first.gamma_terms and second.gamma_terms is not fresh_memo[0][3]
+    assert fresh_memo[0][:2] == (sk.config, literal)
+    # the other flag is its own entry: its trivial-character term differs
+    other = _memo_product(sk, not literal)
     assert len(fresh_memo) == 2
-    assert np.array_equal(other.values, _fresh(sk, not literal))
-    assert not np.array_equal(other.values, want)
+    assert np.array_equal(other, _fresh(sk, not literal).prod(axis=0))
+    assert not np.array_equal(other, want)
 
 
 def _mutate(sk, how):
@@ -584,17 +611,17 @@ def _mutate(sk, how):
         sk.registers %= 2
     else:  # an update, a query in between, then its inverse
         sk.update_batch(vs, ys)
-        assert np.array_equal(column_aggregates(sk).values, _fresh(sk))
+        assert np.array_equal(_memo_product(sk), _fresh(sk).prod(axis=0))
         sk.update_batch(vs, -ys)
 
 
 @pytest.mark.parametrize("how", ["update_batch", "register-write", "inplace-mod", "update-inverse"])
 def test_memo_misses_after_the_registers_change(fresh_memo, how):
     sk = _binomial_z7()
-    before = column_aggregates(sk).values
+    before = _memo_product(sk)
     _mutate(sk, how)
-    got = column_aggregates(sk).values
-    assert np.array_equal(got, _fresh(sk))
+    got = _memo_product(sk)
+    assert np.array_equal(got, _fresh(sk).prod(axis=0))
     assert np.array_equal(got, before) == (how == "update-inverse")
 
 
@@ -604,39 +631,41 @@ def test_memo_tells_same_config_sketches_apart(fresh_memo):
     rng = np.random.default_rng(4)
     ski.update_batch(rng.integers(0, 1 << 40, 2000), rng.integers(-1000, 1000, 2000))
     assert z7a.config == z7b.config == ski.reduce_values_mod(7).config
-    wants = [_fresh(sk) for sk in (z7a, z7b, ski.reduce_values_mod(7))]
+    wants = [_fresh(sk).prod(axis=0) for sk in (z7a, z7b, ski.reduce_values_mod(7))]
     assert not np.array_equal(wants[0], wants[1]) and not np.array_equal(wants[0], wants[2])
     for _ in range(3):
         for sk, want in zip((z7a, z7b, ski.reduce_values_mod(7)), wants):
-            assert np.array_equal(column_aggregates(sk).values, want)
+            assert np.array_equal(_memo_product(sk), want)
     assert len(fresh_memo) == 3
 
 
 def test_memo_holds_at_most_eight_least_recently_used(fresh_memo):
     sketches = [_binomial_z7(seed=s, n=200) for s in range(12)]
     for sk in sketches[:8]:
-        column_aggregates(sk)
-    column_aggregates(sketches[0])  # a hit makes seed 0 the most recent entry
+        _memo_product(sk)
+    _memo_product(sketches[0])  # a hit makes seed 0 the most recent entry
     for sk in sketches[8:]:
-        column_aggregates(sk)
+        _memo_product(sk)
         assert len(fresh_memo) <= 8
     assert [c.seed for c, *_ in fresh_memo] == [5, 6, 7, 0, 8, 9, 10, 11]
     for sk in sketches:
-        assert np.array_equal(column_aggregates(sk).values, _fresh(sk))
+        assert np.array_equal(_memo_product(sk), _fresh(sk).prod(axis=0))
     assert len(fresh_memo) == 8
 
 
 def test_memo_entries_do_not_alias_callers(fresh_memo):
     sk = _binomial_z7()
     regs = sk.registers.copy()
-    want = _fresh(sk)
-    column_aggregates(sk).values[:] = 0  # written into a miss's result
-    column_aggregates(sk).values[:] = 0  # and into a hit's
+    want = _fresh(sk).prod(axis=0)
+    spectrum = modulo_spectrum(7, 3)
+    estimate_f(sk, spectrum).gamma_terms[:] = 0  # written into a miss's result
+    estimate_f(sk, spectrum).gamma_terms[:] = 0  # and into a hit's
+    column_aggregates(sk).values[:] = 0  # and into fresh aggregates
     _mutate(sk, "register-write")
-    ((_, _, snap, (values, _)),) = fresh_memo
-    assert np.array_equal(snap, regs) and np.array_equal(values, want)
+    ((_, _, snap, prod),) = fresh_memo
+    assert np.array_equal(snap, regs) and np.array_equal(prod, want)
     sk.registers[:] = regs
-    assert np.array_equal(column_aggregates(sk).values, want)
+    assert np.array_equal(_memo_product(sk), want)
 
 
 @pytest.mark.parametrize("how", ["update_batch", "register-write", "add-modulus"])
@@ -664,8 +693,8 @@ def test_memo_integer_queries_reduce_only_on_a_miss(fresh_memo, monkeypatch, how
     got = query()
     assert len(fresh_memo) == 2  # a miss, keyed on the new integer registers
     assert np.array_equal(query(), got) and len(fresh_memo) == 2
-    assert np.array_equal(query(literal=True), _uncached(reduce(ski, 7), literal=True))
-    assert np.array_equal(got, column_aggregates(reduce(ski, 7)).values)
+    assert np.array_equal(query(literal=True), _uncached(reduce(ski, 7), literal=True).prod(axis=0))
+    assert np.array_equal(got, _memo_product(reduce(ski, 7)))
     assert np.array_equal(got, first) == (how == "add-modulus")
 
 
@@ -754,13 +783,13 @@ def test_numpy_integer_orders_give_the_bits_of_python_ints(fresh_memo):
 
 def test_memo_is_safe_across_threads(fresh_memo):
     sketches = [_binomial_z7(seed=s, n=300) for s in range(10)]
-    wants = [_fresh(sk) for sk in sketches]
+    wants = [_fresh(sk).prod(axis=0) for sk in sketches]
     bad = []
 
     def work(offset):
         for i in range(40):
             k = (i + offset) % len(sketches)
-            if not np.array_equal(column_aggregates(sketches[k]).values, wants[k]):
+            if not np.array_equal(_memo_product(sketches[k]), wants[k]):
                 bad.append(k)
 
     threads = [threading.Thread(target=work, args=(t,)) for t in range(6)]
@@ -775,8 +804,8 @@ def test_memo_is_safe_across_threads(fresh_memo):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert bad == [] and len(fresh_memo) <= 8
-    for cfg, literal, snap, (values, _) in fresh_memo:
-        assert np.array_equal(values, _column_aggregates(cfg, snap, literal).values)
+    for cfg, literal, snap, prod in fresh_memo:
+        assert np.array_equal(prod, _column_aggregates(cfg, snap, literal).values.prod(axis=0))
 
 
 OPS = st.lists(
@@ -809,10 +838,10 @@ def test_memo_equals_the_uncached_computation(ops):
         elif op == "write":
             sk.registers.flat[x % sk.registers.size] = x % 7
         elif op == "query":
-            got = column_aggregates(sk, literal=literal).values
-            assert np.array_equal(got, _fresh(sk, literal))
+            got = _memo_product(sk, literal)
+            assert np.array_equal(got, _fresh(sk, literal).prod(axis=0))
     for sk in sketches:
-        assert np.array_equal(column_aggregates(sk).values, _uncached(sk))
+        assert np.array_equal(_memo_product(sk), _uncached(sk).prod(axis=0))
     assert len(estimator._MEMO) <= 8
     estimator._MEMO.clear()
 
@@ -916,6 +945,7 @@ def test_warm_estimate_equals_the_cold_one_bit_for_bit(case, literal, seed):
     rng = np.random.default_rng(seed)
     sk, spectrum = _warm_case(case, rng)
     orders = sk.config.group.orders if sk.config.group is not None else None
+    per_state = case != "aggregates"  # fresh aggregates neither read nor fill the memo
 
     def query():
         target = column_aggregates(sk, literal=literal) if case == "aggregates" else sk
@@ -923,15 +953,15 @@ def test_warm_estimate_equals_the_cold_one_bit_for_bit(case, literal, seed):
 
     cold = query()  # a miss
     assert cold == _formula_bits(sk, spectrum, literal)
-    assert query() == cold and len(estimator._MEMO) == 1  # a hit
+    assert query() == cold and len(estimator._MEMO) == per_state  # a hit
     regs = sk.registers.copy()
     cell = tuple(int(rng.integers(k)) for k in sk.registers.shape)
     sk.registers[cell] = regs[cell] + 1 if orders is None else (regs[cell] + 1) % orders[cell[-1]]
     written = query()  # a miss on the written registers
-    assert written == _formula_bits(sk, spectrum, literal) and len(estimator._MEMO) == 2
+    assert written == _formula_bits(sk, spectrum, literal) and len(estimator._MEMO) == 2 * per_state
     assert query() == written
     sk.registers[:] = regs
-    assert query() == cold and len(estimator._MEMO) == 2  # a hit again
+    assert query() == cold and len(estimator._MEMO) == 2 * per_state  # a hit again
     estimator._MEMO.clear()
 
 
@@ -941,17 +971,72 @@ def test_memo_entries_are_read_only_and_exact(fresh_memo, literal):
     ski = sketch_new(replace(z7.config, group=None))
     rng = np.random.default_rng(4)
     ski.update_batch(rng.integers(0, 1 << 40, 2000), rng.integers(-1000, 1000, 2000))
-    column_aggregates(z7, literal=literal)
+    _memo_product(z7, literal)
     estimate_support(ski, 128, literal=literal)
     assert len(fresh_memo) == 2
-    for cfg, lit, snap, (values, prod) in fresh_memo:
+    for cfg, lit, snap, prod in fresh_memo:
         reduced = snap if snap.ndim == 3 else ski.reduce_values_mod(cfg.group.orders[0]).registers
         want = _column_aggregates(cfg, reduced, lit).values
-        assert values.tobytes() == want.tobytes() and prod.tobytes() == want.prod(axis=0).tobytes()
-        for arr in (values, prod):
-            assert not arr.flags.writeable
-            with pytest.raises(ValueError):
-                arr[..., 0] = 0
+        assert prod.tobytes() == want.prod(axis=0).tobytes()
+        assert not prod.flags.writeable
+        with pytest.raises(ValueError):
+            prod[..., 0] = 0
+
+
+@pytest.mark.parametrize("case", ["int-128", "Z7", "Z2^8", "product"])
+def test_memo_entries_hold_only_the_column_product(fresh_memo, case):
+    sk, spectrum = _warm_case(case, np.random.default_rng(12))
+    for literal in (False, True):
+        estimate_f(sk, spectrum, literal=literal)
+    assert len(fresh_memo) == 2
+    for entry in fresh_memo:
+        cfg, literal, snap, prod = entry
+        assert cfg.group == spectrum.group and isinstance(prod, np.ndarray) and not prod.flags.writeable
+        reduced = snap if snap.ndim == 3 else sk.reduce_values_mod(cfg.group.orders[0]).registers
+        want = _column_aggregates(cfg, reduced, literal).values.prod(axis=0)
+        assert prod.dtype == want.dtype and prod.shape == want.shape and prod.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("literal", [False, True])
+def test_column_aggregates_leaves_the_memo_alone_and_returns_fresh_arrays(fresh_memo, literal):
+    sk = _binomial_z7()
+    want = _fresh(sk, literal)
+    got = [column_aggregates(sk, literal=literal) for _ in range(3)]
+    assert len(fresh_memo) == 0  # a cold call stores nothing
+    estimate_support(sk, 7, literal=literal)
+    before = list(fresh_memo)
+    got += [column_aggregates(sk, literal=literal) for _ in range(3)]
+    assert len(fresh_memo) == len(before) == 1 and all(e is b for e, b in zip(fresh_memo, before))
+    for i, agg in enumerate(got):
+        assert agg.values.flags.writeable and agg.values.tobytes() == want.tobytes()
+        assert agg.literal == literal and agg.config == sk.config
+        assert all(agg.values is not other.values for other in got[:i])
+        assert agg.values is not fresh_memo[0][3] and not np.shares_memory(agg.values, fresh_memo[0][3])
+
+
+def test_memo_holds_a_column_product_and_a_register_snapshot_per_entry(fresh_memo):
+    # an entry is one complex row and a register snapshot; the (3, |G|) aggregates would add 5.6 MB each
+    group = make_group([7] * 6)
+    rng = np.random.default_rng(13)
+    sketches = []
+    for seed in range(4):
+        sk = sketch_new(SketchConfig(group, 64, 320, 1728, seed, "binomial"))
+        sk.update_batch(rng.integers(0, 1 << 40, 3000), rng.integers(0, 7, (3000, 6)))
+        sketches.append(sk)
+    spectrum = _support_spectrum(group)
+    estimate_f(sketches.pop(), spectrum)  # the shared tables (weights, descriptor, spectrum) are built
+    fresh_memo.clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for sk in sketches:
+            estimate_f(sk, spectrum)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(fresh_memo) == 3
+    entry = 16 * group.total_size + sketches[0].registers.nbytes
+    assert entry == 2_085_136 and held <= 1.1 * 3 * entry
 
 
 def test_writes_into_results_leave_the_next_estimate_unchanged(fresh_memo):

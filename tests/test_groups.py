@@ -161,6 +161,18 @@ def test_table_lookup_rejects_non_integer_residues():
     assert f[(np.int64(9), np.True_)] == f[(2, 1)] == f[(-5, True)] == 5.0
 
 
+def test_table_lookup_rejects_a_bare_scalar_key():
+    # a scalar has no len(): the key error is the package's, not a bare TypeError
+    g = make_group([7])
+    f = FunctionTable(g, np.arange(7) + 0j)
+    for x in (3, np.int64(3), 3.0, None):
+        with pytest.raises(GroupMismatchError, match="not a sequence of residues"):
+            f[x]
+        with pytest.raises(GroupMismatchError, match="not a sequence of residues"):
+            g.index_of(x)
+    assert f[(3,)] == f[[np.int64(3)]] == f[np.array([10])] == 3.0
+
+
 def test_idft_examples():
     p = 7
     g = make_group([p])

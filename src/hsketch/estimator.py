@@ -34,12 +34,12 @@ over x != 0 makes the aggregate a character sum,
 that is one unnormalized inverse FFT over the group.  The weights come from
 libm (``math.exp``), cached per (m, a, b), so estimates do not depend on
 which SIMD loop numpy dispatches ``np.exp`` to.
-A memo (``groups._Memo``, as for the transforms) keeps the column products
-of the last 8 aggregations, each under its config (an integer sketch's over
-Z_p), ``literal`` flag and a snapshot of the registers it read (int64 for an
-integer sketch, so a hit reduces nothing).  The product over the three
-columns is computed once on the miss and stored read-only; entries leave only
-by least-recently-used eviction, and :func:`estimate_f` reads an entry in
+The memo of the transforms, ``groups._MEMO``, keeps the column products too,
+each under its config (an integer sketch's over Z_p), ``literal`` flag and a
+snapshot of the registers it read (int64 for an integer sketch, so a hit
+reduces nothing).  The product over the three columns is computed once on the
+miss and stored read-only; entries leave only by least-recently-used eviction
+within the memo's byte budget, and :func:`estimate_f` reads an entry in
 place.  :func:`column_aggregates` neither reads nor fills the memo: it
 computes fresh aggregates on each call.
 
@@ -66,7 +66,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import GroupMismatchError, InvalidConfigError, InvalidRHatError, _checked_int
-from .groups import FunctionTable, GroupDescriptor, SpectrumTable, _cyclic_group, _Memo, _read_only, dft
+from .groups import _MEMO, FunctionTable, GroupDescriptor, SpectrumTable, _cyclic_group, _read_only, dft
 from .special import gamma_fn
 from .tower import (
     IntegerTowerSketch, SketchConfig, TowerSketch, _FIELD_RANGES, _config_over, _mod_exact, combine_product,
@@ -79,6 +79,7 @@ _SCALE = abs(gamma_fn(-1.0 / 3.0)) ** 3  # |Gamma(-1/3)|^3, from the shared Gamm
 def truncation_tail(m: int, a: int) -> float:
     """tau2 = e^{(a-1)/(3m)} / (1 - e^{-1/(3m)}), the low-cell correction."""
     m = _checked_int("m", m, *_FIELD_RANGES["m"])
+    a = _checked_int("a", a, *_FIELD_RANGES["a"])
     return math.exp((a - 1) / (3.0 * m)) / (1.0 - math.exp(-1.0 / (3.0 * m)))
 
 
@@ -101,9 +102,6 @@ class ColumnAggregates:
     literal: bool
 
 
-_MEMO = _Memo(8)  # entries (config, literal, registers, column product), oldest first
-
-
 def column_aggregates(sketch: TowerSketch, literal: bool = False) -> ColumnAggregates:
     """All (column, character) aggregates of a group-valued sketch at once, computed on each call."""
     if isinstance(sketch, IntegerTowerSketch):
@@ -111,6 +109,8 @@ def column_aggregates(sketch: TowerSketch, literal: bool = False) -> ColumnAggre
             "an integer sketch has no group to aggregate over: query it with estimate_f on a "
             "cyclic spectrum, or reduce it with reduce_values_mod(p) first"
         )
+    if not isinstance(sketch, TowerSketch):
+        raise TypeError(f"cannot aggregate {type(sketch).__name__}")
     return _column_aggregates(sketch.config, sketch.registers, literal)
 
 
@@ -285,6 +285,8 @@ class RHatTable:
         vals = np.asarray(self.values, dtype=np.complex128)
         if vals.shape != (self.group.total_size,):
             raise InvalidRHatError("table size does not match the dual group")
+        if not np.isfinite(vals).all():  # NaN passes both comparisons below
+            raise InvalidRHatError("distribution transform values must be finite")
         if np.max(np.abs(vals)) > 1.0 + 1e-9:
             raise InvalidRHatError("distribution transform values must have modulus <= 1")
         if abs(vals[0] - 1.0) > 1e-9:

@@ -23,9 +23,9 @@ FFT: the enumeration order is C order over an array of shape ``orders``, so
 
 Repeated query work is served from caches keyed by content.  A cyclic group
 of a validated integer order has one shared descriptor (``_cyclic_group``),
-so its tables are built once.  :func:`dft` and :func:`idft` remember their
-last 8 results in a :class:`_Memo`, the least-recently-used store that the
-estimator's column-product memo uses too.
+so its tables are built once.  :func:`dft`, :func:`idft` and the
+estimator's column products share one least-recently-used :class:`_Memo`,
+``_MEMO``, bounded by ``_MEMO_BYTES``.
 """
 
 from __future__ import annotations
@@ -173,25 +173,26 @@ def _cyclic_descriptor(p: int) -> GroupDescriptor:
 # -- the memo of repeated query work ------------------------------------------
 
 
-class _Memo(list):
-    """The last ``size`` results of a computation on an array, least recently used first.
+_MEMO_BYTES = 128 << 20  # one Z_7^8 column product (92.2 MB) with its registers fits
 
-    Each entry is ``(*key, snapshot, result)``.  A lookup whose key equals an
-    entry's and whose array has the snapshot's shape, dtype and bits (exact
-    for floats too, where 0.0 == -0.0) gets the stored result itself: a hit
-    copies nothing and recomputes nothing.  So ``compute`` returns read-only
-    arrays, and a caller that hands a result to the user copies it there.
-    The array is compared in place (:func:`_same_bits`).  A miss computes
-    from a snapshot of the array, so its entry matches what was computed
-    even if the caller's array changes meanwhile.
+
+class _Memo(list):
+    """Results of computations on arrays, least recently used first, within ``budget`` bytes.
+
+    Each entry is ``(*key, snapshot, result)``, charged its two arrays' bytes.
+    A lookup whose key equals an entry's and whose array has the snapshot's
+    shape, dtype and bits (compared in place, :func:`_same_bits`) gets the
+    stored result itself: a hit copies nothing and recomputes nothing, so
+    ``compute`` returns read-only arrays and a caller copies what it hands to
+    the user.  A miss computes from a snapshot of the array, so its entry
+    matches what was computed even if the caller's array changes meanwhile.
+    Storing it evicts the oldest entries past the budget; a larger result is not stored.
     """
 
-    def __init__(self, size: int):
-        super().__init__()
-        self.size = size
-        self._lock = threading.Lock()
+    budget = _MEMO_BYTES
+    _lock = threading.Lock()
 
-    def get(self, key: tuple, data: np.ndarray, compute: Callable[[np.ndarray], object]):
+    def get(self, key: tuple, data: np.ndarray, compute: Callable[[np.ndarray], np.ndarray]):
         """``compute(snapshot of data)``, or the result stored for an equal (key, data)."""
         with self._lock:
             for i in range(len(self) - 1, -1, -1):  # newest first: a repeated query stops at once
@@ -201,16 +202,21 @@ class _Memo(list):
                     return entry[-1]
         snap = data.copy()
         result = compute(snap)
-        with self._lock:
-            self.append((*key, snap, result))
-            del self[: -self.size]
+        if snap.nbytes + result.nbytes <= self.budget:
+            with self._lock:
+                self.append((*key, snap, result))
+                held = np.cumsum([e[-2].nbytes + e[-1].nbytes for e in reversed(self)])  # newest first
+                del self[: len(self) - np.searchsorted(held, self.budget, side="right")]
         return result
+
+
+_MEMO = _Memo()
 
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     """Whether ``a`` and ``b`` have one shape, one dtype and the same bits.
 
-    For what the memos hold, C-contiguous int64 registers and complex128
+    For what the memo holds, C-contiguous int64 registers and complex128
     tables.  Equal integers have equal bits, so integer arrays are compared
     as they are, with no per-call view; any other dtype is compared as
     uint64 words, so -0.0 differs from 0.0 and equal NaN bits match.
@@ -307,13 +313,10 @@ def _read_table_csv(path) -> np.ndarray:
     return out
 
 
-_TRANSFORM_MEMO = _Memo(8)
-
-
 def _transform(g: GroupDescriptor, direction: str, values: np.ndarray) -> np.ndarray:
     """A copy of the memoized ``np.fft`` transform of ``values`` over ``g``."""
     fft = np.fft.fftn if direction == "dft" else np.fft.ifftn
-    return _TRANSFORM_MEMO.get(
+    return _MEMO.get(
         (g, direction), values, lambda v: _read_only(fft(v.reshape(g.orders)).ravel())
     ).copy()
 
@@ -321,10 +324,10 @@ def _transform(g: GroupDescriptor, direction: str, values: np.ndarray) -> np.nda
 def dft(g: GroupDescriptor, f: FunctionTable) -> SpectrumTable:
     """Forward transform: hat(f)(gamma) = sum_x f(x) * conj(chi(x, gamma)).
 
-    ``np.fft.fftn`` over the factor axes: O(|G| log |G|).  Memoized with
-    :func:`idft`: the last 8 transforms are kept, read-only, under (group,
-    direction, a snapshot of the input values), and every call returns a
-    copy, so a repeat gets the same bits.
+    ``np.fft.fftn`` over the factor axes: O(|G| log |G|).  Memoized in
+    ``_MEMO``, as :func:`idft` and the column products are: a transform is
+    kept, read-only, under (group, direction, a snapshot of the input
+    values), and every call returns a copy, so a repeat gets the same bits.
     """
     if f.group != g:
         raise GroupMismatchError("function table is over a different group")

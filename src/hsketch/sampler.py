@@ -100,9 +100,11 @@ def tau_gra_density(zero_levels, m_prime: int) -> float:
     the per-level density lam * (1 - e^{-1/m'}), not lam itself; see
     :func:`tau_gra_estimate` for the calibrated cardinality.
     """
-    levels = np.asarray(sorted(zero_levels), dtype=np.int64)
+    levels = np.asarray(sorted(zero_levels))
     if levels.size == 0:
         raise SaturatedError("no empty levels: sketch is saturated at this cardinality")
+    if levels.dtype.kind not in "iu":  # an int64 cast would truncate 2.5 to 2
+        raise InvalidConfigError(f"empty levels must be integers, got {levels.dtype} values")
     terms = _tau_terms(_checked_int("m_prime", m_prime, 1))
     if levels[0] < 0 or levels[-1] >= len(terms):
         raise InvalidConfigError(f"empty levels must lie in [0, {len(terms)})")

@@ -38,7 +38,9 @@ finished; sparse rows rise strictly, so a word that reaches column c has c + 1
 copies, and the hits go to the registers with one scatter-add per block.
 
 Every register array, towers of both modes and both sampler modes, is
-updated by one flat scatter-add, :func:`_scatter_add`.
+updated by one flat scatter-add, :func:`_scatter_add`, except at the dense
+Poisson cells: every update reaches them, so a block adds its counts times
+the value rows, one ``cnt @ ys`` matrix product, to its slice of registers.
 
 A count never depends on the value, so K streams over G fed the same ids are
 the K coordinates of one stream over G^K: one tower over the product group,
@@ -117,6 +119,8 @@ class SketchConfig:
     def __post_init__(self):
         if self.mode not in ("poisson", "binomial"):
             raise InvalidConfigError(f"unknown mode {self.mode!r}")
+        if self.group is not None and not isinstance(self.group, GroupDescriptor):
+            raise InvalidConfigError(f"group {self.group!r} is neither None nor a GroupDescriptor")
         for name, (lo, hi) in _FIELD_RANGES.items():
             object.__setattr__(self, name, _checked_int(name, getattr(self, name), lo, hi))
         if self.b <= self.a:

@@ -32,6 +32,9 @@ behind ``dft`` and ``column_aggregates``; their weight grids, like
 ``neg`` and ``scalar_mul`` are the group arithmetic the character identities
 are checked against.
 
+``memo_bytes`` recounts what ``hsketch.groups._MEMO`` charges, its entries'
+snapshot and result bytes, for comparison with the memo's byte budget.
+
 ``gen_stream_oracle`` is the workload generator as it was when its shuffle
 used a stable ``argsort``, for comparison with ``hsketch.workloads.gen_stream``,
 which sorts the same (pairwise distinct) keys packed with their indices and
@@ -532,3 +535,8 @@ def riemann_gap_check(
     riemann = sum(h(k / m) for k in ks) / m
     deriv_mass = _adaptive_simpson(lambda x: abs(h_prime(x)), lo, hi, tol)
     return GapCheckResult(abs(integral - riemann), float(deriv_mass.real) / m)
+
+
+def memo_bytes(memo) -> int:
+    """The bytes of every entry's snapshot and result."""
+    return sum(entry[-2].nbytes + entry[-1].nbytes for entry in memo)

@@ -6,16 +6,18 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from _oracles import (
-    add, aggregate_column, char_eval, column_aggregates_oracle, neg, oracle_close, variance_factor_oracle,
+    add, aggregate_column, char_eval, column_aggregates_oracle, memo_bytes, neg, oracle_close,
+    variance_factor_oracle,
 )
 from hsketch import estimator, groups
 from hsketch.errors import GroupMismatchError, InvalidConfigError, InvalidGroupError, InvalidRHatError
 from hsketch.estimator import (
     EstimateReport,
+    RHatTable,
     _column_aggregates,
     _support_spectrum,
     column_aggregates,
@@ -424,6 +426,14 @@ def test_predict_variance_rejects_invalid_m_and_lambda(m, lam):
     assert predict_variance(spectrum, rhat, np.float64(1000.0), np.int64(64)) > 0
 
 
+@pytest.mark.parametrize("a", [2.5, "a", 2**31, -(2**31) - 1, None])
+def test_truncation_tail_checks_a_as_the_config_does(a):
+    # unchecked, a=2.5 gave 194.01 for a window start no config accepts, and "a" a bare TypeError
+    with pytest.raises(InvalidConfigError):
+        truncation_tail(64, a)
+    assert truncation_tail(64, np.int64(3)) == truncation_tail(64, 3)
+
+
 def test_predict_variance_leaves_no_residue_matrix_on_the_group():
     # a descriptor held by any cache would pin |G| * d int64 (369 MB at Z_7^8)
     group = make_group([7, 7, 7])
@@ -445,14 +455,22 @@ def test_rhat_from_pmf_rejects_non_integer_residues():
 def test_rhat_validation():
     with pytest.raises(InvalidRHatError):
         rhat_from_pmf(Z7, {1: 0.7, 2: 0.7})
-    from hsketch.estimator import RHatTable
-
     with pytest.raises(InvalidRHatError):
         RHatTable(Z7, np.full(7, 2.0 + 0j))
     bad = np.ones(7, dtype=complex)
     bad[0] = 0.2
     with pytest.raises(InvalidRHatError):
         RHatTable(Z7, bad)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, complex(0, math.nan)])
+@pytest.mark.parametrize("gamma", [0, 3])
+def test_rhat_table_rejects_non_finite_entries(value, gamma):
+    # NaN passes both the modulus and the total-mass comparisons, and predict_variance then returned NaN
+    values = rhat_from_pmf(Z7, {j: 1 / 6 for j in range(1, 7)}).values.copy()
+    values[gamma] = value
+    with pytest.raises(InvalidRHatError):
+        RHatTable(Z7, values)
 
 
 # -- export -------------------------------------------------------------------------
@@ -552,9 +570,9 @@ def test_large_group_aggregates_equal_per_register_oracle(orders, literal):
 
 @pytest.fixture
 def fresh_memo():
-    estimator._MEMO.clear()
-    yield estimator._MEMO
-    estimator._MEMO.clear()
+    groups._MEMO.clear()
+    yield groups._MEMO
+    groups._MEMO.clear()
 
 
 def _binomial_z7(seed=3, n=2000, salt=0):
@@ -639,14 +657,15 @@ def test_memo_tells_same_config_sketches_apart(fresh_memo):
     assert len(fresh_memo) == 3
 
 
-def test_memo_holds_at_most_eight_least_recently_used(fresh_memo):
+def test_memo_evicts_least_recently_used_past_its_budget(fresh_memo, monkeypatch):
     sketches = [_binomial_z7(seed=s, n=200) for s in range(12)]
+    monkeypatch.setattr(fresh_memo, "budget", 8 * (sketches[0].registers.nbytes + 16 * 7))  # 8 entries
     for sk in sketches[:8]:
         _memo_product(sk)
     _memo_product(sketches[0])  # a hit makes seed 0 the most recent entry
     for sk in sketches[8:]:
         _memo_product(sk)
-        assert len(fresh_memo) <= 8
+        assert memo_bytes(fresh_memo) <= fresh_memo.budget
     assert [c.seed for c, *_ in fresh_memo] == [5, 6, 7, 0, 8, 9, 10, 11]
     for sk in sketches:
         assert np.array_equal(_memo_product(sk), _fresh(sk).prod(axis=0))
@@ -723,6 +742,17 @@ def test_group_mismatch_raises_before_aggregating(fresh_memo, query):
     assert len(fresh_memo) == len(before) and all(e is b for e, b in zip(fresh_memo, before))
 
 
+def test_column_aggregates_rejects_what_is_not_a_sketch(fresh_memo):
+    # as estimate_f does; these raised a bare AttributeError
+    sk = _binomial_z7()
+    for bad in ("x", None, column_aggregates(sk), sk.registers):
+        with pytest.raises(TypeError, match=f"cannot aggregate {type(bad).__name__}"):
+            column_aggregates(bad)
+    with pytest.raises(TypeError, match="cannot aggregate str"):
+        estimate_f("x", modulo_spectrum(7, 1))
+    assert len(fresh_memo) == 0
+
+
 @pytest.mark.parametrize("literal", [False, True])
 def test_column_aggregates_of_an_integer_sketch_names_both_ways_to_query_it(fresh_memo, literal):
     ski = sketch_new(_cfg(group=None, seed=8))
@@ -781,8 +811,9 @@ def test_numpy_integer_orders_give_the_bits_of_python_ints(fresh_memo):
         assert ski.reduce_values_mod(p) == ski.reduce_values_mod(7)
 
 
-def test_memo_is_safe_across_threads(fresh_memo):
+def test_memo_is_safe_across_threads(fresh_memo, monkeypatch):
     sketches = [_binomial_z7(seed=s, n=300) for s in range(10)]
+    monkeypatch.setattr(fresh_memo, "budget", 5 * (sketches[0].registers.nbytes + 16 * 7))  # 5 entries
     wants = [_fresh(sk).prod(axis=0) for sk in sketches]
     bad = []
 
@@ -803,7 +834,7 @@ def test_memo_is_safe_across_threads(fresh_memo):
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    assert bad == [] and len(fresh_memo) <= 8
+    assert bad == [] and memo_bytes(fresh_memo) <= fresh_memo.budget and len(fresh_memo) <= 5
     for cfg, literal, snap, prod in fresh_memo:
         assert np.array_equal(prod, _column_aggregates(cfg, snap, literal).values.prod(axis=0))
 
@@ -819,11 +850,13 @@ OPS = st.lists(
 )
 
 
-@settings(max_examples=60)
-@given(OPS)
-def test_memo_equals_the_uncached_computation(ops):
-    estimator._MEMO.clear()
+@settings(max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(ops=OPS)
+def test_memo_equals_the_uncached_computation(monkeypatch, ops):
+    groups._MEMO.clear()
     sketches = [sketch_new(_cfg(m=4, a=0, b=12, seed=2)) for _ in range(2)]
+    budget = 3 * (sketches[0].registers.nbytes + 16 * 7)  # 3 entries, so queries evict
+    monkeypatch.setattr(groups._MEMO, "budget", budget)
     history = [[], []]
     for op, i, x, literal in ops:
         sk = sketches[i]
@@ -840,10 +873,70 @@ def test_memo_equals_the_uncached_computation(ops):
         elif op == "query":
             got = _memo_product(sk, literal)
             assert np.array_equal(got, _fresh(sk, literal).prod(axis=0))
+            assert memo_bytes(groups._MEMO) <= budget
     for sk in sketches:
         assert np.array_equal(_memo_product(sk), _uncached(sk).prod(axis=0))
-    assert len(estimator._MEMO) <= 8
-    estimator._MEMO.clear()
+    groups._MEMO.clear()
+
+
+def _traced_bytes(base):
+    return tracemalloc.get_traced_memory()[0] - base
+
+
+@pytest.mark.parametrize("d", [4, 6], ids=["Z7^4", "Z7^6"])
+def test_memo_bytes_stay_within_its_budget(fresh_memo, monkeypatch, d):
+    group = make_group([7] * d)
+    rng = np.random.default_rng(17)
+    sketches = []
+    for seed in range(7):
+        sk = sketch_new(SketchConfig(group, 8, 40, 216, seed, "binomial"))
+        sk.update_batch(rng.integers(0, 1 << 40, 500), rng.integers(0, 7, (500, d)))
+        sketches.append(sk)
+    wants = [_uncached(sk).prod(axis=0) for sk in sketches]  # also builds the shared weights
+    charge = sketches[0].registers.nbytes + 16 * group.total_size
+    monkeypatch.setattr(fresh_memo, "budget", 3 * charge + charge // 2)
+    # a transform whose table and result alone are over the budget
+    big = make_group([2] * (fresh_memo.budget // 32).bit_length())
+    table = FunctionTable(big, rng.normal(size=big.total_size) + 0j)
+    slack = 16 << 10  # entry tuples and array headers, which the charge leaves out
+    order = []
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for k in (0, 1, 2, 0, 3, 4, 5):  # the second query of sketch 0 is a hit, which makes it the newest
+            assert _memo_product(sketches[k]).tobytes() == wants[k].tobytes()
+            order.append([cfg.seed for cfg, *_ in fresh_memo])
+            assert memo_bytes(fresh_memo) <= _traced_bytes(base) <= fresh_memo.budget + slack
+        before = list(fresh_memo)
+        got = dft(big, table)
+        assert got.values.tobytes() == np.fft.fftn(table.values.reshape(big.orders)).tobytes()
+        del got
+        assert _traced_bytes(base) <= fresh_memo.budget + slack  # nothing of the large transform stayed
+    finally:
+        tracemalloc.stop()
+    assert 2 * 16 * big.total_size > fresh_memo.budget
+    assert len(fresh_memo) == len(before) and all(e is b for e, b in zip(fresh_memo, before))
+    assert order == [[0], [0, 1], [0, 1, 2], [1, 2, 0], [2, 0, 3], [0, 3, 4], [3, 4, 5]]
+    stored = {cfg.seed: prod for cfg, _, _, prod in fresh_memo}
+    for k in (3, 4, 5, 0, 1, 2, 6):  # a hit returns the stored product itself, a miss a fresh one
+        got = _memo_product(sketches[k])
+        assert got.tobytes() == wants[k].tobytes() and (got is stored.get(k)) == (k in stored)
+
+
+def test_memo_budget_holds_one_z7_8_entry(fresh_memo):
+    assert fresh_memo.budget == groups._MEMO_BYTES == 128 << 20
+    # a Z_7^8 binomial tower at m=64: (1408, 3, 8) int64 registers and a 16-byte complex per character
+    entry = 1408 * 3 * 8 * 8 + 16 * 7**8
+    assert entry <= groups._MEMO_BYTES < 2 * entry
+    # a real Z_7^6 entry under the real budget: stored, charged its registers and product
+    group = make_group([7] * 6)
+    sk = sketch_new(SketchConfig(group, 64, 320, 1728, 5, "binomial"))
+    rng = np.random.default_rng(19)
+    sk.update_batch(rng.integers(0, 1 << 40, 3000), rng.integers(0, 7, (3000, 6)))
+    want = _uncached(sk).prod(axis=0)
+    got = _memo_product(sk)
+    assert memo_bytes(fresh_memo) == sk.registers.nbytes + 16 * group.total_size == 2_085_136
+    assert got.tobytes() == want.tobytes() and _memo_product(sk) is got is fresh_memo[0][-1]
 
 
 # -- warm queries ------------------------------------------------------------------
@@ -941,7 +1034,7 @@ def _warm_case(case, rng):
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(WARM_CASES), st.booleans(), st.integers(0, 2**32 - 1))
 def test_warm_estimate_equals_the_cold_one_bit_for_bit(case, literal, seed):
-    estimator._MEMO.clear()
+    groups._MEMO.clear()
     rng = np.random.default_rng(seed)
     sk, spectrum = _warm_case(case, rng)
     orders = sk.config.group.orders if sk.config.group is not None else None
@@ -953,16 +1046,16 @@ def test_warm_estimate_equals_the_cold_one_bit_for_bit(case, literal, seed):
 
     cold = query()  # a miss
     assert cold == _formula_bits(sk, spectrum, literal)
-    assert query() == cold and len(estimator._MEMO) == per_state  # a hit
+    assert query() == cold and len(groups._MEMO) == per_state  # a hit
     regs = sk.registers.copy()
     cell = tuple(int(rng.integers(k)) for k in sk.registers.shape)
     sk.registers[cell] = regs[cell] + 1 if orders is None else (regs[cell] + 1) % orders[cell[-1]]
     written = query()  # a miss on the written registers
-    assert written == _formula_bits(sk, spectrum, literal) and len(estimator._MEMO) == 2 * per_state
+    assert written == _formula_bits(sk, spectrum, literal) and len(groups._MEMO) == 2 * per_state
     assert query() == written
     sk.registers[:] = regs
-    assert query() == cold and len(estimator._MEMO) == 2 * per_state  # a hit again
-    estimator._MEMO.clear()
+    assert query() == cold and len(groups._MEMO) == 2 * per_state  # a hit again
+    groups._MEMO.clear()
 
 
 @pytest.mark.parametrize("literal", [False, True])

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from _oracles import add, char_eval, dft_oracle, idft_oracle, neg, oracle_close, scalar_mul
+from _oracles import add, char_eval, dft_oracle, idft_oracle, memo_bytes, neg, oracle_close, scalar_mul
 from hsketch import groups
 from hsketch.errors import GroupMismatchError, InvalidGroupError
 from hsketch.groups import (
@@ -278,9 +278,9 @@ def test_strided_values_transform_as_their_contiguous_copy(transform_memo):
 
 @pytest.fixture
 def transform_memo():
-    groups._TRANSFORM_MEMO.clear()
-    yield groups._TRANSFORM_MEMO
-    groups._TRANSFORM_MEMO.clear()
+    groups._MEMO.clear()
+    yield groups._MEMO
+    groups._MEMO.clear()
 
 
 def _uncached(g, values, direction):
@@ -309,10 +309,12 @@ TRANSFORM_OPS = st.lists(
 )
 
 
-@settings(max_examples=40, deadline=None)
-@given(TRANSFORM_OPS)
-def test_transform_memo_equals_the_uncached_computation(ops):
-    groups._TRANSFORM_MEMO.clear()
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(ops=TRANSFORM_OPS)
+def test_transform_memo_equals_the_uncached_computation(monkeypatch, ops):
+    groups._MEMO.clear()
+    budget = 2 * 32 * 343  # room for two Z_7^3 entries (a table and its transform each), so transforms evict
+    monkeypatch.setattr(groups._MEMO, "budget", budget)
     rng = np.random.default_rng(0)
     tables = [
         [rng.normal(size=g.total_size) + 1j * rng.normal(size=g.total_size) for _ in range(2)]
@@ -328,8 +330,8 @@ def test_transform_memo_equals_the_uncached_computation(ops):
         got = (dft if op == "dft" else idft)(g, table).values
         assert got.tobytes() == _uncached(g, values, op).tobytes()  # the same bits, zero signs too
         assert oracle_close(got, _oracle(g, values, op))
-    assert len(groups._TRANSFORM_MEMO) <= 8
-    groups._TRANSFORM_MEMO.clear()
+        assert memo_bytes(groups._MEMO) <= budget
+    groups._MEMO.clear()
 
 
 @pytest.mark.parametrize("direction", ["dft", "idft"])
@@ -364,15 +366,16 @@ def test_transform_memo_tells_dft_and_idft_of_one_array_apart(transform_memo):
     assert len(transform_memo) == 2
 
 
-def test_transform_memo_holds_at_most_eight_least_recently_used(transform_memo):
+def test_transform_memo_evicts_least_recently_used_past_its_budget(transform_memo, monkeypatch):
     g = make_group([7])
     tables = [FunctionTable(g, np.full(7, float(k))) for k in range(12)]
+    monkeypatch.setattr(transform_memo, "budget", 8 * 2 * 16 * 7)  # 8 entries of two 7-entry tables
     for f in tables[:8]:
         dft(g, f)
     dft(g, tables[0])  # a hit makes table 0 the most recent entry
     for f in tables[8:]:
         dft(g, f)
-        assert len(transform_memo) <= 8
+        assert memo_bytes(transform_memo) <= transform_memo.budget
     assert [snap[0].real for *_, snap, _ in transform_memo] == [5, 6, 7, 0, 8, 9, 10, 11]
     for f in tables:
         assert np.array_equal(dft(g, f).values, _uncached(g, f.values, "dft"))

@@ -1,5 +1,7 @@
+import importlib
 import math
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -8,7 +10,7 @@ import numpy as np
 import pytest
 
 import hsketch
-from hsketch import experiments
+from hsketch import experiments, groups
 from hsketch.cli import main as cli_main
 from hsketch.errors import InvalidConfigError, InvalidWorkloadError, SchemaError
 from hsketch.experiments import (
@@ -587,6 +589,33 @@ def test_public_names_are_pinned():
     ]
     assert len(expect) == 58
     assert sorted(names) == expect
+
+
+def test_caches_are_pinned():
+    # every module-level lru_cache and query memo, by qualified name, so that a new cache is a reviewed
+    # edit; a cache is listed once, a memo with each module that binds it
+    found = {}
+    for info in pkgutil.iter_modules(hsketch.__path__):
+        module = importlib.import_module(f"hsketch.{info.name}")
+        for name, obj in vars(module).items():
+            if isinstance(obj, groups._Memo):
+                found.setdefault(id(obj), []).append(f"{module.__name__}.{name}")
+            elif hasattr(obj, "cache_info") and obj.__module__ == module.__name__:
+                found[id(obj)] = [f"{module.__name__}.{obj.__qualname__}"]
+    caches = sorted(" = ".join(sorted(names)) for names in found.values())
+    assert caches == [
+        "hsketch.estimator._MEMO = hsketch.groups._MEMO",
+        "hsketch.estimator._modulo_spectrum",
+        "hsketch.estimator._support_spectrum",
+        "hsketch.estimator._weights",
+        "hsketch.groups._cyclic_descriptor",
+        "hsketch.sampler._level_thresholds",
+        "hsketch.sampler._tau_terms",
+        "hsketch.tower._binomial_thresholds",
+        "hsketch.tower._cell_table",
+        "hsketch.tower._config_over",
+        "hsketch.tower._level_cdf",
+    ]
 
 
 def test_a_failing_property_test_fails_without_an_internal_error(tmp_path):

@@ -143,6 +143,20 @@ def test_tau_gra_rejects_levels_outside_the_grid(levels, m_prime):
         tau_gra_estimate(levels, m_prime)
 
 
+@pytest.mark.parametrize("levels", [[2.5, 3.7], [2.0, 3.0], np.array([2.5, 3.7]), [True, False]])
+def test_tau_gra_rejects_non_integer_levels(levels):
+    # an int64 cast truncated [2.5, 3.7] to [2, 3] and returned that set's estimate
+    from hsketch.sampler import tau_gra_density
+
+    with pytest.raises(InvalidConfigError, match="integers"):
+        tau_gra_density(levels, 8)
+    with pytest.raises(InvalidConfigError, match="integers"):
+        tau_gra_estimate(levels, 8)
+    want = tau_gra_density([2, 3], 8)
+    for ok in (np.array([3, 2], dtype=np.uint8), [np.int64(2), 3], range(2, 4)):
+        assert tau_gra_density(ok, 8) == want
+
+
 def test_tau_gra_monte_carlo_small():
     lam, m_prime = 2000, 96
     ests = []

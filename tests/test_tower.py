@@ -117,6 +117,14 @@ def test_config_invariants():
             SketchConfig(Z7, m=2, a=-1500, b=-1499, seed=0, mode=mode)
 
 
+@pytest.mark.parametrize("group", [[7], (7,), 7, "Z7", make_group([7]).orders])
+def test_config_rejects_a_group_that_is_not_a_descriptor(group):
+    # accepted unchecked, a list group made sketch_new raise a bare AttributeError
+    with pytest.raises(InvalidConfigError, match="GroupDescriptor"):
+        SketchConfig(group, m=8, a=0, b=64, seed=1)
+    assert SketchConfig(None, m=8, a=0, b=64, seed=1).group is None
+
+
 def test_windows():
     assert default_window(64) == (0, 1408)
     lo, hi = theoretical_window(32, 10_000)

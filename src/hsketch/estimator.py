@@ -38,10 +38,10 @@ The memo of the transforms, ``groups._MEMO``, keeps the column products too,
 each under its config (an integer sketch's over Z_p), ``literal`` flag and a
 snapshot of the registers it read (int64 for an integer sketch, so a hit
 reduces nothing).  The product over the three columns is computed once on the
-miss and stored read-only; entries leave only by least-recently-used eviction
-within the memo's byte budget, and :func:`estimate_f` reads an entry in
-place.  :func:`column_aggregates` neither reads nor fills the memo: it
-computes fresh aggregates on each call.
+miss and stored read-only; entries leave by least-recently-used eviction
+within the memo's byte budget or when an experiment trial drops its towers'
+entries, and :func:`estimate_f` reads an entry in place.  :func:`column_aggregates`
+neither reads nor fills the memo: it computes fresh aggregates on each call.
 
 A warm query builds no config and no spectrum, and copies no register
 array: a config over a group comes from ``tower._config_over``, cached per
@@ -314,33 +314,39 @@ def rhat_from_pmf(group: GroupDescriptor, pmf: dict | FunctionTable) -> RHatTabl
 def variance_factor(s: SpectrumTable, rhat: RHatTable) -> complex:
     """The double sum over character pairs that controls the leading variance.
 
-    All fractional powers are principal-branch; Re(1 - mu) >= 0 keeps them
-    off the branch cut.  The (gamma, gamma') table is summed in blocks of
-    gamma rows of at most 2^16 entries, so a group of up to 256 elements is
-    one block and memory stays bounded for any group.
+    With mu = R-hat, c = (1 - mu)^{2/3}, a = s c(-.) and b = conj(s) c, it is
+    -(1/|G|^2) sum_{gamma, gamma'} a(gamma) b(gamma') [c(gamma' - gamma)
+    - (2 - mu(-gamma) - mu(gamma'))^{2/3}], summed without forming the pairs.
+    The first term is a group convolution of a with c (by FFT) dotted with b.
+    The second depends on a pair only through mu(-gamma) and mu(gamma'), so a
+    and b are summed within each of the D distinct values of mu, and the (D, D)
+    table in blocks of at most 2^16 entries: O(|G| log |G| + D^2) time, O(|G|)
+    memory.  Values of mu an ulp apart are not merged by rounding: the terms
+    cancel, and rounding moved results by up to 9e-11 relative.  Powers are
+    principal-branch; Re(1 - mu) >= 0 keeps them off the branch cut.
     """
     group = s.group
     if rhat.group != group:
         raise InvalidRHatError("distribution transform is over a different dual group")
-    n = group.total_size
-    res = group.residue_matrix
-    neg_idx = np.mod(-res, group.orders) @ np.array(group.index_weights, dtype=np.int64)
-    mu = rhat.values
-    two_thirds = 2.0 / 3.0
-    b_row = np.power(1.0 - mu[neg_idx], two_thirds)
-    c_col = np.power(1.0 - mu, two_thirds)[None, :]
-    step = max(1, (1 << 16) // n)
-    total = 0.0
-    for lo in range(0, n, step):
-        rows = neg_idx[lo : lo + step]
-        pair_idx = np.zeros((len(rows), n), dtype=np.int64)  # index of -gamma + gamma'
-        for r, col, p, w in zip(res[rows].T, res.T, group.orders, group.index_weights):
-            pair_idx += (r[:, None] + col[None, :]) % p * w
-        t_cross = np.power(1.0 - mu[pair_idx], two_thirds)
-        t_split = np.power(2.0 - mu[rows][:, None] - mu[None, :], two_thirds)
-        fmat = s.values[lo : lo + step, None] * s.values.conj()[None, :]
-        total += (fmat * (t_cross - t_split) * b_row[lo : lo + step, None] * c_col).sum()
-    return complex(-total / (n * n))
+
+    def negated(x: np.ndarray) -> np.ndarray:
+        return np.roll(np.flip(x.reshape(group.orders)), 1, range(group.degree)).ravel()
+
+    c = np.power(1.0 - rhat.values, 2.0 / 3.0)
+    a, b = s.values * negated(c), s.values.conj() * c
+    conv = np.fft.ifftn(np.fft.fftn(a.reshape(group.orders)) * np.fft.fftn(c.reshape(group.orders)))
+    total = np.dot(b, conv.ravel())
+    u, inv = np.unique(rhat.values, return_inverse=True)
+
+    def summed(x: np.ndarray, index: np.ndarray) -> np.ndarray:
+        return np.bincount(index, x.real, len(u)) + 1j * np.bincount(index, x.imag, len(u))
+
+    a_u, b_v = summed(a, negated(inv)), summed(b, inv)
+    step = max(1, (1 << 16) // len(u))
+    for lo in range(0, len(u), step):
+        split = np.power(2.0 - u[lo : lo + step, None] - u[None, :], 2.0 / 3.0)
+        total -= (a_u[lo : lo + step, None] * split * b_v).sum()
+    return complex(-total / group.total_size**2)
 
 
 def predict_variance(s: SpectrumTable, rhat: RHatTable, lam: float, m: int) -> float:

@@ -27,7 +27,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from . import prf
+from . import groups, prf
 from .errors import (
     InvalidConfigError,
     InvalidWorkloadError,
@@ -178,6 +178,7 @@ def _trial(queries: Callable, args) -> list[list[list]]:
 
     ``queries(group, truths)`` gives each workload's (quantity, spectrum, truth)
     list and the function that estimates those quantities from a sampler.
+    It drops its towers' memo entries, which no later trial reads, on return.
     """
     workloads, schemes, p, trial, seed = args
     # (ids, values, truth) of each workload
@@ -206,6 +207,7 @@ def _trial(queries: Callable, args) -> list[list[list]]:
                 for (quantity, _, truth), (est, imag) in zip(qs, estimates)
             ]
         out.append(rows)
+    groups._MEMO.drop({sketch.config for sketches in towers for sketch in sketches.values()})
     return out
 
 

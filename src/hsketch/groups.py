@@ -97,16 +97,6 @@ class GroupDescriptor:
         p = self.orders[0]
         return _read_only(np.exp(2j * np.pi * np.arange(p) / p))
 
-    @property
-    def residue_matrix(self) -> np.ndarray:
-        """(total_size, d) int64 matrix of all elements in enumeration order, built per call."""
-        n, d = self.total_size, self.degree
-        out = np.empty((n, d), dtype=np.int64)
-        idx = np.arange(n)
-        for t in range(d):
-            out[:, t] = (idx // self.index_weights[t]) % self.orders[t]
-        return _read_only(out)
-
     # -- element handling -------------------------------------------------
 
     def element(self, residues: Sequence[int]) -> GroupElement:
@@ -208,6 +198,11 @@ class _Memo(list):
                 held = np.cumsum([e[-2].nbytes + e[-1].nbytes for e in reversed(self)])  # newest first
                 del self[: len(self) - np.searchsorted(held, self.budget, side="right")]
         return result
+
+    def drop(self, heads) -> None:
+        """Remove every entry whose key starts with a member of ``heads``, such as the configs of spent towers."""
+        with self._lock:
+            self[:] = [entry for entry in self if entry[0] not in heads]
 
 
 _MEMO = _Memo()

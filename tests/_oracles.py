@@ -10,7 +10,7 @@ sum the characters outright, for comparison with ``hsketch.groups.dft`` and
 ``idft``; ``oracle_close`` is the tolerance of those comparisons, since the
 package sums by FFT.  ``variance_factor_oracle`` is ``variance_factor`` as
 first written, with all six (|G|, |G|) pair tables at once, for comparison
-with its sum over blocks of rows.  The bucket helpers model a single
+with its convolution and its sum over distinct values of R-hat.  The bucket helpers model a single
 fingerprint level, one element at a time, for comparison with
 ``hsketch.sampler.classify_many`` and ``SamplerSketch``.
 ``ideal_levels_oracle`` classifies the levels of an ideal-mode sampler from
@@ -254,7 +254,7 @@ def variance_factor_oracle(s: SpectrumTable, rhat: RHatTable) -> complex:
     """The variance double sum over every (gamma, gamma') pair at once: O(|G|^2) memory."""
     group = s.group
     n = group.total_size
-    res = group.residue_matrix
+    res = _elements(group)
     orders = np.array(group.orders, dtype=np.int64)
     weights = np.array(group.index_weights, dtype=np.int64)
     neg_idx = (np.mod(-res, orders) @ weights).astype(np.int64)

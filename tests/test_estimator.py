@@ -385,6 +385,40 @@ def test_variance_factor_sums_blocks_in_bounded_memory(spectrum_kind):
     assert abs(got - want) <= 1e-12 * abs(want)
 
 
+def _pattern_rhat(group, rng):
+    """R-hat of a pmf that is constant on each zero pattern (which factors are 0) and 0 at the identity."""
+    nonzero = np.indices(group.orders).reshape(group.degree, -1) != 0
+    pattern = (1 << np.arange(group.degree)) @ nonzero
+    pmf = rng.random(1 << group.degree)[pattern] / np.bincount(pattern)[pattern]
+    pmf[0] = 0.0
+    return rhat_from_pmf(group, FunctionTable(group, pmf / pmf.sum()))
+
+
+SMALL_GROUPS = st.one_of(
+    st.integers(2, 512).map(lambda p: [p]),
+    st.integers(1, 9).map(lambda k: [2] * k),
+    st.lists(st.integers(2, 8), min_size=2, max_size=4).filter(lambda orders: math.prod(orders) <= 512),
+)
+
+
+@given(SMALL_GROUPS, st.sampled_from(["random", "pattern"]), st.booleans(), st.integers(0, 2**32 - 1))
+def test_variance_factor_matches_the_pair_sum_oracle(orders, pmf_kind, support, seed):
+    # |G| <= 512 keeps the oracle's (|G|, |G|) tables small
+    group = make_group(orders)
+    n = group.total_size
+    rng = np.random.default_rng(seed)
+    if pmf_kind == "pattern":
+        rhat = _pattern_rhat(group, rng)
+    else:
+        pmf = rng.random(n)
+        pmf[0] = 0.0
+        rhat = rhat_from_pmf(group, FunctionTable(group, pmf / pmf.sum()))
+    values = -np.ones(n) if support else np.array([1.0, 1j]) @ rng.normal(size=(2, n))
+    spectrum = SpectrumTable(group, values)
+    want = variance_factor_oracle(spectrum, rhat)
+    assert abs(variance_factor(spectrum, rhat) - want) <= 1e-9 * abs(want)
+
+
 def test_variance_factor_bound():
     rng = np.random.default_rng(8)
     bound = 8 * (1 + 2 ** (2 / 3))
@@ -434,12 +468,26 @@ def test_truncation_tail_checks_a_as_the_config_does(a):
     assert truncation_tail(64, np.int64(3)) == truncation_tail(64, 3)
 
 
-def test_predict_variance_leaves_no_residue_matrix_on_the_group():
-    # a descriptor held by any cache would pin |G| * d int64 (369 MB at Z_7^8)
-    group = make_group([7, 7, 7])
-    rhat = rhat_from_pmf(group, {(1, 2, 3): 0.5, (0, 0, 4): 0.5})
-    assert predict_variance(SpectrumTable(group, np.full(343, -1.0 + 0j)), rhat, 1000.0, 64) > 0
-    assert "residue_matrix" not in group.__dict__
+def test_variance_factor_reaches_z7_to_the_fifth_in_linear_memory():
+    # a sum over (gamma, gamma') pairs would take 2.8e8 pair evaluations here
+    group = make_group([7] * 5)
+    rhat = _pattern_rhat(group, np.random.default_rng(5))
+    spectrum = _support_spectrum(group)
+    tracemalloc.start()
+    try:
+        alpha = variance_factor(spectrum, rhat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 16 * group.total_size  # 1.94 MiB measured: about 8 complex arrays of |G|
+    # reversing the factor order is an automorphism of the group, so alpha keeps its value
+    def reversed_factors(values):
+        return values.reshape(group.orders).transpose(tuple(range(group.degree))[::-1]).ravel()
+
+    flipped = variance_factor(
+        SpectrumTable(group, reversed_factors(spectrum.values)), RHatTable(group, reversed_factors(rhat.values))
+    )
+    assert alpha.real > 0 and abs(flipped - alpha) <= 1e-12 * abs(alpha)
 
 
 def test_rhat_from_pmf_rejects_non_integer_residues():

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import hsketch
-from hsketch import experiments, groups
+from hsketch import estimator, experiments, groups
 from hsketch.cli import main as cli_main
 from hsketch.errors import InvalidConfigError, InvalidWorkloadError, SchemaError
 from hsketch.experiments import (
@@ -372,6 +372,27 @@ def test_union_trial_tower_is_the_product_of_the_two_stream_towers(monkeypatch):
     assert tower.config == product.config and np.array_equal(tower.registers, product.registers)
     rep = estimate_union(*apart, literal=True)
     assert row[5:7] == [repr(rep.estimate), repr(rep.imag_residual)]
+
+
+def test_trials_drop_their_own_memo_entries_and_no_others(tmp_path, monkeypatch):
+    # 60 union trials in one process left 60 entries that no later query reads (4.1 MB)
+    monkeypatch.setenv("HSKETCH_THREADS", "1")
+    groups._MEMO.clear()
+    apart = [sketch_new(SketchConfig(make_group([7]), 8, 0, 22 * 8, 99)) for _ in range(2)]
+    for c, sk in enumerate(apart):
+        sk.update_batch(np.arange(50), np.arange(50) % 6 + 1 + c)
+    estimate_union(*apart)
+    before = list(groups._MEMO)
+    misses = []
+    aggregate = estimator._column_aggregates
+    monkeypatch.setattr(estimator, "_column_aggregates", lambda *args: misses.append(args) or aggregate(*args))
+    spec = WorkloadSpec("w", {3: 200, 6: 40}, 1 << 16, shuffle_seed=4)
+    config = ExperimentConfig("m", (spec,), (SchemeSpec("fourier", 8),), trials=2, base_seed=11, p=7)
+    run_modulo_experiment(config, tmp_path / "m.csv")
+    assert len(misses) == 2  # one per trial's tower: its other six spectra hit
+    experiments.run_union_experiment(UnionWorkload("u", 100, 80, 40), 8, 3, 1, tmp_path / "u.csv")
+    assert len(groups._MEMO) == len(before) and all(e is b for e, b in zip(groups._MEMO, before))
+    groups._MEMO.clear()
 
 
 def test_modulo_values_past_2_31_are_reduced_at_ingest(tmp_path, monkeypatch):

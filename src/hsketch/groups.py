@@ -200,7 +200,7 @@ class _Memo(list):
         return result
 
     def drop(self, heads) -> None:
-        """Remove every entry whose key starts with a member of ``heads``, such as the configs of spent towers."""
+        """Remove the entries whose key starts with one of ``heads``, such as a spent trial's configs."""
         with self._lock:
             self[:] = [entry for entry in self if entry[0] not in heads]
 

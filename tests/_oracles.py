@@ -10,9 +10,9 @@ sum the characters outright, for comparison with ``hsketch.groups.dft`` and
 ``idft``; ``oracle_close`` is the tolerance of those comparisons, since the
 package sums by FFT.  ``variance_factor_oracle`` is ``variance_factor`` as
 first written, with all six (|G|, |G|) pair tables at once, for comparison
-with its convolution and its sum over distinct values of R-hat.  The bucket helpers model a single
-fingerprint level, one element at a time, for comparison with
-``hsketch.sampler.classify_many`` and ``SamplerSketch``.
+with its convolution and its sum over distinct values of R-hat.  The bucket
+helpers model a single fingerprint level, one element at a time, for
+comparison with ``hsketch.sampler.classify_many`` and ``SamplerSketch``.
 ``ideal_levels_oracle`` classifies the levels of an ideal-mode sampler from
 one dict of net values per level, updated one element at a time.
 

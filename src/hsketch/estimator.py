@@ -60,7 +60,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -85,11 +85,10 @@ def truncation_tail(m: int, a: int) -> float:
 
 @dataclass(frozen=True)
 class EstimateReport:
-    """An estimate, its imaginary residual and its per-character terms (not compared)."""
+    """An estimate and its imaginary residual."""
 
     estimate: float
     imag_residual: float
-    gamma_terms: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -184,6 +183,8 @@ def estimate_f(
 
     An integer sketch is read mod the order of ``s``'s group, which must be cyclic.
     """
+    if not isinstance(s, SpectrumTable):
+        raise GroupMismatchError(f"estimate_f takes a SpectrumTable, got {type(s).__name__}")
     cfg, prod = _resolve_aggregates(sketch, s.group, literal)
     terms = s.values * prod  # in place below: the operations of s.values * prod / scale / |G|
     terms /= cfg.m**3 * _SCALE
@@ -192,7 +193,7 @@ def estimate_f(
     est = float(total.real)
     if clamp_nonnegative:
         est = max(0.0, est)
-    return EstimateReport(estimate=est, imag_residual=abs(float(total.imag)), gamma_terms=terms)
+    return EstimateReport(estimate=est, imag_residual=abs(float(total.imag)))
 
 
 def modulo_spectrum(p: int, j: int) -> SpectrumTable:
@@ -325,9 +326,11 @@ def variance_factor(s: SpectrumTable, rhat: RHatTable) -> complex:
     cancel, and rounding moved results by up to 9e-11 relative.  Powers are
     principal-branch; Re(1 - mu) >= 0 keeps them off the branch cut.
     """
+    if not isinstance(s, SpectrumTable):
+        raise GroupMismatchError(f"variance_factor takes a SpectrumTable, got {type(s).__name__}")
     group = s.group
-    if rhat.group != group:
-        raise InvalidRHatError("distribution transform is over a different dual group")
+    if not isinstance(rhat, RHatTable) or rhat.group != group:
+        raise InvalidRHatError("distribution transform is not an RHatTable over the spectrum's group")
 
     def negated(x: np.ndarray) -> np.ndarray:
         return np.roll(np.flip(x.reshape(group.orders)), 1, range(group.degree)).ravel()

@@ -324,14 +324,14 @@ def dft(g: GroupDescriptor, f: FunctionTable) -> SpectrumTable:
     kept, read-only, under (group, direction, a snapshot of the input
     values), and every call returns a copy, so a repeat gets the same bits.
     """
-    if f.group != g:
-        raise GroupMismatchError("function table is over a different group")
+    if not isinstance(f, FunctionTable) or f.group != g:
+        raise GroupMismatchError(f"dft takes a FunctionTable over {g.orders}")
     return SpectrumTable(g, _transform(g, "dft", f.values))
 
 
 def idft(g: GroupDescriptor, s: SpectrumTable) -> FunctionTable:
     """Inverse transform: f(x) = (1/|G|) * sum_gamma hat(f)(gamma) * chi(x, gamma) (memoized as dft)."""
-    if s.group != g:
-        raise GroupMismatchError("spectrum table is over a different group")
+    if not isinstance(s, SpectrumTable) or s.group != g:
+        raise GroupMismatchError(f"idft takes a SpectrumTable over {g.orders}")
     return FunctionTable(g, _transform(g, "idft", s.values))
 

@@ -54,6 +54,8 @@ LEVEL_SPAN = 22  # levels cover cell masses e^0 .. e^-22 (~2^-32)
 
 def splitter_width(group: GroupDescriptor) -> int:
     """2 slots per column for odd group order, 3 for even."""
+    if not isinstance(group, GroupDescriptor):
+        raise InvalidConfigError(f"group {group!r} is not a GroupDescriptor")
     return 2 if group.total_size % 2 == 1 else 3
 
 
@@ -229,8 +231,8 @@ class SamplerSketch:
 
 def sample_f_moment(sampler: SamplerSketch, f: FunctionTable) -> float:
     """Support estimate times the empirical mean of f over singleton values."""
-    if f.group != sampler.group:
-        raise GroupMismatchError("function table is over a different group")
+    if not isinstance(f, FunctionTable) or f.group != sampler.group:
+        raise GroupMismatchError(f"the moment takes a FunctionTable over {sampler.group.orders}")
     codes, values = sampler.classify_levels()  # one classification for both factors
     values = values[codes == 1]
     if values.shape[0] == 0:

@@ -296,8 +296,8 @@ def _guide_counts(u: np.ndarray, rows, tab: _CellTable) -> np.ndarray:
     ``_GUIDE_STEPS`` times; each step passes on only the words that still
     move.  A row never falls and ends in 2^53, so a word stops at its count.
     The few words still moving after that, in buckets that hold many
-    thresholds at the ends of long rows, take one exact search
-    (:func:`_row_search`).
+    thresholds at the ends of long rows, take one exact ``searchsorted`` on
+    their own row, one call per distinct row.
     """
     width = tab.dense.shape[1]
     buckets = len(tab.guide) // len(tab.dense)
@@ -311,29 +311,12 @@ def _guide_counts(u: np.ndarray, rows, tab: _CellTable) -> np.ndarray:
             break
         p[live] += 1
         live = live[w.take(live) >= flat.take(p.take(live))]
-    if live.size:
-        p[live] = _row_search(w.take(live), p.take(live) // width, tab.dense)
+    row = p.take(live) // width
+    for r in np.unique(row):
+        hit = live[row == r]
+        p[hit] = r * width + np.searchsorted(tab.dense[r], w.take(hit), side="right")
     pos -= rows * width
     return pos
-
-
-def _row_search(w: np.ndarray, rows: np.ndarray, dense: np.ndarray) -> np.ndarray:
-    """Flat positions in ``dense`` of the first threshold above each word ``w[i]`` in row ``rows[i]``.
-
-    One ``searchsorted`` over the words' distinct rows, keyed (rank of the
-    row, threshold) as complex numbers: numpy orders them by real part, then
-    imaginary, and both parts are exact in float64, as thresholds are
-    integers up to 2^53.  So it is exact for any number of rows, where
-    offsets of rank * 2^53 in uint64 would wrap past 2^11 rows.
-    """
-    uniq, rank = np.unique(rows, return_inverse=True)
-    width = dense.shape[1]
-    keys = np.empty((len(uniq), width), dtype=np.complex128)
-    keys.real = np.arange(len(uniq))[:, None]
-    keys.imag = dense[uniq]
-    q = np.empty(len(w), dtype=np.complex128)
-    q.real, q.imag = rank, w
-    return np.searchsorted(keys.reshape(-1), q, side="right") + (uniq - np.arange(len(uniq))).take(rank) * width
 
 
 def _sparse_hits(z: np.ndarray, screen: np.ndarray, thr: np.ndarray):

@@ -9,13 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from hsketch.errors import NoSamplesError, SaturatedError
-from hsketch.estimator import (
-    column_aggregates,
-    estimate_f,
-    estimate_modulo,
-    estimate_support,
-    estimate_union,
-)
+from hsketch.estimator import estimate_f, estimate_modulo, estimate_support, estimate_union
 from hsketch.experiments import squared_rep_table
 from hsketch.groups import dft, make_group
 from hsketch.sampler import SamplerSketch, equal_memory_m_prime, sample_f_moment
@@ -37,11 +31,10 @@ def mod7_trial(args):
     vs, ys = counts_stream(dict(counts))
     sk = TowerSketch(SketchConfig(Z7, m, 0, 22 * m, seed, "poisson"))
     sk.update_batch(vs, ys)
-    agg = column_aggregates(sk)
-    sup = estimate_support(agg, 7)
+    sup = estimate_support(sk, 7)
     psis, imags = [], [sup.imag_residual]
     for j in range(1, 7):
-        rep = estimate_modulo(agg, 7, j)
+        rep = estimate_modulo(sk, 7, j)
         psis.append(rep.estimate)
         imags.append(rep.imag_residual)
     return (sup.estimate, tuple(psis), max(imags))
@@ -122,7 +115,6 @@ def nullity_trial(args):
     vs = np.arange(lam)
     sk = TowerSketch(SketchConfig(Z6, m, 0, 22 * m, seed, "poisson"))
     sk.update_batch(vs, 2 + 2 * (vs % 2))
-    agg = column_aggregates(sk, literal=True)
-    scale = max(1.0, abs(estimate_support(agg, 6, literal=True).estimate))
-    vals = [estimate_modulo(agg, 6, j, literal=True).estimate for j in (1, 3, 5)]
+    scale = max(1.0, abs(estimate_support(sk, 6, literal=True).estimate))
+    vals = [estimate_modulo(sk, 6, j, literal=True).estimate for j in (1, 3, 5)]
     return tuple(vals), scale

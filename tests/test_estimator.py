@@ -31,7 +31,8 @@ from hsketch.estimator import (
     truncation_tail,
     variance_factor,
 )
-from hsketch.groups import FunctionTable, SpectrumTable, dft, make_group
+from hsketch.groups import FunctionTable, SpectrumTable, dft, idft, make_group
+from hsketch.sampler import SamplerSketch, sample_f_moment
 from hsketch.tower import IntegerTowerSketch, SketchConfig, combine_product, sketch_new
 
 Z7 = make_group([7])
@@ -521,6 +522,41 @@ def test_rhat_table_rejects_non_finite_entries(value, gamma):
         RHatTable(Z7, values)
 
 
+def _wrong_kind_calls():
+    """(name, call, error) for each query handed the other kind of table over the right group."""
+    values = np.linspace(0.1, 0.7, 7) + 0j
+    f, s = FunctionTable(Z7, values), SpectrumTable(Z7, values)
+    rhat = rhat_from_pmf(Z7, {1: 0.5, 2: 0.5})
+    sk, ski = sketch_new(_cfg(seed=13)), sketch_new(_cfg(group=None, seed=13))
+    sk.update_batch(np.arange(25), 1 + np.arange(25) % 6)
+    ski.update_batch(np.arange(25), 1 + np.arange(25) % 6)
+    sampler = SamplerSketch(Z7, 8, 1)
+    sampler.update_batch(np.arange(25), 1 + np.arange(25) % 6)
+    as_spectrum = SpectrumTable(Z7, rhat.values)
+    return {
+        "estimate_f": (lambda: estimate_f(sk, f), GroupMismatchError),
+        "estimate_f-integer": (lambda: estimate_f(ski, f), GroupMismatchError),
+        "dft": (lambda: dft(Z7, s), GroupMismatchError),
+        "idft": (lambda: idft(Z7, f), GroupMismatchError),
+        "variance_factor-s": (lambda: variance_factor(f, rhat), GroupMismatchError),
+        "predict_variance-s": (lambda: predict_variance(f, rhat, 100.0, 64), GroupMismatchError),
+        "variance_factor-rhat": (lambda: variance_factor(s, as_spectrum), InvalidRHatError),
+        "predict_variance-rhat": (lambda: predict_variance(s, as_spectrum, 100.0, 64), InvalidRHatError),
+        "sample_f_moment": (lambda: sample_f_moment(sampler, s), GroupMismatchError),
+    }
+
+
+@pytest.mark.parametrize("name", list(_wrong_kind_calls()))
+def test_a_table_of_the_other_kind_raises_as_one_over_another_group(fresh_memo, name):
+    # each returned a number: estimate_f(sk, FunctionTable) read -23.6 on a Z_7 sketch,
+    # and an RHatTable's checks were skipped for a SpectrumTable of the same values
+    call, error = _wrong_kind_calls()[name]
+    before = len(fresh_memo)  # rhat_from_pmf's transform
+    with pytest.raises(error):
+        call()
+    assert len(fresh_memo) == before  # raised before anything was aggregated or transformed
+
+
 # -- export -------------------------------------------------------------------------
 
 
@@ -534,16 +570,6 @@ def test_precomputed_aggregates_must_match_literal_flag():
             estimate_modulo(agg, 7, 1, literal=not literal)
         with pytest.raises(InvalidConfigError):
             estimate_support(agg, 7, literal=not literal)
-
-
-def test_gamma_terms_table():
-    sk = sketch_new(_cfg(seed=13))
-    sk.update_batch(np.arange(25), 1 + (np.arange(25) % 6))
-    spectrum = modulo_spectrum(7, 2)
-    rep = estimate_f(sk, spectrum)
-    assert rep.gamma_terms is not None and rep.gamma_terms.shape == (7,)
-    assert rep.gamma_terms.sum().real == pytest.approx(rep.estimate, abs=1e-12)
-    assert estimate_support(sk, 7).gamma_terms.shape == (7,)
 
 
 # -- FFT aggregation against the per-register oracle ----------------------------
@@ -655,8 +681,8 @@ def test_memo_repeated_query_returns_the_fresh_bits(fresh_memo, literal):
     second = estimate_f(sk, spectrum, literal=literal)
     assert len(fresh_memo) == 1
     assert np.array_equal(_memo_product(sk, literal), want) and np.array_equal(fresh_memo[0][3], want)
-    assert _report_bits(first) == _report_bits(second) == _formula_bits(sk, spectrum, literal)
-    assert second.gamma_terms is not first.gamma_terms and second.gamma_terms is not fresh_memo[0][3]
+    assert _query_bits(sk, first, spectrum, literal) == _query_bits(sk, second, spectrum, literal)
+    assert _query_bits(sk, second, spectrum, literal) == _formula_bits(sk, spectrum, literal)
     assert fresh_memo[0][:2] == (sk.config, literal)
     # the other flag is its own entry: its trivial-character term differs
     other = _memo_product(sk, not literal)
@@ -725,9 +751,9 @@ def test_memo_entries_do_not_alias_callers(fresh_memo):
     regs = sk.registers.copy()
     want = _fresh(sk).prod(axis=0)
     spectrum = modulo_spectrum(7, 3)
-    estimate_f(sk, spectrum).gamma_terms[:] = 0  # written into a miss's result
-    estimate_f(sk, spectrum).gamma_terms[:] = 0  # and into a hit's
-    column_aggregates(sk).values[:] = 0  # and into fresh aggregates
+    estimate_f(sk, spectrum)  # a miss stores the entry
+    estimate_f(sk, spectrum)  # and a hit reads it
+    column_aggregates(sk).values[:] = 0  # written into fresh aggregates
     _mutate(sk, "register-write")
     ((_, _, snap, prod),) = fresh_memo
     assert np.array_equal(snap, regs) and np.array_equal(prod, want)
@@ -821,8 +847,9 @@ def test_integer_sketch_is_read_mod_the_spectrum_order(fresh_memo, p):
     spectrum = SpectrumTable(make_group([p]), rng.normal(size=p) + 1j * rng.normal(size=p))
     for literal in (False, True):
         got = estimate_f(ski, spectrum, literal=literal)
-        want = estimate_f(ski.reduce_values_mod(p), spectrum, literal=literal)
-        assert got == want and np.array_equal(got.gamma_terms, want.gamma_terms)
+        reduced = ski.reduce_values_mod(p)
+        want = estimate_f(reduced, spectrum, literal=literal)
+        assert _query_bits(ski, got, spectrum, literal) == _query_bits(reduced, want, spectrum, literal)
     with pytest.raises(GroupMismatchError):
         estimate_f(ski, SpectrumTable(make_group([7, 7]), np.ones(49)))
 
@@ -855,7 +882,7 @@ def test_numpy_integer_orders_give_the_bits_of_python_ints(fresh_memo):
         assert np.array_equal(modulo_spectrum(p, 3).values, modulo_spectrum(7, 3).values)
         assert estimate_support(ski, p) == estimate_support(ski, 7)
         got, want = estimate_modulo(ski, p, 3), estimate_modulo(ski, 7, 3)
-        assert got == want and np.array_equal(got.gamma_terms, want.gamma_terms)
+        assert _query_bits(ski, got, modulo_spectrum(p, 3)) == _query_bits(ski, want, modulo_spectrum(7, 3))
         assert ski.reduce_values_mod(p) == ski.reduce_values_mod(7)
 
 
@@ -1006,7 +1033,7 @@ def test_warm_estimate_copies_no_registers(fresh_memo):
         tracemalloc.stop()
     # a byte copy of the registers for the memo compare alone would be 270 KB
     assert peak < sk.registers.nbytes // 4
-    assert warm == cold and np.array_equal(warm.gamma_terms, cold.gamma_terms)
+    assert _query_bits(sk, warm, spectrum) == _query_bits(sk, cold, spectrum) == _formula_bits(sk, spectrum, False)
 
 
 def test_warm_estimate_allocates_the_compare_mask_and_its_terms_only(fresh_memo, monkeypatch):
@@ -1036,22 +1063,29 @@ def test_warm_estimate_allocates_the_compare_mask_and_its_terms_only(fresh_memo,
     assert max(compares[0], after) < mask + 3 * table
     # past the compare, a hit holds its terms: no copy of the stored (3, |G|) aggregates, no product
     assert after < 2 * table
-    assert _report_bits(warm) == _report_bits(cold)
+    assert _query_bits(sk, warm, spectrum) == _query_bits(sk, cold, spectrum) == _formula_bits(sk, spectrum, False)
 
 
-def _report_bits(report):
-    return np.array([report.estimate, report.imag_residual]).tobytes(), report.gamma_terms.tobytes()
+def _query_bits(sk, report, s, literal=False):
+    """The bits of the report's two floats and of the column product that ``estimate_f(sk, s)`` read.
+
+    For a sketch the product is its memo entry's, a hit once the query has run.
+    """
+    prod = estimator._resolve_aggregates(sk, s.group, literal)[1]
+    return np.array([report.estimate, report.imag_residual]).tobytes(), prod.tobytes()
 
 
 def _formula_bits(sk, s, literal):
-    """The estimate as ``s.values * prod / scale / |G|`` and ``.sum()``, from unmemoized aggregates."""
+    """``_query_bits`` of the estimate as ``s.values * prod / scale / |G|`` and ``.sum()``.
+
+    The product comes from unmemoized aggregates.
+    """
     if isinstance(sk, IntegerTowerSketch):
         sk = sk.reduce_values_mod(s.group.orders[0])
     cfg = sk.config
-    values = _column_aggregates(cfg, sk.registers, literal).values
-    terms = s.values * values.prod(axis=0) / (cfg.m**3 * estimator._SCALE) / s.group.total_size
-    total = terms.sum()
-    return np.array([float(total.real), abs(float(total.imag))]).tobytes(), terms.tobytes()
+    prod = _column_aggregates(cfg, sk.registers, literal).values.prod(axis=0)
+    total = (s.values * prod / (cfg.m**3 * estimator._SCALE) / s.group.total_size).sum()
+    return np.array([float(total.real), abs(float(total.imag))]).tobytes(), prod.tobytes()
 
 
 WARM_CASES = ["int-2", "int-7", "int-128", "Z7", "Z2^8", "product", "aggregates"]
@@ -1090,7 +1124,7 @@ def test_warm_estimate_equals_the_cold_one_bit_for_bit(case, literal, seed):
 
     def query():
         target = column_aggregates(sk, literal=literal) if case == "aggregates" else sk
-        return _report_bits(estimate_f(target, spectrum, literal=literal))
+        return _query_bits(target, estimate_f(target, spectrum, literal=literal), spectrum, literal)
 
     cold = query()  # a miss
     assert cold == _formula_bits(sk, spectrum, literal)
@@ -1186,14 +1220,16 @@ def test_writes_into_results_leave_the_next_estimate_unchanged(fresh_memo):
     z2_8.update_batch(rng.integers(0, 1 << 40, 500), rng.integers(0, 2, (500, 8)))
     table = FunctionTable(z2_8.group, rng.normal(size=256) + 0j)
     spectrum = modulo_spectrum(7, 3)
-    before = [_report_bits(estimate_f(z7, spectrum)), _report_bits(estimate_f(z2_8, dft(z2_8.group, table)))]
+
+    def bits():
+        s2_8 = dft(z2_8.group, table)
+        return _query_bits(z7, estimate_f(z7, spectrum), spectrum), _query_bits(z2_8, estimate_f(z2_8, s2_8), s2_8)
+
+    before = bits()
     column_aggregates(z7).values[:] = 0
     column_aggregates(z2_8).values[:] = 0
-    estimate_f(z7, spectrum).gamma_terms[:] = 0
-    estimate_f(z2_8, dft(z2_8.group, table)).gamma_terms[:] = 0
     dft(z2_8.group, table).values[:] = 0
-    assert _report_bits(estimate_f(z7, spectrum)) == before[0]
-    assert _report_bits(estimate_f(z2_8, dft(z2_8.group, table))) == before[1]
+    assert bits() == before
 
 
 @pytest.mark.parametrize("p", [2, 7, 128])

@@ -15,6 +15,7 @@ from hsketch.groups import make_group
 from hsketch.tower import (
     _BLOCK_WORDS,
     _CHUNK_UPDATES,
+    _GUIDE_STEPS,
     SketchConfig,
     _cell_table,
     _guide_counts,
@@ -155,6 +156,34 @@ def test_threshold_table_counts_match_float_cdf(m, a, b):
             got[v] = cnt
         want = np.searchsorted(cdf, u.astype(np.float64) * 2.0**-53, side="right")
         assert np.array_equal(got, want), (m, k)
+
+
+@pytest.mark.parametrize("layout", ["update-major", "cell-major"])
+@pytest.mark.parametrize("m,a,b", [(32, -192, 800), (1000, -6500, -4000)])
+def test_guide_counts_search_words_still_moving_after_the_guide_steps(m, a, b, layout):
+    # every dense row in one call, probed at t - 1 and t for its first and last
+    # 8 thresholds t: the crowded buckets at both ends of long rows hold words
+    # that still move after _GUIDE_STEPS steps, in many distinct rows (past
+    # 2^11 of them in the second window), and those take the exact search
+    tab = _cell_table(m, a, b)
+    nd, width = tab.dense.shape
+    buckets = len(tab.guide) // nd
+    lens = np.count_nonzero(tab.dense < np.uint64(1 << 53), axis=1)
+    ends = np.hstack([np.tile(np.arange(8), (nd, 1)), lens[:, None] - 8 + np.arange(8)])
+    t = np.take_along_axis(tab.dense, np.clip(ends, 0, lens[:, None] - 1), axis=1)
+    words = np.concatenate([t - np.uint64(1), t], axis=1)  # (nd, 32)
+    want = np.array([np.searchsorted(tab.dense[r], words[r], side="right") for r in range(nd)])
+    bucket = (words >> np.uint64(54 - buckets.bit_length())).astype(np.int64)
+    start = tab.guide[np.arange(nd)[:, None] * buckets + bucket] - np.arange(nd)[:, None] * width
+    moving = want - start > _GUIDE_STEPS
+    assert np.count_nonzero(moving.any(axis=1)) > nd // 2
+    assert np.flatnonzero(moving.any(axis=1)).max() == nd - 1
+    if layout == "update-major":  # (updates, 3 * cells), as a batch of up to 254 updates is drawn
+        got = _guide_counts(np.repeat(words.T, 3, axis=1), np.arange(3 * nd) // 3, tab)
+        assert np.array_equal(got, np.repeat(want.T, 3, axis=1))
+    else:  # (cells, 3, updates)
+        got = _guide_counts(np.repeat(words[:, None, :], 3, axis=1), np.arange(nd)[:, None, None], tab)
+        assert np.array_equal(got, np.repeat(want[:, None, :], 3, axis=1))
 
 
 @pytest.mark.parametrize("m,a,b", [(4, -26, 3), (32, -192, 800)])

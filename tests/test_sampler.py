@@ -185,6 +185,15 @@ def test_equal_memory_m_prime_rejects_a_bad_m_or_r(m, r, message):
         equal_memory_m_prime(m, r, Z7)
 
 
+@pytest.mark.parametrize("group", [7, None, (7,), "Z7"])
+def test_sampler_rejects_a_group_that_is_not_a_descriptor(group):
+    # both raised a bare AttributeError on group.total_size
+    with pytest.raises(InvalidConfigError, match="is not a GroupDescriptor"):
+        SamplerSketch(group, 8, 1)
+    with pytest.raises(InvalidConfigError, match="is not a GroupDescriptor"):
+        equal_memory_m_prime(8, 2, group)
+
+
 @pytest.mark.parametrize(
     "kwargs,message",
     [

@@ -523,7 +523,7 @@ def test_rhat_table_rejects_non_finite_entries(value, gamma):
 
 
 def _wrong_kind_calls():
-    """(name, call, error) for each query handed the other kind of table over the right group."""
+    """name -> (call, error) for each query handed the other kind of table over the right group."""
     values = np.linspace(0.1, 0.7, 7) + 0j
     f, s = FunctionTable(Z7, values), SpectrumTable(Z7, values)
     rhat = rhat_from_pmf(Z7, {1: 0.5, 2: 0.5})
